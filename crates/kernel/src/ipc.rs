@@ -7,9 +7,8 @@
 //! IPC server is the only globally coordinated naming step; everything
 //! after binding is node-local.
 
-use std::collections::HashMap;
-
 use prism_mem::addr::{GlobalPage, Gsid, NodeId};
+use prism_sim::FastMap;
 
 /// Static home assignment: shared pages are distributed round-robin
 /// across nodes (paper §4.2), optionally restricted per segment to a
@@ -95,8 +94,8 @@ pub struct SegmentInfo {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct GlobalIpc {
-    by_key: HashMap<u64, Gsid>,
-    segments: HashMap<Gsid, SegmentInfo>,
+    by_key: FastMap<u64, Gsid>,
+    segments: FastMap<Gsid, SegmentInfo>,
     next_gsid: u32,
 }
 

@@ -7,13 +7,12 @@
 //! executed by the machine, which sequences the kernel's *plan* and
 //! *commit* steps around them.
 
-use std::collections::HashMap;
-
 use prism_mem::addr::{FrameNo, Geometry, GlobalPage, Gsid, LineIdx, NodeId, VirtAddr};
 use prism_mem::frames::{FrameClass, FramePool, UsageTracker};
 use prism_mem::mode::FrameMode;
 use prism_mem::page_table::{PageTable, Pte, SegmentTable};
 use prism_mem::trace::SegmentSpec;
+use prism_sim::FastMap;
 
 use crate::ipc::HomeMap;
 use crate::page_cache::{ClientPage, PageCache};
@@ -151,16 +150,16 @@ pub struct Kernel {
     policy: PagePolicy,
     home_status_flag: bool,
     renuma_threshold: u64,
-    remote_refetches: HashMap<GlobalPage, u64>,
+    remote_refetches: FastMap<GlobalPage, u64>,
     page_table: PageTable,
     segments: SegmentTable,
     pool: FramePool,
     command_frame: FrameNo,
     usage: UsageTracker,
     page_cache: PageCache,
-    mode_pref: HashMap<GlobalPage, FrameMode>,
-    resident_home: HashMap<GlobalPage, FrameNo>,
-    known_home: HashMap<GlobalPage, KnownHome>,
+    mode_pref: FastMap<GlobalPage, FrameMode>,
+    resident_home: FastMap<GlobalPage, FrameNo>,
+    known_home: FastMap<GlobalPage, KnownHome>,
     stats: KernelStats,
 }
 
@@ -180,16 +179,16 @@ impl Kernel {
             policy: cfg.policy,
             home_status_flag: cfg.home_status_flag,
             renuma_threshold: cfg.renuma_threshold.max(1),
-            remote_refetches: HashMap::new(),
+            remote_refetches: FastMap::default(),
             page_table: PageTable::new(),
             segments: SegmentTable::new(),
             pool,
             command_frame,
             usage: UsageTracker::new(geom.lines_per_page()),
             page_cache: PageCache::new(cfg.page_cache_capacity),
-            mode_pref: HashMap::new(),
-            resident_home: HashMap::new(),
-            known_home: HashMap::new(),
+            mode_pref: FastMap::default(),
+            resident_home: FastMap::default(),
+            known_home: FastMap::default(),
             stats: KernelStats::default(),
         }
     }

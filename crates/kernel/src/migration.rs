@@ -7,15 +7,14 @@
 //! coordination only among the static home and the old and new dynamic
 //! homes — clients catch up lazily through request forwarding.
 
-use std::collections::HashMap;
-
 use prism_mem::addr::NodeId;
+use prism_sim::FastMap;
 
 /// Per-page coherence-traffic counters (the hardware monitoring counters
 /// of paper §3.5).
 #[derive(Clone, Debug, Default)]
 pub struct PageTraffic {
-    by_node: HashMap<NodeId, u64>,
+    by_node: FastMap<NodeId, u64>,
     total: u64,
 }
 

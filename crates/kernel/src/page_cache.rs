@@ -4,9 +4,8 @@
 //! The LRU considers only accesses from local processors (paper §4.2,
 //! SCOMA-70 definition).
 
-use std::collections::HashMap;
-
 use prism_mem::addr::{FrameNo, GlobalPage};
+use prism_sim::FastMap;
 
 /// A client page resident in the local page cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -15,6 +14,13 @@ pub struct ClientPage {
     pub frame: FrameNo,
     /// The virtual page mapped to it (needed for unmapping at page-out).
     pub vpage: u64,
+}
+
+/// A resident page's record with its LRU recency stamp.
+#[derive(Clone, Copy, Debug)]
+struct Resident {
+    page: ClientPage,
+    stamp: u64,
 }
 
 /// The set of client S-COMA pages on one node, with LRU recency and an
@@ -36,8 +42,7 @@ pub struct ClientPage {
 /// ```
 #[derive(Clone, Debug)]
 pub struct PageCache {
-    pages: HashMap<GlobalPage, ClientPage>,
-    recency: HashMap<GlobalPage, u64>,
+    pages: FastMap<GlobalPage, Resident>,
     capacity: Option<usize>,
     tick: u64,
 }
@@ -47,8 +52,7 @@ impl PageCache {
     /// (`None` = unlimited, the pure-SCOMA configuration).
     pub fn new(capacity: Option<usize>) -> PageCache {
         PageCache {
-            pages: HashMap::new(),
-            recency: HashMap::new(),
+            pages: FastMap::default(),
             capacity,
             tick: 0,
         }
@@ -84,41 +88,46 @@ impl PageCache {
     /// Panics if the page is already resident.
     pub fn insert(&mut self, gpage: GlobalPage, frame: FrameNo, vpage: u64) {
         self.tick += 1;
-        let prev = self.pages.insert(gpage, ClientPage { frame, vpage });
+        let page = ClientPage { frame, vpage };
+        let prev = self.pages.insert(
+            gpage,
+            Resident {
+                page,
+                stamp: self.tick,
+            },
+        );
         assert!(prev.is_none(), "client page {gpage} already resident");
-        self.recency.insert(gpage, self.tick);
     }
 
     /// Removes a client page (page-out), returning its record.
     pub fn remove(&mut self, gpage: GlobalPage) -> Option<ClientPage> {
-        self.recency.remove(&gpage);
-        self.pages.remove(&gpage)
+        self.pages.remove(&gpage).map(|r| r.page)
     }
 
     /// The record for a resident client page.
     pub fn get(&self, gpage: GlobalPage) -> Option<ClientPage> {
-        self.pages.get(&gpage).copied()
+        self.pages.get(&gpage).map(|r| r.page)
     }
 
     /// Refreshes a page's recency (called on local processor accesses).
     pub fn note_use(&mut self, gpage: GlobalPage) {
-        if let Some(stamp) = self.recency.get_mut(&gpage) {
+        if let Some(r) = self.pages.get_mut(&gpage) {
             self.tick += 1;
-            *stamp = self.tick;
+            r.stamp = self.tick;
         }
     }
 
     /// The least-recently-used resident page.
     pub fn lru_victim(&self) -> Option<GlobalPage> {
-        self.recency
+        self.pages
             .iter()
-            .min_by_key(|&(gp, &stamp)| (stamp, gp.gsid.0, gp.page))
+            .min_by_key(|&(gp, r)| (r.stamp, gp.gsid.0, gp.page))
             .map(|(&gp, _)| gp)
     }
 
     /// Iterates resident pages as `(page, record)` (unspecified order).
     pub fn iter(&self) -> impl Iterator<Item = (GlobalPage, ClientPage)> + '_ {
-        self.pages.iter().map(|(&g, &c)| (g, c))
+        self.pages.iter().map(|(&g, r)| (g, r.page))
     }
 }
 

@@ -181,10 +181,10 @@ pub fn decide_client_mode(
 mod tests {
     use super::*;
     use prism_mem::addr::Gsid;
-    use std::collections::HashMap;
+    use prism_sim::FastMap;
 
     struct StubQuery {
-        invalid: HashMap<FrameNo, usize>,
+        invalid: FastMap<FrameNo, usize>,
         transit: Vec<FrameNo>,
     }
 
@@ -210,7 +210,7 @@ mod tests {
 
     fn empty_query() -> StubQuery {
         StubQuery {
-            invalid: HashMap::new(),
+            invalid: FastMap::default(),
             transit: Vec::new(),
         }
     }
@@ -293,7 +293,7 @@ mod tests {
     fn dyn_util_all_transit_falls_back_to_lanuma() {
         let pc = full_cache();
         let q = StubQuery {
-            invalid: HashMap::new(),
+            invalid: FastMap::default(),
             transit: vec![FrameNo(10), FrameNo(11)],
         };
         let d = decide_client_mode(PagePolicy::DynUtil, &pc, &q);

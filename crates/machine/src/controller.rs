@@ -4,14 +4,13 @@
 //! LA-NUMA lines, the directory (for pages homed here), the directory
 //! cache, and the per-page traffic counters used by migration policies.
 
-use std::collections::HashMap;
-
 use prism_kernel::migration::PageTraffic;
 use prism_kernel::policy::ControllerQuery;
 use prism_mem::addr::{FrameNo, GlobalPage, LineIdx};
 use prism_mem::directory::{DirCache, DirStore, DirectoryKind};
 use prism_mem::pit::Pit;
 use prism_mem::tags::{LineTag, TagArray};
+use prism_sim::FastMap;
 
 /// One node's coherence controller state.
 #[derive(Clone, Debug)]
@@ -25,19 +24,19 @@ pub struct Controller {
     /// the backing store and tracks which lines it has vouched for to
     /// local processors so it knows when to consult the home. Absent
     /// entries mean Invalid.
-    lanuma: HashMap<(u32, u16), LineTag>,
+    lanuma: FastMap<(u32, u16), LineTag>,
     /// The directory for pages homed at this node (full-map or
     /// log-replicated, per [`DirectoryKind`]).
     pub dir: DirStore,
     /// The 8K-entry directory cache.
     pub dir_cache: DirCache,
     /// Per-page coherence-traffic counters (migration hardware counters).
-    pub traffic: HashMap<GlobalPage, PageTraffic>,
+    pub traffic: FastMap<GlobalPage, PageTraffic>,
     /// Watchdog bookkeeping: when each currently-Transit line entered
     /// the `T` tag, keyed by (frame, line). Normal transactions are
     /// atomic in the simulation, so entries only appear when a fault
     /// wedges a transaction mid-flight.
-    transit_since: HashMap<(u32, u16), u64>,
+    transit_since: FastMap<(u32, u16), u64>,
 }
 
 impl Controller {
@@ -53,11 +52,11 @@ impl Controller {
         Controller {
             pit: Pit::new(real_frames),
             tags: TagArray::new(real_frames, lines_per_page),
-            lanuma: HashMap::new(),
+            lanuma: FastMap::default(),
             dir: DirStore::new(directory, nodes),
             dir_cache: DirCache::new(dir_cache_entries, dir_cache_assoc),
-            traffic: HashMap::new(),
-            transit_since: HashMap::new(),
+            traffic: FastMap::default(),
+            transit_since: FastMap::default(),
         }
     }
 

@@ -14,10 +14,8 @@
 //! machine produces bit-identical reports, so chaos tests can assert
 //! exact outcomes.
 
-use std::collections::{HashMap, HashSet};
-
 use prism_mem::addr::{GlobalPage, LineIdx, NodeId};
-use prism_sim::{Cycle, SimRng};
+use prism_sim::{Cycle, FastMap, FastSet, SimRng};
 
 /// Bounded retry with exponential backoff for unacknowledged protocol
 /// messages.
@@ -139,7 +137,7 @@ impl JournalPolicy {
 /// replayed if their dynamic home died — and timing for the lag tally.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Journal {
-    pages: HashMap<GlobalPage, PageJournal>,
+    pages: FastMap<GlobalPage, PageJournal>,
     /// Machine-lifetime record count (survives page retirement).
     total_records: u64,
     /// Pages retired since the journal was last absorbed. Only consumed
@@ -156,7 +154,7 @@ pub(crate) struct Journal {
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PageJournal {
     /// Latest journaled record per line, by write cycle.
-    pub(crate) lines: HashMap<LineIdx, Cycle>,
+    pub(crate) lines: FastMap<LineIdx, Cycle>,
     /// When the last full-page image was checkpointed (migration).
     pub(crate) image_at: Option<Cycle>,
     /// Total records appended for this page (lines + images).
@@ -639,7 +637,7 @@ pub(crate) struct FaultState {
     pub(crate) next_event: usize,
     /// Pages whose stranded dirty lines were already tallied as lost,
     /// so repeated failover refusals count each line once.
-    pub(crate) lost_pages: HashSet<GlobalPage>,
+    pub(crate) lost_pages: FastSet<GlobalPage>,
 }
 
 impl FaultState {
@@ -651,7 +649,7 @@ impl FaultState {
             plan,
             rng,
             next_event: 0,
-            lost_pages: HashSet::new(),
+            lost_pages: FastSet::default(),
         }
     }
 

@@ -77,9 +77,8 @@
 //! truncation clock rebases to `clock + Σ lower-bound(remaining ops)`,
 //! which is the same sum a fresh scan accumulates.
 
-use std::collections::HashMap;
-
 use prism_mem::addr::{NodeId, NodeSet, VirtAddr};
+use prism_sim::FastMap;
 
 use crate::obs::CursorInval;
 
@@ -228,7 +227,7 @@ pub(crate) struct FootprintLedger {
     /// Private pages memoize [`NodeSet::EMPTY`]. Entries persist across
     /// invalidation (marked stale in place) so generations are never
     /// lost while cursors still reference them.
-    memo: HashMap<(usize, u64), PageMemo>,
+    memo: FastMap<(usize, u64), PageMemo>,
     /// Cached per-node fill closure (LA-NUMA write-back owners,
     /// page-cache eviction victims) plus the shared vpages whose homes
     /// it embeds — the member list lets a `HomeMoved` invalidate only

@@ -527,10 +527,9 @@ fn invalidation_counters_reconcile_with_event_stream() {
     // state: fresh memo entries stale (and count) at most once, member
     // closures drop (and count) at most once, non-member closures and
     // already-stale entries never count.
-    let mut fresh: std::collections::HashSet<(usize, u64)> =
-        (0..NODES).map(|n| (n, page)).collect();
-    let mut closures: std::collections::HashSet<usize> = (0..NODES).collect();
-    let mut staled: std::collections::HashSet<(usize, u64)> = std::collections::HashSet::new();
+    let mut fresh: prism_sim::FastSet<(usize, u64)> = (0..NODES).map(|n| (n, page)).collect();
+    let mut closures: prism_sim::FastSet<usize> = (0..NODES).collect();
+    let mut staled: prism_sim::FastSet<(usize, u64)> = prism_sim::FastSet::default();
     let mut expected: u64 = 0;
     for e in &events {
         match *e {

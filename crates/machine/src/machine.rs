@@ -14,15 +14,13 @@
 //!   and audit findings flow through; [`crate::report`] snapshots it
 //!   into a [`RunReport`].
 
-use std::collections::HashMap;
-
 use prism_kernel::ipc::{GlobalIpc, HomeMap};
 use prism_kernel::kernel::{Kernel, KernelConfig};
 use prism_mem::addr::{GlobalPage, NodeId, NodeSet};
 use prism_mem::trace::Trace;
 use prism_protocol::msg::TrafficLedger;
 use prism_sim::sync::{BarrierSet, LockSet};
-use prism_sim::Cycle;
+use prism_sim::{Cycle, FastMap, FastSet};
 
 use prism_kernel::policy::PagePolicy;
 use prism_sim::SimRng;
@@ -77,7 +75,7 @@ pub struct Machine {
     /// machine-wide group unless [`Machine::run_jobs`] installed several.
     pub(crate) barrier_groups: Vec<(std::ops::Range<usize>, BarrierSet)>,
     pub(crate) locks: LockSet,
-    pub(crate) dyn_homes: HashMap<GlobalPage, NodeId>,
+    pub(crate) dyn_homes: FastMap<GlobalPage, NodeId>,
     pub(crate) ipc: GlobalIpc,
     pub(crate) homes: HomeMap,
     pub(crate) ledger: TrafficLedger,
@@ -96,7 +94,7 @@ pub struct Machine {
     /// Every node that has ever mastered a page (static home included):
     /// the set of *legal* stale dynamic-home hints, letting the auditor
     /// distinguish lazy-migration staleness from corruption.
-    pub(crate) former_homes: HashMap<GlobalPage, NodeSet>,
+    pub(crate) former_homes: FastMap<GlobalPage, NodeSet>,
     pub(crate) workload_name: String,
     /// Deterministic RNG stream for sampled audit sweeps.
     pub(crate) audit_rng: SimRng,
@@ -145,7 +143,7 @@ impl Machine {
             nodes,
             barrier_groups: vec![(0..total, BarrierSet::new(total))],
             locks: LockSet::new(),
-            dyn_homes: HashMap::new(),
+            dyn_homes: FastMap::default(),
             ipc: GlobalIpc::new(),
             homes,
             ledger: TrafficLedger::new(),
@@ -155,7 +153,7 @@ impl Machine {
             fault: None,
             journal,
             next_audit,
-            former_homes: HashMap::new(),
+            former_homes: FastMap::default(),
             workload_name: String::new(),
             audit_rng: SimRng::new(AUDIT_RNG_SEED),
             mode_prefs_set: false,
@@ -222,7 +220,8 @@ impl Machine {
     /// a client page-cache entry sits on a `ScomaClient` frame, a
     /// directory entry's home frame is the `ScomaHome` frame the kernel
     /// has the page resident on. Returns one line per violation (empty =
-    /// conserved). Cross-structure checks are skipped on failed nodes,
+    /// conserved), in a fixed order: map-backed owners are walked by
+    /// page. Cross-structure checks are skipped on failed nodes,
     /// whose kernels are dead and legitimately out of sync with the
     /// state their survivors adopted.
     pub fn page_accounting_violations(&self) -> Vec<String> {
@@ -231,7 +230,7 @@ impl Machine {
         for node in &self.nodes {
             let n = node.id.0;
             let pool = node.kernel.pool();
-            let mut free_seen = std::collections::HashSet::new();
+            let mut free_seen = FastSet::default();
             for f in pool.free_frames() {
                 if f.is_imaginary() {
                     violations.push(format!("node {n}: imaginary frame {f} on the free list"));
@@ -256,7 +255,9 @@ impl Machine {
             if node.failed {
                 continue;
             }
-            for gp in node.kernel.page_cache_pages() {
+            let mut cached: Vec<_> = node.kernel.page_cache_pages().collect();
+            cached.sort_unstable();
+            for gp in cached {
                 let cp = node
                     .kernel
                     .client_page(gp)
@@ -269,7 +270,9 @@ impl Machine {
                     )),
                 }
             }
-            for (gp, pd) in node.controller.dir.iter() {
+            let mut homed: Vec<_> = node.controller.dir.iter().collect();
+            homed.sort_unstable_by_key(|&(gp, _)| *gp);
+            for (gp, pd) in homed {
                 match pool.class_of(pd.home_frame) {
                     Some(FrameClass::ScomaHome) => {}
                     other => violations.push(format!(
@@ -285,7 +288,9 @@ impl Machine {
                     ));
                 }
             }
-            for (gp, frame) in node.kernel.resident_home_pages() {
+            let mut resident: Vec<_> = node.kernel.resident_home_pages().collect();
+            resident.sort_unstable();
+            for (gp, frame) in resident {
                 if node.controller.dir.page(gp).is_none() {
                     violations.push(format!(
                         "node {n}: {gp} resident as home on frame {frame} with no directory entry"

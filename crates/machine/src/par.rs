@@ -89,7 +89,6 @@
 //!   `RunReport` byte-identical to the serial heap's under an active
 //!   `FaultPlan`.
 
-use std::collections::HashMap;
 use std::sync::mpsc;
 
 use prism_kernel::ipc::GlobalIpc;
@@ -100,7 +99,7 @@ use prism_mem::trace::{Op, Trace};
 use prism_protocol::msg::TrafficLedger;
 use prism_sim::sync::{BarrierSet, LockSet};
 use prism_sim::SimRng;
-use prism_sim::{Cycle, Resource};
+use prism_sim::{Cycle, FastMap, Resource};
 
 use crate::config::AuditMode;
 use crate::controller::Controller;
@@ -580,7 +579,7 @@ impl Machine {
         // sound.
         let mut b = b_ctl;
         let mut groups: Vec<Group> = Vec::new();
-        let mut by_node: HashMap<usize, usize> = HashMap::new();
+        let mut by_node: FastMap<usize, usize> = FastMap::default();
         let mut leftovers: Vec<(Cycle, usize)> = Vec::new();
         let t_scan = self.obs.stage_enabled().then(std::time::Instant::now);
         for &(c, f) in &popped {
@@ -895,7 +894,7 @@ impl Machine {
             nodes,
             barrier_groups: vec![(0..0, BarrierSet::new(1))],
             locks: LockSet::new(),
-            dyn_homes: HashMap::new(),
+            dyn_homes: FastMap::default(),
             ipc: GlobalIpc::new(),
             homes: self.homes.clone(),
             ledger: TrafficLedger::new(),
@@ -905,7 +904,7 @@ impl Machine {
             fault: self.fault.clone(),
             journal: self.journal.as_ref().map(|_| Journal::default()),
             next_audit: u64::MAX,
-            former_homes: HashMap::new(),
+            former_homes: FastMap::default(),
             workload_name: String::new(),
             audit_rng: SimRng::new(AUDIT_RNG_SEED),
             mode_prefs_set: false,

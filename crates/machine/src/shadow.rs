@@ -23,13 +23,12 @@
 //! *metadata structure* between accesses — together they cover both
 //! halves of the coherence state.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use prism_mem::addr::{FrameNo, GlobalPage, LineIdx, NodeId};
 use prism_mem::directory::LineDir;
 use prism_mem::tags::LineTag;
-use prism_sim::{Cycle, SimRng};
+use prism_sim::{Cycle, FastMap, SimRng};
 
 use crate::config::AuditMode;
 use crate::machine::Machine;
@@ -40,17 +39,17 @@ use crate::obs::ObsEvent;
 #[derive(Clone, Debug, Default)]
 pub struct Shadow {
     /// Latest version written, per line id. Missing = 0 (initial data).
-    latest: HashMap<u64, u64>,
+    latest: FastMap<u64, u64>,
     /// Version held in a processor's cache hierarchy (L1/L2 together).
-    proc_copy: HashMap<(u16, u64), u64>,
+    proc_copy: FastMap<(u16, u64), u64>,
     /// Version held in a node's memory (home memory, page cache, or
     /// private memory). Missing means *no copy* for client page caches,
     /// and *version 0* for authoritative memory (home / private), so the
     /// fill helpers take the authority into account.
-    node_copy: HashMap<(u16, u64), u64>,
+    node_copy: FastMap<(u16, u64), u64>,
     /// Physical (node, cache line key) → line id, recorded at fill time
     /// so evictions can find the identity of the displaced line.
-    lid_of: HashMap<(u16, u64), u64>,
+    lid_of: FastMap<(u16, u64), u64>,
     /// Reads checked.
     pub reads_checked: u64,
 }

@@ -16,7 +16,9 @@
 //! lagging replicas are replayed to the tail first — an entry is
 //! **never** dropped before every live replica has applied it.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+
+use prism_sim::FastMap;
 
 use crate::addr::{FrameNo, GlobalPage, NodeId};
 use crate::directory::{DirBackend, DirOp, PageDir};
@@ -162,7 +164,7 @@ impl PageLog {
 /// ```
 #[derive(Clone, Debug)]
 pub struct DirLog {
-    pages: HashMap<GlobalPage, PageLog>,
+    pages: FastMap<GlobalPage, PageLog>,
     nodes: usize,
     last_append: Option<GlobalPage>,
     stats: DirLogStats,
@@ -172,7 +174,7 @@ impl DirLog {
     /// Creates an empty store for a machine of `nodes` nodes.
     pub fn new(nodes: usize) -> DirLog {
         DirLog {
-            pages: HashMap::new(),
+            pages: FastMap::default(),
             nodes,
             last_append: None,
             stats: DirLogStats::default(),

@@ -13,8 +13,9 @@
 //! [`DirectoryKind`]; both must produce byte-identical machine behavior
 //! (the determinism suite holds them to it).
 
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+
+use prism_sim::FastMap;
 
 use crate::addr::{FrameNo, GlobalLine, GlobalPage, LineIdx, NodeId, NodeSet};
 use crate::dir_log::{DirLog, DirLogStats};
@@ -100,7 +101,7 @@ pub struct PageDir {
     /// Optional cached client frame numbers (paper §3.2: speeds reverse
     /// translation of invalidations at the cost of directory space; the
     /// paper's experiments leave this *off*).
-    pub client_frames: HashMap<NodeId, FrameNo>,
+    pub client_frames: FastMap<NodeId, FrameNo>,
     /// The real frame backing the page in the home node's memory.
     pub home_frame: FrameNo,
     /// Coherence transactions that touched this page — the hardware
@@ -115,7 +116,7 @@ impl PageDir {
         PageDir {
             lines: vec![LineDir::Uncached; lines].into_boxed_slice(),
             clients: NodeSet::EMPTY,
-            client_frames: HashMap::new(),
+            client_frames: FastMap::default(),
             home_frame,
             traffic: 0,
         }
@@ -214,7 +215,7 @@ pub trait DirBackend {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Directory {
-    pages: HashMap<GlobalPage, PageDir>,
+    pages: FastMap<GlobalPage, PageDir>,
 }
 
 impl Directory {

@@ -5,7 +5,7 @@
 //! configuration allocates and what fraction of each frame's cache lines
 //! is actually touched (paper Table 3).
 
-use std::collections::HashMap;
+use prism_sim::FastMap;
 
 use crate::addr::FrameNo;
 
@@ -76,7 +76,7 @@ pub struct FramePool {
     free: Vec<FrameNo>,
     total_real: usize,
     next_imaginary: u32,
-    active_class: HashMap<FrameNo, FrameClass>,
+    active_class: FastMap<FrameNo, FrameClass>,
     stats: PoolStats,
 }
 
@@ -88,7 +88,7 @@ impl FramePool {
             free: (0..real_frames as u32).rev().map(FrameNo).collect(),
             total_real: real_frames,
             next_imaginary: 0,
-            active_class: HashMap::new(),
+            active_class: FastMap::default(),
             stats: PoolStats::default(),
         }
     }
@@ -178,7 +178,7 @@ impl FramePool {
 /// averaged over all allocation instances.
 #[derive(Clone, Debug, Default)]
 pub struct UsageTracker {
-    active: HashMap<FrameNo, LineMask>,
+    active: FastMap<FrameNo, LineMask>,
     finished_instances: u64,
     finished_touched: u64,
     lines_per_page: usize,
@@ -205,7 +205,7 @@ impl UsageTracker {
     /// Creates a tracker for frames of `lines_per_page` lines.
     pub fn new(lines_per_page: usize) -> UsageTracker {
         UsageTracker {
-            active: HashMap::new(),
+            active: FastMap::default(),
             finished_instances: 0,
             finished_touched: 0,
             lines_per_page,

@@ -7,7 +7,7 @@
 //! granularity (paper §3.3, "Global Naming and Binding"); the segment
 //! table records those attachments.
 
-use std::collections::HashMap;
+use prism_sim::FastMap;
 
 use crate::addr::{FrameNo, Geometry, GlobalPage, Gsid, VirtAddr};
 use crate::mode::FrameMode;
@@ -39,7 +39,7 @@ pub struct Pte {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct PageTable {
-    map: HashMap<u64, Pte>,
+    map: FastMap<u64, Pte>,
 }
 
 impl PageTable {

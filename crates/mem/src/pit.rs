@@ -6,7 +6,7 @@
 //! home-frame hints, and the capability list used as a memory firewall
 //! against wild writes from remote nodes.
 
-use std::collections::HashMap;
+use prism_sim::FastMap;
 
 use crate::addr::{FrameNo, GlobalPage, NodeId, NodeSet};
 use crate::mode::FrameMode;
@@ -103,8 +103,8 @@ pub enum ReverseOutcome {
 #[derive(Clone, Debug)]
 pub struct Pit {
     real: Vec<Option<PitEntry>>,
-    imaginary: HashMap<u32, PitEntry>,
-    reverse: HashMap<GlobalPage, FrameNo>,
+    imaginary: FastMap<u32, PitEntry>,
+    reverse: FastMap<GlobalPage, FrameNo>,
     guess_hits: u64,
     hash_lookups: u64,
 }
@@ -114,8 +114,8 @@ impl Pit {
     pub fn new(real_frames: usize) -> Pit {
         Pit {
             real: vec![None; real_frames],
-            imaginary: HashMap::new(),
-            reverse: HashMap::new(),
+            imaginary: FastMap::default(),
+            reverse: FastMap::default(),
             guess_hits: 0,
             hash_lookups: 0,
         }

@@ -84,7 +84,8 @@ pub enum TraceError {
         /// Lock id involved.
         lock: u32,
     },
-    /// Declared shared segments overlap or are misaligned.
+    /// Declared shared segments overlap, are misaligned or empty, or run
+    /// past the top of the address space.
     BadSegments,
 }
 
@@ -106,7 +107,10 @@ impl fmt::Display for TraceError {
             TraceError::LockImbalance { lane, lock } => {
                 write!(f, "lane {lane} has unbalanced lock {lock}")
             }
-            TraceError::BadSegments => write!(f, "shared segments overlap or are misaligned"),
+            TraceError::BadSegments => write!(
+                f,
+                "shared segments overlap, are misaligned or empty, or run past the address space"
+            ),
         }
     }
 }
@@ -165,8 +169,8 @@ impl Trace {
 
     /// Checks structural well-formedness: every access falls in a shared
     /// segment or the lane's private region, barrier sequences agree
-    /// across lanes, lock usage is balanced, and segments are disjoint
-    /// and page-aligned.
+    /// across lanes, lock usage is balanced, and segments are disjoint,
+    /// page-aligned, and end (rounded up to pages) below `2^64`.
     ///
     /// # Errors
     ///
@@ -188,26 +192,28 @@ impl Trace {
         geom: &Geometry,
         groups: &[std::ops::Range<usize>],
     ) -> Result<(), TraceError> {
-        // Segments: aligned, non-overlapping.
-        let mut segs: Vec<(u64, u64)> =
-            self.segments.iter().map(|s| (s.va_base, s.bytes)).collect();
-        segs.sort_unstable();
-        for w in segs.windows(2) {
-            if w[0].0 + w[0].1 > w[1].0 {
+        // Segments: aligned, non-empty, non-overlapping, and ending
+        // inside the address space. Each is kept as `(base, end)` with
+        // its page-rounded exclusive end computed once, so the
+        // per-reference check below does no arithmetic.
+        let mut segs: Vec<(u64, u64)> = Vec::with_capacity(self.segments.len());
+        for s in &self.segments {
+            if geom.page_offset(s.va_base) != 0 || s.bytes == 0 {
                 return Err(TraceError::BadSegments);
             }
+            let end = s
+                .bytes
+                .checked_next_multiple_of(geom.page_bytes())
+                .and_then(|len| s.va_base.checked_add(len))
+                .ok_or(TraceError::BadSegments)?;
+            segs.push((s.va_base, end));
         }
-        if segs
-            .iter()
-            .any(|&(b, l)| geom.page_offset(b) != 0 || l == 0)
-        {
+        segs.sort_unstable();
+        if segs.windows(2).any(|w| w[0].1 > w[1].0) {
             return Err(TraceError::BadSegments);
         }
 
-        let in_shared = |va: VirtAddr| {
-            segs.iter()
-                .any(|&(b, l)| va.0 >= b && va.0 < b + l.next_multiple_of(geom.page_bytes()))
-        };
+        let in_shared = |va: VirtAddr| segs.iter().any(|&(b, e)| va.0 >= b && va.0 < e);
 
         let barrier_seq = |lane: &[Op]| -> Vec<u32> {
             lane.iter()
@@ -465,6 +471,36 @@ mod tests {
             lanes: vec![],
         };
         assert_eq!(t.validate(&geom()), Err(TraceError::BadSegments));
+    }
+
+    #[test]
+    fn segment_past_the_address_space_is_rejected() {
+        let page = geom().page_bytes();
+        let last = u64::MAX - page + 1;
+        for segments in [
+            // Three pages from the last page.
+            vec![seg(last, 3 * page)],
+            // Rounded up to pages, this one ends at exactly 2^64.
+            vec![seg(last - page, page + 1)],
+            // A wrapping end must not let an overlapping neighbour through.
+            vec![seg(last - page, 3 * page), seg(last, page - 1)],
+            // A length that cannot even round up to a page.
+            vec![seg(SHARED_BASE, u64::MAX)],
+        ] {
+            let t = Trace {
+                name: "t".into(),
+                segments,
+                lanes: vec![vec![Op::Read(VirtAddr(last))]],
+            };
+            assert_eq!(t.validate(&geom()), Err(TraceError::BadSegments));
+        }
+        // One page lower it fits, and its rounded-up tail page is shared.
+        let t = Trace {
+            name: "t".into(),
+            segments: vec![seg(last - 2 * page, page + 1)],
+            lanes: vec![vec![Op::Read(VirtAddr(last - 1))]],
+        };
+        assert_eq!(t.validate(&geom()), Ok(()));
     }
 
     #[test]

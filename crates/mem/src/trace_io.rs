@@ -40,6 +40,8 @@ pub enum TraceIoError {
     BadChecksum,
     /// A declared length is implausible (corrupted file).
     BadLength(u64),
+    /// A trace or segment name is not valid UTF-8.
+    BadName,
 }
 
 impl fmt::Display for TraceIoError {
@@ -51,6 +53,7 @@ impl fmt::Display for TraceIoError {
             TraceIoError::BadOpTag(t) => write!(f, "invalid op tag {t}"),
             TraceIoError::BadChecksum => write!(f, "trace checksum mismatch"),
             TraceIoError::BadLength(l) => write!(f, "implausible length {l} in trace"),
+            TraceIoError::BadName => write!(f, "trace name is not valid UTF-8"),
         }
     }
 }
@@ -218,7 +221,7 @@ impl<R: Read> CountingReader<'_, R> {
         }
         let mut buf = vec![0u8; len as usize];
         self.get(&mut buf)?;
-        String::from_utf8(buf).map_err(|_| TraceIoError::BadMagic)
+        String::from_utf8(buf).map_err(|_| TraceIoError::BadName)
     }
 }
 
@@ -391,7 +394,7 @@ mod tests {
                     | TraceIoError::BadOpTag(_)
                     | TraceIoError::BadLength(_)
                     | TraceIoError::Io(_)
-                    | TraceIoError::BadMagic
+                    | TraceIoError::BadName
             ),
             "{err}"
         );
@@ -425,6 +428,43 @@ mod tests {
         let back = load_trace(&path).unwrap();
         assert_eq!(back.lanes, sample().lanes);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn invalid_utf8_name_is_a_bad_name() {
+        let mut t = sample();
+        t.name = "ab".into();
+        let mut buf = Vec::new();
+        write_trace(&t, &mut buf).unwrap();
+        // The name's bytes follow the magic, version and length fields.
+        buf[12] = 0xFF;
+        assert!(matches!(
+            read_trace(&mut buf.as_slice()),
+            Err(TraceIoError::BadName)
+        ));
+    }
+
+    #[test]
+    fn segment_past_the_address_space_reads_back_and_fails_validation() {
+        let geom = crate::addr::Geometry::default();
+        let top = u64::MAX - geom.page_bytes() + 1;
+        let t = Trace {
+            name: "top".into(),
+            segments: vec![SegmentSpec {
+                name: "s".into(),
+                va_base: top,
+                bytes: 3 * geom.page_bytes(),
+            }],
+            lanes: vec![vec![Op::Read(VirtAddr(top))]],
+        };
+        let mut buf = Vec::new();
+        write_trace(&t, &mut buf).unwrap();
+        let back = read_trace(&mut buf.as_slice()).unwrap();
+        assert_eq!(back.segments, t.segments);
+        assert_eq!(
+            back.validate(&geom),
+            Err(crate::trace::TraceError::BadSegments)
+        );
     }
 
     #[test]

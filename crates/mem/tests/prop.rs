@@ -4,8 +4,6 @@
 //! stream against a naive reference model, over many independent seeds
 //! — the offline, deterministic equivalent of a property-based test.
 
-use std::collections::HashMap;
-
 use prism_mem::addr::{FrameNo, Geometry, GlobalPage, Gsid, NodeId, VirtAddr};
 use prism_mem::cache::{Cache, LineState};
 use prism_mem::frames::{FrameClass, FramePool, UsageTracker};
@@ -14,7 +12,7 @@ use prism_mem::page_table::SegmentTable;
 use prism_mem::pit::{Pit, PitEntry};
 use prism_mem::trace::{Op, SegmentSpec, Trace};
 use prism_mem::trace_io::{read_trace, write_trace};
-use prism_sim::SimRng;
+use prism_sim::{FastMap, SimRng};
 
 const CASES: u64 = 32;
 
@@ -29,7 +27,7 @@ fn pit_forward_reverse_bijection() {
     for seed in 0..CASES {
         let mut rng = SimRng::new(seed);
         let mut pit = Pit::new(64);
-        let mut model: HashMap<u32, FrameNo> = Default::default();
+        let mut model: FastMap<u32, FrameNo> = Default::default();
         let mut next_frame = 0u32;
         let steps = rng.gen_range(1..200);
         for _ in 0..steps {
@@ -64,7 +62,7 @@ fn pit_reverse_ignores_bad_guesses() {
     for seed in 0..CASES {
         let mut rng = SimRng::new(seed);
         let mut pit = Pit::new(64);
-        let mut bound = HashMap::new();
+        let mut bound = FastMap::default();
         let count = rng.gen_range(1..16);
         for i in 0..count {
             let p = rng.gen_range(0..16) as u32;
@@ -116,7 +114,7 @@ fn cache_dirty_evictions_reported() {
     for seed in 0..CASES {
         let mut rng = SimRng::new(seed);
         let mut c = Cache::new("prop", 512, 1, 6); // 8 direct-mapped lines
-        let mut dirty_model = HashMap::new();
+        let mut dirty_model = FastMap::default();
         let steps = rng.gen_range(1..300);
         for _ in 0..steps {
             let line = rng.gen_range(0..64);

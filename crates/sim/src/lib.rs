@@ -10,6 +10,8 @@
 //!   resource is still busy with earlier work, and records utilization.
 //! * [`SimRng`] — a small, fully deterministic PRNG (xoshiro256\*\*) so that
 //!   every simulation is bit-reproducible from its seed.
+//! * [`FastMap`] / [`FastSet`] — hash tables over the fixed [`FastHasher`],
+//!   the map type every simulator table uses.
 //! * [`stats`] — counters and log₂-bucketed latency histograms.
 //! * [`event`] — a bounded event ring and a named counter registry, the
 //!   storage layer for the machine's observability bus.
@@ -41,11 +43,13 @@
 
 mod cycle;
 pub mod event;
+mod hash;
 mod resource;
 mod rng;
 pub mod stats;
 pub mod sync;
 
 pub use cycle::Cycle;
+pub use hash::{FastHasher, FastMap, FastSet};
 pub use resource::Resource;
 pub use rng::SimRng;

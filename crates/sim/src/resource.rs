@@ -1,8 +1,6 @@
 //! Occupancy-based contended resources.
 
-use std::collections::HashMap;
-
-use crate::Cycle;
+use crate::{Cycle, FastMap};
 
 /// Cycles per capacity bucket (power of two).
 const BUCKET: u64 = 64;
@@ -42,7 +40,7 @@ const BUCKET_LOG2: u32 = 6;
 #[derive(Clone, Debug)]
 pub struct Resource {
     name: &'static str,
-    used: HashMap<u64, u64>,
+    used: FastMap<u64, u64>,
     horizon: Cycle,
     busy_cycles: u64,
     wait_cycles: u64,
@@ -54,7 +52,7 @@ impl Resource {
     pub fn new(name: &'static str) -> Resource {
         Resource {
             name,
-            used: HashMap::new(),
+            used: FastMap::default(),
             horizon: Cycle::ZERO,
             busy_cycles: 0,
             wait_cycles: 0,

@@ -5,9 +5,7 @@
 //! machines: a processor that must wait is parked (its clock moves to
 //! "never") until the releasing event computes the wake-up time.
 
-use std::collections::HashMap;
-
-use crate::Cycle;
+use crate::{Cycle, FastMap};
 
 /// Outcome of a barrier arrival.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -44,7 +42,7 @@ pub enum BarrierOutcome {
 #[derive(Clone, Debug)]
 pub struct BarrierSet {
     participants: usize,
-    pending: HashMap<u32, BarrierState>,
+    pending: FastMap<u32, BarrierState>,
     episodes: u64,
 }
 
@@ -64,7 +62,7 @@ impl BarrierSet {
         assert!(participants > 0, "barrier needs at least one participant");
         BarrierSet {
             participants,
-            pending: HashMap::new(),
+            pending: FastMap::default(),
             episodes: 0,
         }
     }
@@ -164,7 +162,7 @@ pub enum LockOutcome {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct LockSet {
-    locks: HashMap<u32, LockState>,
+    locks: FastMap<u32, LockState>,
     acquisitions: u64,
     contended: u64,
 }

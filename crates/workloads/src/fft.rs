@@ -103,7 +103,7 @@ mod tests {
         let trace = Fft::new(256).generate(4);
         assert_eq!(trace.lanes.len(), 4);
         // Every point is touched at least once in the butterfly stages.
-        let mut touched = std::collections::HashSet::new();
+        let mut touched = prism_sim::FastSet::default();
         for lane in &trace.lanes {
             for op in lane {
                 if let Op::Read(va) | Op::Write(va) = op {

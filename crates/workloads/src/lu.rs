@@ -218,7 +218,7 @@ mod tests {
         // spreads a 16×16 block over 16 rows ⇒ many pages.
         let count_pages = |lu: &Lu| {
             let t = lu.generate(1);
-            let mut pages = std::collections::HashSet::new();
+            let mut pages = prism_sim::FastSet::default();
             for op in t.lanes[0].iter().take(2 * 16 * 16) {
                 if let Op::Read(va) | Op::Write(va) = op {
                     pages.insert(va.0 >> 12);
@@ -238,7 +238,7 @@ mod tests {
     #[test]
     fn both_variants_address_every_element_once_per_sweep() {
         for lu in [Lu::new(32, 8), Lu::with_contiguous_blocks(32, 8)] {
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = prism_sim::FastSet::default();
             for bi in 0..4 {
                 for bj in 0..4 {
                     for r in 0..8 {

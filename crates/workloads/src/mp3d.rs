@@ -169,7 +169,7 @@ mod tests {
         let t = Mp3d::new(400, 1, 8, 2).generate(1);
         let cells_base = t.segments[1].va_base;
         let cells_len = t.segments[1].bytes;
-        let mut distinct = std::collections::HashSet::new();
+        let mut distinct = prism_sim::FastSet::default();
         for op in &t.lanes[0] {
             if let Op::Read(va) | Op::Write(va) = op {
                 if va.0 >= cells_base && va.0 < cells_base + cells_len {

@@ -123,7 +123,7 @@ mod tests {
     #[test]
     fn red_black_covers_all_interior_points_per_iteration() {
         let t = Ocean::new(8, 1).generate(1);
-        let mut writes = std::collections::HashSet::new();
+        let mut writes = prism_sim::FastSet::default();
         for op in &t.lanes[0] {
             if let Op::Write(va) = op {
                 writes.insert(va.0);

@@ -184,7 +184,7 @@ mod tests {
         let t = Radix::new(256, 16, 3).generate(2);
         // Count writes to the two data arrays in the first pass (up to
         // the third barrier).
-        let mut writes = std::collections::HashMap::new();
+        let mut writes = prism_sim::FastMap::default();
         'outer: for lane in &t.lanes {
             let mut barriers_seen = 0;
             for op in lane {

@@ -308,7 +308,7 @@ mod tests {
     #[test]
     fn unrank_pair_enumerates_upper_triangle() {
         let n = 6;
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = prism_sim::FastSet::default();
         for k in 0..n * (n - 1) / 2 {
             let (i, j) = unrank_pair(k, n);
             assert!(i < j && j < n, "({i},{j})");

@@ -3,9 +3,8 @@
 //! (write fractions, sharing, load balance, phase structure). A refactor
 //! that silently flattens an access pattern will trip these.
 
-use std::collections::HashSet;
-
 use prism_mem::trace::{Op, Trace};
+use prism_sim::FastSet;
 use prism_workloads::{suite, AppId, Scale};
 
 fn write_fraction(t: &Trace) -> f64 {
@@ -33,7 +32,7 @@ fn per_lane_refs(t: &Trace) -> Vec<u64> {
 
 /// Lines of shared memory touched by at least two different lanes.
 fn shared_lines(t: &Trace) -> (usize, usize) {
-    let mut by_line: std::collections::HashMap<u64, HashSet<usize>> = Default::default();
+    let mut by_line: prism_sim::FastMap<u64, FastSet<usize>> = Default::default();
     for (lane, ops) in t.lanes.iter().enumerate() {
         for op in ops {
             if let Op::Read(va) | Op::Write(va) = op {
