@@ -1,4 +1,7 @@
 //! Regenerates every table and figure of the paper in one run.
+//!
+//! Exits with status 1 when any of the paper's qualitative claims does
+//! not hold (the "Shape violations" list).
 
 use prism_core::MachineConfig;
 use prism_workloads::Scale;
@@ -20,5 +23,6 @@ fn main() {
         for v in violations {
             println!("  - {v}");
         }
+        std::process::exit(1);
     }
 }

@@ -81,7 +81,9 @@ pub enum ReverseOutcome {
 
 /// The Page Information Table of one node's coherence controller.
 ///
-/// Real frames are stored densely; imaginary (LA-NUMA) frames sparsely.
+/// Real frames are stored densely, filled on demand up to the highest
+/// frame bound so far (frames come low-first from the free list);
+/// imaginary (LA-NUMA) frames sparsely.
 /// The reverse map implements the "standard OS techniques for sparse
 /// address translations" the paper prescribes (a hash table).
 ///
@@ -102,6 +104,7 @@ pub enum ReverseOutcome {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Pit {
+    real_frames: usize,
     real: Vec<Option<PitEntry>>,
     imaginary: FastMap<u32, PitEntry>,
     reverse: FastMap<GlobalPage, FrameNo>,
@@ -113,7 +116,9 @@ impl Pit {
     /// Creates a PIT for a node with `real_frames` frames of local memory.
     pub fn new(real_frames: usize) -> Pit {
         Pit {
-            real: vec![None; real_frames],
+            real_frames,
+            // Reserved but untouched, so not resident until frames bind.
+            real: Vec::with_capacity(real_frames),
             imaginary: FastMap::default(),
             reverse: FastMap::default(),
             guess_hits: 0,
@@ -125,8 +130,9 @@ impl Pit {
     ///
     /// # Panics
     ///
-    /// Panics if the frame already has an entry or the global page is
-    /// already bound to another frame on this node.
+    /// Panics if the frame already has an entry, the global page is
+    /// already bound to another frame on this node, or a real frame is
+    /// beyond the node's memory.
     pub fn insert(&mut self, frame: FrameNo, entry: PitEntry) {
         let prev = self.reverse.insert(entry.gpage, frame);
         assert!(
@@ -138,7 +144,12 @@ impl Pit {
             let prev = self.imaginary.insert(frame.0, entry);
             assert!(prev.is_none(), "PIT entry already present for {frame}");
         } else {
-            let slot = &mut self.real[frame.real_index()];
+            let i = frame.real_index();
+            assert!(i < self.real_frames, "{frame} is beyond the node's memory");
+            if i >= self.real.len() {
+                self.real.resize(i + 1, None);
+            }
+            let slot = &mut self.real[i];
             assert!(slot.is_none(), "PIT entry already present for {frame}");
             *slot = Some(entry);
         }
@@ -155,8 +166,9 @@ impl Pit {
                 .remove(&frame.0)
                 .unwrap_or_else(|| panic!("no PIT entry for {frame}"))
         } else {
-            self.real[frame.real_index()]
-                .take()
+            self.real
+                .get_mut(frame.real_index())
+                .and_then(Option::take)
                 .unwrap_or_else(|| panic!("no PIT entry for {frame}"))
         };
         self.reverse.remove(&entry.gpage);
@@ -322,6 +334,37 @@ mod tests {
         let mut pit = Pit::new(4);
         pit.insert(FrameNo(0), entry(1));
         pit.insert(FrameNo(1), entry(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the node's memory")]
+    fn binding_a_frame_beyond_memory_panics() {
+        let mut pit = Pit::new(4);
+        pit.insert(FrameNo(4), entry(1));
+    }
+
+    #[test]
+    fn untouched_frames_read_as_unbound() {
+        let mut pit = Pit::new(64);
+        assert!(pit.translate(FrameNo(63)).is_none());
+        assert!(pit.translate_mut(FrameNo(40)).is_none());
+        pit.insert(FrameNo(2), entry(1));
+        assert!(pit.translate(FrameNo(3)).is_none());
+        assert!(pit.translate(FrameNo(63)).is_none());
+        assert_eq!(pit.reverse(gp(1), Some(FrameNo(50))).unwrap().0, FrameNo(2));
+        assert_eq!(pit.iter().count(), 1);
+        // A frame bound after a higher one reuses the grown slots.
+        pit.insert(FrameNo(63), entry(2));
+        pit.insert(FrameNo(0), entry(3));
+        assert_eq!(pit.translate(FrameNo(63)).unwrap().gpage, gp(2));
+        assert_eq!(pit.translate(FrameNo(0)).unwrap().gpage, gp(3));
+        assert_eq!(pit.len(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "no PIT entry")]
+    fn removing_an_untouched_frame_panics() {
+        Pit::new(64).remove(FrameNo(10));
     }
 
     #[test]

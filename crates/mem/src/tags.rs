@@ -41,6 +41,9 @@ impl fmt::Display for LineTag {
 
 /// Per-frame fine-grain tag storage for one node's real frames.
 ///
+/// The frame table is filled on demand up to the highest frame allocated
+/// so far (frames come low-first from the free list).
+///
 /// # Example
 ///
 /// ```
@@ -56,6 +59,7 @@ impl fmt::Display for LineTag {
 #[derive(Clone, Debug)]
 pub struct TagArray {
     lines_per_page: usize,
+    real_frames: usize,
     frames: Vec<Option<Box<[LineTag]>>>,
 }
 
@@ -68,7 +72,9 @@ impl TagArray {
         assert!(lines_per_page > 0, "lines_per_page must be positive");
         TagArray {
             lines_per_page,
-            frames: vec![None; real_frames],
+            real_frames,
+            // Reserved but untouched, so not resident until frames bind.
+            frames: Vec::with_capacity(real_frames),
         }
     }
 
@@ -83,14 +89,30 @@ impl TagArray {
     ///
     /// Panics if the frame already has tags or is out of range.
     pub fn allocate(&mut self, frame: FrameNo, init: LineTag) {
-        let slot = &mut self.frames[frame.real_index()];
+        let i = self.index(frame);
+        if i >= self.frames.len() {
+            self.frames.resize(i + 1, None);
+        }
+        let slot = &mut self.frames[i];
         assert!(slot.is_none(), "tags already allocated for {frame}");
         *slot = Some(vec![init; self.lines_per_page].into_boxed_slice());
     }
 
     /// Frees a frame's tags. Returns whether tags were present.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame is out of range.
     pub fn deallocate(&mut self, frame: FrameNo) -> bool {
-        self.frames[frame.real_index()].take().is_some()
+        let i = self.index(frame);
+        self.frames.get_mut(i).and_then(Option::take).is_some()
+    }
+
+    /// The frame's slot index, checked against the node's memory.
+    fn index(&self, frame: FrameNo) -> usize {
+        let i = frame.real_index();
+        assert!(i < self.real_frames, "{frame} is beyond the node's memory");
+        i
     }
 
     /// True when the frame currently has tags (i.e. is an S-COMA frame).
@@ -102,14 +124,16 @@ impl TagArray {
     }
 
     fn tags(&self, frame: FrameNo) -> &[LineTag] {
-        self.frames[frame.real_index()]
-            .as_deref()
+        self.frames
+            .get(frame.real_index())
+            .and_then(Option::as_deref)
             .unwrap_or_else(|| panic!("no tags allocated for {frame}"))
     }
 
     fn tags_mut(&mut self, frame: FrameNo) -> &mut [LineTag] {
-        self.frames[frame.real_index()]
-            .as_deref_mut()
+        self.frames
+            .get_mut(frame.real_index())
+            .and_then(Option::as_deref_mut)
             .unwrap_or_else(|| panic!("no tags allocated for {frame}"))
     }
 
@@ -229,6 +253,41 @@ mod tests {
     #[should_panic(expected = "no tags allocated")]
     fn get_without_allocate_panics() {
         TagArray::new(1, 2).get(FrameNo(0), LineIdx(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the node's memory")]
+    fn allocating_a_frame_beyond_memory_panics() {
+        TagArray::new(4, 2).allocate(FrameNo(4), LineTag::Invalid);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the node's memory")]
+    fn deallocating_a_frame_beyond_memory_panics() {
+        TagArray::new(4, 2).deallocate(FrameNo(4));
+    }
+
+    #[test]
+    fn untouched_frames_read_as_unallocated() {
+        let mut t = TagArray::new(64, 4);
+        assert!(!t.is_allocated(FrameNo(63)));
+        assert!(!t.deallocate(FrameNo(63)));
+        t.allocate(FrameNo(5), LineTag::Shared);
+        assert!(!t.is_allocated(FrameNo(6)));
+        assert!(!t.is_allocated(FrameNo(63)));
+        assert!(!t.deallocate(FrameNo(40)));
+        assert_eq!(t.count(FrameNo(5), LineTag::Shared), 4);
+        t.allocate(FrameNo(63), LineTag::Invalid);
+        t.allocate(FrameNo(0), LineTag::Exclusive);
+        assert_eq!(t.allocated_frames(), 3);
+        assert_eq!(t.count(FrameNo(63), LineTag::Invalid), 4);
+        assert_eq!(t.count(FrameNo(0), LineTag::Exclusive), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "no tags allocated")]
+    fn counting_an_untouched_frame_panics() {
+        TagArray::new(64, 2).count(FrameNo(40), LineTag::Invalid);
     }
 
     #[test]

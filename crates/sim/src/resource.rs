@@ -1,10 +1,13 @@
 //! Occupancy-based contended resources.
 
-use crate::{Cycle, FastMap};
+use crate::Cycle;
 
 /// Cycles per capacity bucket (power of two).
 const BUCKET: u64 = 64;
 const BUCKET_LOG2: u32 = 6;
+
+// A bucket's occupancy never exceeds `BUCKET`, so one byte holds it.
+const _: () = assert!(BUCKET <= u8::MAX as u64);
 
 /// A contended hardware resource modeled by *bucketized occupancy*.
 ///
@@ -25,6 +28,10 @@ const BUCKET_LOG2: u32 = 6;
 /// For arrivals in time order the model degrades to classic FIFO
 /// queueing: back-to-back requests serialize exactly.
 ///
+/// The occupancy timeline is a byte per bucket, indexed by bucket number
+/// and grown on demand, so it costs one byte per 64 cycles of the
+/// resource's horizon.
+///
 /// # Example
 ///
 /// ```
@@ -40,7 +47,7 @@ const BUCKET_LOG2: u32 = 6;
 #[derive(Clone, Debug)]
 pub struct Resource {
     name: &'static str,
-    used: FastMap<u64, u64>,
+    used: Vec<u8>,
     horizon: Cycle,
     busy_cycles: u64,
     wait_cycles: u64,
@@ -52,7 +59,7 @@ impl Resource {
     pub fn new(name: &'static str) -> Resource {
         Resource {
             name,
-            used: FastMap::default(),
+            used: Vec::new(),
             horizon: Cycle::ZERO,
             busy_cycles: 0,
             wait_cycles: 0,
@@ -64,7 +71,12 @@ impl Resource {
     /// `now`. Returns the cycle at which service begins (`>= now`); the
     /// request completes at `start + occupancy` when uncontended (the
     /// occupancy may spill into later buckets under heavy load).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `now` is [`Cycle::NEVER`].
     pub fn acquire(&mut self, now: Cycle, occupancy: Cycle) -> Cycle {
+        assert!(!now.is_never(), "{}: acquire at Cycle::NEVER", self.name);
         self.acquisitions += 1;
         self.busy_cycles += occupancy.as_u64();
         let mut remaining = occupancy.as_u64();
@@ -72,20 +84,24 @@ impl Resource {
             return now;
         }
         // Find the first bucket at/after `now` with free capacity.
-        let mut bucket = now.as_u64() >> BUCKET_LOG2;
+        let mut bucket =
+            usize::try_from(now.as_u64() >> BUCKET_LOG2).expect("bucket index fits in usize");
         let mut start: Option<Cycle> = None;
         loop {
-            let used = self.used.entry(bucket).or_insert(0);
-            if *used < BUCKET {
+            if bucket >= self.used.len() {
+                self.used.resize(bucket + 1, 0);
+            }
+            let used = u64::from(self.used[bucket]);
+            if used < BUCKET {
                 if start.is_none() {
                     // Service begins where this bucket's backlog ends,
                     // but never before the arrival instant.
-                    let begin = (bucket << BUCKET_LOG2) + *used;
+                    let begin = ((bucket as u64) << BUCKET_LOG2) + used;
                     start = Some(now.max(Cycle(begin)));
                 }
-                let free = BUCKET - *used;
+                let free = BUCKET - used;
                 let take = free.min(remaining);
-                *used += take;
+                self.used[bucket] = (used + take) as u8;
                 remaining -= take;
                 if remaining == 0 {
                     break;
@@ -151,6 +167,95 @@ impl Resource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{FastMap, SimRng};
+
+    /// The bucket-map model the byte timeline replaced: same search and
+    /// spill, with buckets kept in a hash map that never drops an entry.
+    #[derive(Default)]
+    struct MapModel {
+        used: FastMap<u64, u64>,
+        horizon: Cycle,
+        busy_cycles: u64,
+        wait_cycles: u64,
+    }
+
+    impl MapModel {
+        fn acquire(&mut self, now: Cycle, occupancy: Cycle) -> Cycle {
+            self.busy_cycles += occupancy.as_u64();
+            let mut remaining = occupancy.as_u64();
+            if remaining == 0 {
+                return now;
+            }
+            let mut bucket = now.as_u64() >> BUCKET_LOG2;
+            let mut start = None;
+            while remaining > 0 {
+                let used = self.used.entry(bucket).or_insert(0);
+                if *used < BUCKET {
+                    let begin = Cycle((bucket << BUCKET_LOG2) + *used);
+                    start.get_or_insert(now.max(begin));
+                    let take = (BUCKET - *used).min(remaining);
+                    *used += take;
+                    remaining -= take;
+                }
+                bucket += 1;
+            }
+            let start = start.expect("capacity was found");
+            self.wait_cycles += (start - now).as_u64();
+            self.horizon = self.horizon.max(start + occupancy);
+            start
+        }
+    }
+
+    #[test]
+    fn byte_timeline_matches_bucket_map_model() {
+        const OCCUPANCIES: [u64; 9] = [0, 1, 63, 64, 65, 128, 130, 200, 333];
+        for seed in 0..8 {
+            let mut rng = SimRng::new(seed);
+            let mut r = Resource::new("diff");
+            let mut model = MapModel::default();
+            for i in 0..4_000u64 {
+                // Arrivals drift forward but jump back and ahead, so
+                // reservations land out of order, in full buckets and
+                // past the end of the timeline.
+                let base = i * 160;
+                let now = match rng.gen_index(4) {
+                    0 => base.saturating_sub(rng.gen_range(0..2_000)),
+                    1 => base + rng.gen_range(0..5_000),
+                    _ => base + rng.gen_range(0..64),
+                };
+                let occ = if rng.gen_bool(0.5) {
+                    OCCUPANCIES[rng.gen_index(OCCUPANCIES.len())]
+                } else {
+                    rng.gen_range(1..300)
+                };
+                let (now, occ) = (Cycle(now), Cycle(occ));
+                assert_eq!(
+                    r.acquire(now, occ),
+                    model.acquire(now, occ),
+                    "seed {seed}, request {i}: acquire({now:?}, {occ:?})"
+                );
+            }
+            assert_eq!(r.wait_cycles(), model.wait_cycles, "seed {seed}");
+            assert_eq!(r.busy_cycles(), model.busy_cycles, "seed {seed}");
+            assert_eq!(r.busy_until(), model.horizon, "seed {seed}");
+            assert_eq!(r.acquisitions(), 4_000);
+            for (b, &used) in r.used.iter().enumerate() {
+                let expect = model.used.get(&(b as u64)).copied().unwrap_or(0);
+                assert_eq!(u64::from(used), expect, "seed {seed}, bucket {b}");
+                assert!(u64::from(used) <= BUCKET, "seed {seed}, bucket {b}");
+            }
+            assert!(model.used.keys().all(|&b| b < r.used.len() as u64));
+            // Every cycle of service sits in exactly one bucket.
+            let held: u64 = r.used.iter().map(|&u| u64::from(u)).sum();
+            assert_eq!(held, r.busy_cycles(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "acquire at Cycle::NEVER")]
+    fn acquire_at_never_panics() {
+        Resource::new("x").acquire(Cycle::NEVER, Cycle(1));
+    }
 
     #[test]
     fn back_to_back_requests_queue() {
@@ -237,6 +342,7 @@ mod tests {
         let mut r = Resource::new("x");
         r.acquire(Cycle(0), Cycle(100));
         r.reset();
+        assert!(r.used.is_empty());
         assert_eq!(r.busy_until(), Cycle::ZERO);
         assert_eq!(r.busy_cycles(), 0);
         assert_eq!(r.acquisitions(), 0);
