@@ -3,14 +3,19 @@
 //! from the SCOMA baseline (paper §4.2).
 
 use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread;
 
 use prism_machine::config::MachineConfig;
+use prism_machine::machine::Machine;
 use prism_machine::report::RunReport;
 use prism_mem::trace::Trace;
 use prism_workloads::Workload;
 
 use crate::policy::PolicyKind;
-use crate::simulation::{SimError, Simulation};
+use crate::simulation::{check_trace, SimError, Simulation};
 
 /// The paper's capacity rule: 70% of the maximum number of client
 /// S-COMA frames any node allocated in the SCOMA configuration.
@@ -94,29 +99,70 @@ pub fn sweep(
 
 /// Like [`sweep`], over a pre-generated trace.
 ///
+/// The configurations run in two phases, each spread over as many
+/// threads as the host offers (at most one per configuration). The
+/// first runs the SCOMA baseline next to the configurations that need
+/// no page-cache capacity (LANUMA); the second runs the
+/// capacity-limited ones with the capacity derived from the baseline.
+/// Every configuration runs on its own machine from the same trace, so
+/// the result is the one a serial sweep gives.
+///
 /// # Errors
 ///
-/// Propagates [`SimError`] from any run.
+/// Returns [`SimError`] when the trace does not fit the machine. Every
+/// configuration has the same processor count and geometry, so the
+/// trace is checked once, with the error [`Simulation::run_trace`]
+/// would give.
+///
+/// # Panics
+///
+/// Re-raises a panic from a configuration's run with its own payload;
+/// if several panic, the first in serial order (SCOMA, then
+/// `policies`).
 pub fn sweep_trace(
     config: &MachineConfig,
     trace: &Trace,
     policies: &[PolicyKind],
 ) -> Result<SweepResult, SimError> {
-    // The SCOMA baseline always runs first: it defines both the
-    // normalization and the SCOMA-70 capacity.
-    let scoma = Simulation::new(config.clone(), PolicyKind::Scoma).run_trace(trace)?;
-    let capacity = derive_scoma70_capacity(&scoma, SCOMA70_FRACTION);
-    let mut reports = BTreeMap::new();
+    let workers = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    sweep_on(workers, config, trace, policies)
+}
+
+/// [`sweep_trace`] on at most `workers` threads.
+fn sweep_on(
+    workers: usize,
+    config: &MachineConfig,
+    trace: &Trace,
+    policies: &[PolicyKind],
+) -> Result<SweepResult, SimError> {
+    check_trace(config, trace)?;
+    // The SCOMA baseline defines both the normalization and the
+    // SCOMA-70 capacity, so only the capacity-limited configurations
+    // have to wait for it.
+    let (mut first, mut limited) = (vec![PolicyKind::Scoma], Vec::new());
     for &policy in policies {
-        if policy == PolicyKind::Scoma {
-            continue;
+        let phase = if policy.is_capacity_limited() {
+            &mut limited
+        } else {
+            &mut first
+        };
+        if !phase.contains(&policy) {
+            phase.push(policy);
         }
-        let report = Simulation::new(config.clone(), policy)
-            .with_page_cache_capacity(capacity)
-            .run_trace(trace)?;
-        reports.insert(policy, report);
     }
-    reports.insert(PolicyKind::Scoma, scoma);
+    let run = |policy: PolicyKind, capacity: Option<usize>| {
+        let mut sim = Simulation::new(config.clone(), policy);
+        if let Some(frames) = capacity {
+            sim = sim.with_page_cache_capacity(frames);
+        }
+        Machine::new(sim.effective_config()).run(trace)
+    };
+    let first_reports = par_map(workers, &first, |&policy| run(policy, None));
+    let mut reports: BTreeMap<PolicyKind, RunReport> =
+        first.into_iter().zip(first_reports).collect();
+    let capacity = derive_scoma70_capacity(&reports[&PolicyKind::Scoma], SCOMA70_FRACTION);
+    let limited_reports = par_map(workers, &limited, |&policy| run(policy, Some(capacity)));
+    reports.extend(limited.into_iter().zip(limited_reports));
     Ok(SweepResult {
         app: trace.name.clone(),
         capacity,
@@ -124,9 +170,53 @@ pub fn sweep_trace(
     })
 }
 
+/// Maps `f` over `items` on at most `workers` threads, the calling
+/// thread being one of them. Each thread takes the next unclaimed index
+/// until none is left, and results are stored by index, so they come
+/// back in `items`' order however the threads interleave. A panic in
+/// `f` is re-raised on the calling thread with its own payload: the
+/// first in `items`' order.
+fn par_map<I: Sync, T: Send>(workers: usize, items: &[I], f: impl Fn(&I) -> T + Sync) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(index) else {
+                return done;
+            };
+            done.push((index, panic::catch_unwind(AssertUnwindSafe(|| f(item)))));
+        }
+    };
+    let helpers = workers.min(items.len()).saturating_sub(1);
+    let batches = thread::scope(|s| {
+        let handles: Vec<_> = (0..helpers).map(|_| s.spawn(work)).collect();
+        let mut batches = vec![work()];
+        batches.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("workers catch their items' panics")),
+        );
+        batches
+    });
+    let mut slots: Vec<Option<thread::Result<T>>> = items.iter().map(|_| None).collect();
+    for (index, result) in batches.into_iter().flatten() {
+        slots[index] = Some(result);
+    }
+    slots
+        .into_iter()
+        .map(|slot| match slot.expect("every item is taken once") {
+            Ok(out) => out,
+            Err(payload) => panic::resume_unwind(payload),
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prism_mem::addr::VirtAddr;
+    use prism_mem::trace::{Op, TraceError, SHARED_BASE};
     use prism_workloads::Synthetic;
 
     fn config() -> MachineConfig {
@@ -186,5 +276,96 @@ mod tests {
         let result = sweep(&config(), &w, &[PolicyKind::Scoma, PolicyKind::Scoma70]).unwrap();
         assert_eq!(result.reports[&PolicyKind::Scoma].page_outs, 0);
         assert!(result.reports[&PolicyKind::Scoma70].page_outs > 0);
+    }
+
+    /// The sweep as a serial loop of [`Simulation::run_trace`] calls
+    /// computes it: SCOMA first, then every other configuration with the
+    /// capacity derived from it.
+    fn serial_sweep(trace: &Trace) -> (usize, BTreeMap<PolicyKind, RunReport>) {
+        let scoma = Simulation::new(config(), PolicyKind::Scoma)
+            .run_trace(trace)
+            .unwrap();
+        let capacity = derive_scoma70_capacity(&scoma, SCOMA70_FRACTION);
+        let mut reports = BTreeMap::from([(PolicyKind::Scoma, scoma)]);
+        for policy in &PolicyKind::ALL[1..] {
+            let sim = Simulation::new(config(), *policy).with_page_cache_capacity(capacity);
+            reports.insert(*policy, sim.run_trace(trace).unwrap());
+        }
+        (capacity, reports)
+    }
+
+    #[test]
+    fn sweep_is_the_same_at_any_worker_count() {
+        let trace = Synthetic::uniform(4, 256 * 1024, 3_000).generate(4);
+        let (capacity, serial) = serial_sweep(&trace);
+        let json = |reports: &BTreeMap<PolicyKind, RunReport>| {
+            reports
+                .iter()
+                .map(|(policy, r)| (*policy, r.to_json()))
+                .collect::<Vec<_>>()
+        };
+        assert!(serial[&PolicyKind::Scoma70].page_outs > 0, "capacity binds");
+        for workers in [1, 2, 4] {
+            let result = sweep_on(workers, &config(), &trace, &PolicyKind::ALL).unwrap();
+            assert_eq!(result.capacity, capacity, "{workers} workers");
+            assert_eq!(json(&result.reports), json(&serial), "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn invalid_trace_fails_the_sweep_as_it_fails_a_run() {
+        let good = Synthetic::uniform(4, 64 * 1024, 100).generate(4);
+        let mut stray = good.clone();
+        stray.lanes[2] = vec![Op::Read(VirtAddr(SHARED_BASE - 64))].into();
+        let short = Synthetic::uniform(4, 64 * 1024, 100).generate(3);
+        for trace in [&stray, &short] {
+            let want = Simulation::new(config(), PolicyKind::Scoma)
+                .run_trace(trace)
+                .unwrap_err();
+            for workers in [1, 2] {
+                let got = sweep_on(workers, &config(), trace, &PolicyKind::ALL).unwrap_err();
+                assert_eq!(got, want);
+            }
+            assert_eq!(sweep_trace(&config(), trace, &[]).unwrap_err(), want);
+        }
+        assert!(matches!(
+            sweep_trace(&config(), &stray, &PolicyKind::ALL),
+            Err(SimError::InvalidTrace(TraceError::StrayAccess {
+                lane: 2,
+                ..
+            }))
+        ));
+    }
+
+    #[test]
+    fn par_map_keeps_item_order() {
+        let items: Vec<u64> = (0..10).collect();
+        for workers in [1, 2, 3, 16] {
+            assert_eq!(
+                par_map(workers, &items, |&i| i * i),
+                items.iter().map(|i| i * i).collect::<Vec<_>>()
+            );
+        }
+        assert!(par_map(4, &[] as &[u64], |&i| i).is_empty());
+    }
+
+    #[test]
+    fn a_panicking_item_surfaces_its_own_message() {
+        let items: Vec<u64> = (0..4).collect();
+        for workers in [1, 2] {
+            let payload = panic::catch_unwind(|| {
+                par_map(workers, &items, |&i| {
+                    assert!(i < 2, "item {i} failed");
+                    i
+                })
+            })
+            .unwrap_err();
+            // Items 2 and 3 both panic; the first in order wins.
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("item 2 failed"),
+                "{workers} workers"
+            );
+        }
     }
 }

@@ -118,17 +118,24 @@ impl Simulation {
     /// when validation fails.
     pub fn run_trace(&self, trace: &Trace) -> Result<RunReport, SimError> {
         let cfg = self.effective_config();
-        if trace.lanes.len() != cfg.total_procs() {
-            return Err(SimError::LaneMismatch {
-                machine: cfg.total_procs(),
-                trace: trace.lanes.len(),
-            });
-        }
-        trace
-            .validate(&cfg.geometry)
-            .map_err(SimError::InvalidTrace)?;
+        check_trace(&cfg, trace)?;
         Ok(Machine::new(cfg).run(trace))
     }
+}
+
+/// Checks that `trace` has one lane per processor of `cfg` and is
+/// well-formed for its geometry: everything [`Simulation::run_trace`]
+/// requires before it builds the machine.
+pub(crate) fn check_trace(cfg: &MachineConfig, trace: &Trace) -> Result<(), SimError> {
+    if trace.lanes.len() != cfg.total_procs() {
+        return Err(SimError::LaneMismatch {
+            machine: cfg.total_procs(),
+            trace: trace.lanes.len(),
+        });
+    }
+    trace
+        .validate(&cfg.geometry)
+        .map_err(SimError::InvalidTrace)
 }
 
 #[cfg(test)]

@@ -58,7 +58,7 @@ fn sharing_trace() -> Trace {
             va_base: SHARED_BASE,
             bytes: PAGE,
         }],
-        lanes,
+        lanes: lanes.into_iter().map(Into::into).collect(),
     }
 }
 
@@ -141,7 +141,7 @@ fn compaction_shows_up_in_the_report() {
             va_base: SHARED_BASE,
             bytes: PAGE,
         }],
-        lanes,
+        lanes: lanes.into_iter().map(Into::into).collect(),
     };
     let mut m = Machine::new(config(DirectoryKind::LogReplicated));
     let report = m.run(&trace);

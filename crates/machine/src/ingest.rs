@@ -11,12 +11,12 @@
 //! ops (which can reorder the world) or at a reference to a different
 //! page.
 //!
-//! The records are materialized as a dense per-op continuation bitmap so
-//! the hot path pays one indexed load, not a binary search over
-//! records. During execution, a reference marked as a run continuation
-//! may reuse the processor's memoized translation
-//! ([`crate::node::Processor::xlat_memo`]) instead of re-walking the
-//! TLB and page tables — the skipped lookups are idempotent on a run
+//! The records are materialized as a dense per-op continuation bitmap
+//! (one bit per op) so the hot path pays one indexed load and a shift,
+//! not a binary search over records. During execution, a reference
+//! marked as a run continuation may reuse the processor's memoized
+//! translation ([`crate::node::Processor::xlat_memo`]) instead of
+//! re-walking the TLB and page tables — the skipped lookups are idempotent on a run
 //! continuation (the TLB entry is already most-recently-used and the
 //! kernel lookup is pure), so timing and statistics are byte-identical;
 //! only host work is saved. The hit-rate is reported through
@@ -29,10 +29,10 @@ use prism_mem::trace::{Op, Trace};
 /// docs).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct IngestIndex {
-    /// `cont[lane][pc]` is true when the op at `pc` is a memory
-    /// reference continuing the same-page run of the previous reference
-    /// in its lane.
-    cont: Vec<Vec<bool>>,
+    /// Bit `pc % 64` of `cont[lane][pc / 64]` is set when the op at `pc`
+    /// is a memory reference continuing the same-page run of the
+    /// previous reference in its lane.
+    cont: Vec<Vec<u64>>,
 }
 
 impl IngestIndex {
@@ -41,7 +41,7 @@ impl IngestIndex {
     pub(crate) fn build(trace: &Trace, geom: Geometry) -> IngestIndex {
         let mut cont = Vec::with_capacity(trace.lanes.len());
         for lane in &trace.lanes {
-            let mut bits = vec![false; lane.len()];
+            let mut bits = vec![0u64; lane.len().div_ceil(64)];
             // The page of the current run.
             let mut run_page: Option<u64> = None;
             for (pc, op) in lane.iter().enumerate() {
@@ -49,7 +49,7 @@ impl IngestIndex {
                     Op::Read(va) | Op::Write(va) => {
                         let vpage = geom.vpage(va);
                         if run_page == Some(vpage) {
-                            bits[pc] = true;
+                            bits[pc / 64] |= 1 << (pc % 64);
                         } else {
                             run_page = Some(vpage);
                         }
@@ -73,7 +73,7 @@ impl IngestIndex {
     /// run (and may therefore reuse the memoized translation).
     #[inline]
     pub(crate) fn same_run(&self, flat: usize, pc: usize) -> bool {
-        self.cont[flat][pc]
+        (self.cont[flat][pc / 64] >> (pc % 64)) & 1 != 0
     }
 
     /// References eligible for translation reuse (run continuations) —
@@ -83,7 +83,8 @@ impl IngestIndex {
     fn batchable(&self) -> u64 {
         self.cont
             .iter()
-            .map(|bits| bits.iter().filter(|&&b| b).count() as u64)
+            .flatten()
+            .map(|word| u64::from(word.count_ones()))
             .sum()
     }
 
@@ -91,14 +92,17 @@ impl IngestIndex {
     /// blocks of continuation bits.
     #[cfg(test)]
     fn runs(&self) -> u64 {
-        self.cont
-            .iter()
-            .flat_map(|bits| {
-                bits.iter()
-                    .zip(std::iter::once(&false).chain(bits.iter()))
-                    .filter(|&(&cur, &prev)| cur && !prev)
-            })
-            .count() as u64
+        let mut runs = 0;
+        for bits in &self.cont {
+            // A block starts at a set bit whose predecessor (the previous
+            // word's top bit, across a word boundary) is clear.
+            let mut carry = 0;
+            for &word in bits {
+                runs += u64::from((word & !((word << 1) | carry)).count_ones());
+                carry = word >> 63;
+            }
+        }
+        runs
     }
 }
 
@@ -116,8 +120,12 @@ mod tests {
                 va_base: SHARED_BASE,
                 bytes: 1 << 20,
             }],
-            lanes,
+            lanes: lanes.into_iter().map(Into::into).collect(),
         }
+    }
+
+    fn bits(idx: &IngestIndex, lane: usize, len: usize) -> Vec<bool> {
+        (0..len).map(|pc| idx.same_run(lane, pc)).collect()
     }
 
     #[test]
@@ -138,7 +146,7 @@ mod tests {
         ]]);
         let idx = IngestIndex::build(&t, geom);
         let want = vec![false, false, true, false, false, false, true];
-        assert_eq!(idx.cont[0], want);
+        assert_eq!(bits(&idx, 0, want.len()), want);
         assert_eq!(idx.runs(), 2);
         assert_eq!(idx.batchable(), 2);
     }
@@ -148,5 +156,32 @@ mod tests {
         let idx = IngestIndex::build(&trace(vec![vec![], vec![]]), Geometry::default());
         assert_eq!(idx.runs(), 0);
         assert_eq!(idx.batchable(), 0);
+    }
+
+    #[test]
+    fn runs_are_counted_across_word_boundaries() {
+        let geom = Geometry::default();
+        let page = geom.page_bytes();
+        let on = |p: u64| Op::Read(VirtAddr(SHARED_BASE + p * page));
+        // Page 0 for ops 0..70 (one run crossing the first word's end),
+        // page 1 for ops 70..128 (a run ending exactly at a word's end),
+        // then page 2 for ops 128..130.
+        let lane: Vec<Op> = (0..130u64)
+            .map(|pc| {
+                on(if pc < 70 {
+                    0
+                } else if pc < 128 {
+                    1
+                } else {
+                    2
+                })
+            })
+            .collect();
+        let idx = IngestIndex::build(&trace(vec![lane]), geom);
+        let want: Vec<bool> = (0..130).map(|pc| !matches!(pc, 0 | 70 | 128)).collect();
+        assert_eq!(bits(&idx, 0, 130), want);
+        assert_eq!(idx.cont[0].len(), 3, "one bit per op");
+        assert_eq!(idx.runs(), 3);
+        assert_eq!(idx.batchable(), 127);
     }
 }

@@ -111,7 +111,7 @@ fn dominance_trace(tail: Tail) -> Trace {
             va_base: SHARED_BASE,
             bytes: PAGE,
         }],
-        lanes,
+        lanes: lanes.into_iter().map(Into::into).collect(),
     }
 }
 
@@ -415,7 +415,7 @@ fn page_cache_eviction_invalidates_only_the_victims_entry() {
             va_base: SHARED_BASE,
             bytes: 4 * PAGE,
         }],
-        lanes,
+        lanes: lanes.into_iter().map(Into::into).collect(),
     };
     let mut m = Machine::new(cfg);
     m.obs.set_inval_enabled(true);
@@ -470,7 +470,7 @@ fn lanuma_writeback_invalidates_only_the_writers_entry() {
             va_base: SHARED_BASE,
             bytes: PAGE,
         }],
-        lanes,
+        lanes: lanes.into_iter().map(Into::into).collect(),
     };
     let mut m = Machine::new(cfg);
     m.obs.set_inval_enabled(true);

@@ -67,8 +67,8 @@
 //!     name: "ping-pong".into(),
 //!     segments: vec![SegmentSpec { name: "d".into(), va_base: SHARED_BASE, bytes: 4096 }],
 //!     lanes: vec![
-//!         vec![Op::Write(VirtAddr(SHARED_BASE)), Op::Barrier(0)],
-//!         vec![Op::Barrier(0), Op::Read(VirtAddr(SHARED_BASE))],
+//!         vec![Op::Write(VirtAddr(SHARED_BASE)), Op::Barrier(0)].into(),
+//!         vec![Op::Barrier(0), Op::Read(VirtAddr(SHARED_BASE))].into(),
 //!     ],
 //! };
 //! let report = Machine::new(cfg).run(&trace);

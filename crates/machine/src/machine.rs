@@ -60,8 +60,8 @@ pub(crate) const AUDIT_RNG_SEED: u64 = 0x000A_0D17_5EED_0001;
 ///     name: "demo".into(),
 ///     segments: vec![SegmentSpec { name: "d".into(), va_base: SHARED_BASE, bytes: 4096 }],
 ///     lanes: vec![
-///         vec![Op::Write(VirtAddr(SHARED_BASE)), Op::Barrier(0)],
-///         vec![Op::Barrier(0), Op::Read(VirtAddr(SHARED_BASE))],
+///         vec![Op::Write(VirtAddr(SHARED_BASE)), Op::Barrier(0)].into(),
+///         vec![Op::Barrier(0), Op::Read(VirtAddr(SHARED_BASE))].into(),
 ///     ],
 /// };
 /// let report = Machine::new(cfg).run(&trace);

@@ -730,8 +730,8 @@ impl Machine {
             |pc| match lane.get(pc) {
                 None => ScanStep::End,
                 Some(Op::Barrier(_) | Op::Lock(_) | Op::Unlock(_)) => ScanStep::Sync,
-                Some(&Op::Compute(c)) => ScanStep::Compute(c as u64),
-                Some(&(Op::Read(va) | Op::Write(va))) => ScanStep::Ref {
+                Some(Op::Compute(c)) => ScanStep::Compute(c as u64),
+                Some(Op::Read(va) | Op::Write(va)) => ScanStep::Ref {
                     key: (n, self.cfg.geometry.vpage(va)),
                     va,
                     same_run: self.ingest.same_run(flat, pc),
@@ -979,7 +979,7 @@ impl Machine {
                 break;
             }
             let pc = self.nodes[n].procs[pi].pc;
-            let Some(&op) = lane.get(pc) else {
+            let Some(op) = lane.get(pc) else {
                 self.nodes[n].procs[pi].state = ProcState::Finished;
                 break;
             };

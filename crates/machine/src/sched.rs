@@ -358,7 +358,7 @@ impl Machine {
                 break;
             }
             let pc = self.nodes[n].procs[pi].pc;
-            let Some(&op) = lane.get(pc) else {
+            let Some(op) = lane.get(pc) else {
                 self.nodes[n].procs[pi].state = ProcState::Finished;
                 break;
             };

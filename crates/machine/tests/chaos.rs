@@ -11,7 +11,7 @@ use prism_machine::config::MachineConfig;
 use prism_machine::machine::Machine;
 use prism_machine::{AuditKind, FaultPlan, JournalPolicy};
 use prism_mem::addr::{GlobalPage, Gsid, NodeId, VirtAddr};
-use prism_mem::trace::{Op, SegmentSpec, Trace, SHARED_BASE};
+use prism_mem::trace::{Op, OpLane, SegmentSpec, Trace, SHARED_BASE};
 use prism_sim::Cycle;
 use prism_workloads::{app, AppId, Scale};
 
@@ -238,7 +238,7 @@ fn failover_trace() -> Trace {
             va_base: SHARED_BASE,
             bytes: 4096,
         }],
-        lanes,
+        lanes: lanes.into_iter().map(Into::into).collect(),
     }
 }
 
@@ -335,7 +335,7 @@ fn dirty_failover_trace() -> Trace {
             va_base: SHARED_BASE,
             bytes: 4096,
         }],
-        lanes,
+        lanes: lanes.into_iter().map(Into::into).collect(),
     }
 }
 
@@ -516,14 +516,16 @@ fn auditor_reports_corrupted_pit_bindings() {
             va_base: SHARED_BASE,
             bytes: 4096,
         }],
-        lanes: lanes.clone(),
+        lanes: lanes.into_iter().map(Into::into).collect(),
     };
     // A second, access-free trace: the corruption must be found by the
     // auditor's sweep, not healed as a side effect of forwarding.
     let idle = Trace {
         name: "idle".into(),
         segments: trace.segments.clone(),
-        lanes: (0..8).map(|_| vec![Op::Compute(200_000)]).collect(),
+        lanes: (0..8)
+            .map(|_| OpLane::from(vec![Op::Compute(200_000)]))
+            .collect(),
     };
 
     let mut m = Machine::new(config());

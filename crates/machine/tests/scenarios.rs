@@ -35,7 +35,7 @@ fn trace(lanes: Vec<Vec<Op>>) -> Trace {
             va_base: SHARED_BASE,
             bytes: 4096,
         }],
-        lanes,
+        lanes: lanes.into_iter().map(Into::into).collect(),
     }
 }
 

@@ -49,7 +49,7 @@ fn random_trace(seed: u64, procs: usize, pages: u64, refs: usize, write_pct: f64
             va_base: SHARED_BASE,
             bytes,
         }],
-        lanes,
+        lanes: lanes.into_iter().map(Into::into).collect(),
     };
     trace
         .validate(&prism_mem::addr::Geometry::default())
@@ -164,7 +164,7 @@ fn write_heavy_single_line_ping_pong() {
             va_base: SHARED_BASE,
             bytes: 4096,
         }],
-        lanes,
+        lanes: lanes.into_iter().map(Into::into).collect(),
     };
     let report = tiny_machine(PagePolicy::Scoma, None).run(&trace);
     assert!(report.invalidations > 0);
@@ -191,7 +191,7 @@ fn migration_moves_hot_pages_and_stays_coherent() {
             va_base: SHARED_BASE,
             bytes: 4096,
         }],
-        lanes,
+        lanes: lanes.into_iter().map(Into::into).collect(),
     };
     let cfg = MachineConfig::builder()
         .nodes(4)
@@ -230,7 +230,7 @@ fn node_failure_is_contained() {
     let trace = Trace {
         name: "private-only".into(),
         segments: vec![],
-        lanes,
+        lanes: lanes.into_iter().map(Into::into).collect(),
     };
     let mut m = tiny_machine(PagePolicy::Scoma, None);
     m.fail_node(prism_mem::addr::NodeId(0));

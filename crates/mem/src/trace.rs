@@ -49,6 +49,192 @@ pub enum Op {
     Unlock(u32),
 }
 
+/// Bits of an [`OpLane`] word that carry the op's payload (an address
+/// or a 32-bit argument); the three bits above them carry its kind.
+const PAYLOAD_BITS: u32 = 61;
+
+/// One past the largest virtual address an [`OpLane`] can hold (2^61).
+/// Every address the workloads generate lies far below it: shared
+/// segments start at [`SHARED_BASE`] (2^32), and the private region of
+/// processor 65,535 ends below 2^47.
+pub const LANE_VA_LIMIT: u64 = 1 << PAYLOAD_BITS;
+
+const PAYLOAD_MASK: u64 = LANE_VA_LIMIT - 1;
+
+const TAG_READ: u64 = 0;
+const TAG_WRITE: u64 = 1;
+const TAG_COMPUTE: u64 = 2;
+const TAG_BARRIER: u64 = 3;
+const TAG_LOCK: u64 = 4;
+const TAG_UNLOCK: u64 = 5;
+
+/// Packs `op` into one word: its kind in the top three bits, its
+/// payload in the other 61.
+///
+/// # Panics
+///
+/// Panics if a `Read` or `Write` address is at or above
+/// [`LANE_VA_LIMIT`].
+#[inline]
+fn pack(op: Op) -> u64 {
+    let addr = |va: VirtAddr| {
+        assert!(
+            va.0 < LANE_VA_LIMIT,
+            "{va} does not fit an op lane (addresses must be below 2^61)"
+        );
+        va.0
+    };
+    let (tag, payload) = match op {
+        Op::Read(va) => (TAG_READ, addr(va)),
+        Op::Write(va) => (TAG_WRITE, addr(va)),
+        Op::Compute(c) => (TAG_COMPUTE, c as u64),
+        Op::Barrier(b) => (TAG_BARRIER, b as u64),
+        Op::Lock(l) => (TAG_LOCK, l as u64),
+        Op::Unlock(l) => (TAG_UNLOCK, l as u64),
+    };
+    (tag << PAYLOAD_BITS) | payload
+}
+
+/// Inverse of [`pack`].
+#[inline]
+fn unpack(word: u64) -> Op {
+    let payload = word & PAYLOAD_MASK;
+    match word >> PAYLOAD_BITS {
+        TAG_READ => Op::Read(VirtAddr(payload)),
+        TAG_WRITE => Op::Write(VirtAddr(payload)),
+        TAG_COMPUTE => Op::Compute(payload as u32),
+        TAG_BARRIER => Op::Barrier(payload as u32),
+        TAG_LOCK => Op::Lock(payload as u32),
+        TAG_UNLOCK => Op::Unlock(payload as u32),
+        _ => unreachable!("op lanes hold only packed ops"),
+    }
+}
+
+/// One processor's operation stream, stored as one 8-byte word per op
+/// (an [`Op`] takes 16). Reads decode on the fly: [`OpLane::get`]
+/// returns an [`Op`], and [`OpLane::iter`] yields [`LaneOp`]s, which
+/// dereference to one.
+///
+/// ```
+/// use prism_mem::addr::VirtAddr;
+/// use prism_mem::trace::{Op, OpLane};
+///
+/// let lane = OpLane::from(vec![Op::Read(VirtAddr(64)), Op::Barrier(3)]);
+/// assert_eq!(lane.get(1), Some(Op::Barrier(3)));
+/// assert!(lane.iter().any(|op| matches!(*op, Op::Read(_))));
+/// ```
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct OpLane(Vec<u64>);
+
+impl OpLane {
+    /// An empty lane.
+    pub fn new() -> OpLane {
+        OpLane::default()
+    }
+
+    /// Appends `op`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `op` is a `Read` or `Write` of an address at or above
+    /// [`LANE_VA_LIMIT`].
+    #[inline]
+    pub fn push(&mut self, op: Op) {
+        self.0.push(pack(op));
+    }
+
+    /// The op at `pc`, if the lane is that long.
+    #[inline]
+    pub fn get(&self, pc: usize) -> Option<Op> {
+        self.0.get(pc).map(|&w| unpack(w))
+    }
+
+    /// Number of ops.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True when the lane holds no op.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The ops in order.
+    pub fn iter(&self) -> LaneOps<'_> {
+        LaneOps(self.0.iter())
+    }
+
+    /// Drops spare capacity, so the lane holds exactly its ops.
+    pub fn shrink_to_fit(&mut self) {
+        self.0.shrink_to_fit();
+    }
+}
+
+impl fmt::Debug for OpLane {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter().map(|op| *op)).finish()
+    }
+}
+
+impl From<Vec<Op>> for OpLane {
+    /// Packs every op of `ops`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an op is a `Read` or `Write` of an address at or above
+    /// [`LANE_VA_LIMIT`].
+    fn from(ops: Vec<Op>) -> OpLane {
+        ops.into_iter().collect()
+    }
+}
+
+impl FromIterator<Op> for OpLane {
+    /// # Panics
+    ///
+    /// Panics as [`OpLane::push`] does.
+    fn from_iter<I: IntoIterator<Item = Op>>(ops: I) -> OpLane {
+        OpLane(ops.into_iter().map(pack).collect())
+    }
+}
+
+impl<'a> IntoIterator for &'a OpLane {
+    type Item = LaneOp;
+    type IntoIter = LaneOps<'a>;
+
+    fn into_iter(self) -> LaneOps<'a> {
+        self.iter()
+    }
+}
+
+/// An op decoded from an [`OpLane`]; dereferences to the [`Op`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LaneOp(Op);
+
+impl std::ops::Deref for LaneOp {
+    type Target = Op;
+
+    fn deref(&self) -> &Op {
+        &self.0
+    }
+}
+
+/// Iterator over an [`OpLane`]'s ops (see [`OpLane::iter`]).
+#[derive(Clone, Debug)]
+pub struct LaneOps<'a>(std::slice::Iter<'a, u64>);
+
+impl Iterator for LaneOps<'_> {
+    type Item = LaneOp;
+
+    #[inline]
+    fn next(&mut self) -> Option<LaneOp> {
+        self.0.next().map(|&w| LaneOp(unpack(w)))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
 /// A shared segment declared by a workload.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SegmentSpec {
@@ -129,8 +315,8 @@ impl std::error::Error for TraceError {}
 /// let trace = Trace {
 ///     name: "demo".into(),
 ///     segments: vec![SegmentSpec { name: "data".into(), va_base: SHARED_BASE, bytes: 4096 }],
-///     lanes: vec![vec![Op::Write(VirtAddr(SHARED_BASE)), Op::Barrier(0)],
-///                 vec![Op::Read(VirtAddr(SHARED_BASE)), Op::Barrier(0)]],
+///     lanes: vec![vec![Op::Write(VirtAddr(SHARED_BASE)), Op::Barrier(0)].into(),
+///                 vec![Op::Read(VirtAddr(SHARED_BASE)), Op::Barrier(0)].into()],
 /// };
 /// trace.validate(&Geometry::default()).expect("well-formed");
 /// assert_eq!(trace.procs(), 2);
@@ -144,7 +330,7 @@ pub struct Trace {
     /// machine setup.
     pub segments: Vec<SegmentSpec>,
     /// Per-processor operation streams.
-    pub lanes: Vec<Vec<Op>>,
+    pub lanes: Vec<OpLane>,
 }
 
 impl Trace {
@@ -155,7 +341,7 @@ impl Trace {
 
     /// Total operations across all lanes.
     pub fn total_ops(&self) -> usize {
-        self.lanes.iter().map(Vec::len).sum()
+        self.lanes.iter().map(OpLane::len).sum()
     }
 
     /// Total memory references (reads + writes) across all lanes.
@@ -163,7 +349,7 @@ impl Trace {
         self.lanes
             .iter()
             .flatten()
-            .filter(|op| matches!(op, Op::Read(_) | Op::Write(_)))
+            .filter(|op| matches!(**op, Op::Read(_) | Op::Write(_)))
             .count()
     }
 
@@ -382,12 +568,16 @@ mod tests {
         Geometry::default()
     }
 
+    fn lanes(ops: Vec<Vec<Op>>) -> Vec<OpLane> {
+        ops.into_iter().map(OpLane::from).collect()
+    }
+
     #[test]
     fn valid_trace_passes() {
         let t = Trace {
             name: "t".into(),
             segments: vec![seg(SHARED_BASE, 8192)],
-            lanes: vec![
+            lanes: lanes(vec![
                 vec![
                     Op::Lock(1),
                     Op::Write(VirtAddr(SHARED_BASE + 100)),
@@ -396,7 +586,7 @@ mod tests {
                     Op::Read(private_va(0, 64)),
                 ],
                 vec![Op::Compute(10), Op::Barrier(0), Op::Read(private_va(1, 0))],
-            ],
+            ]),
         };
         assert_eq!(t.validate(&geom()), Ok(()));
         assert_eq!(t.total_refs(), 3);
@@ -407,7 +597,7 @@ mod tests {
         let t = Trace {
             name: "t".into(),
             segments: vec![seg(SHARED_BASE, 4096)],
-            lanes: vec![vec![Op::Read(VirtAddr(SHARED_BASE + 5000))]],
+            lanes: lanes(vec![vec![Op::Read(VirtAddr(SHARED_BASE + 5000))]]),
         };
         assert!(matches!(
             t.validate(&geom()),
@@ -421,7 +611,7 @@ mod tests {
         let t = Trace {
             name: "t".into(),
             segments: vec![],
-            lanes: vec![vec![Op::Read(private_va(1, 0))], vec![]],
+            lanes: lanes(vec![vec![Op::Read(private_va(1, 0))], vec![]]),
         };
         assert!(matches!(
             t.validate(&geom()),
@@ -434,7 +624,10 @@ mod tests {
         let t = Trace {
             name: "t".into(),
             segments: vec![],
-            lanes: vec![vec![Op::Barrier(0), Op::Barrier(1)], vec![Op::Barrier(1)]],
+            lanes: lanes(vec![
+                vec![Op::Barrier(0), Op::Barrier(1)],
+                vec![Op::Barrier(1)],
+            ]),
         };
         assert_eq!(
             t.validate(&geom()),
@@ -444,8 +637,8 @@ mod tests {
 
     #[test]
     fn barrier_sequences_are_checked_per_group() {
-        let a = || vec![Op::Barrier(0), Op::Barrier(1)];
-        let b = || vec![Op::Barrier(7)];
+        let a = || OpLane::from(vec![Op::Barrier(0), Op::Barrier(1)]);
+        let b = || OpLane::from(vec![Op::Barrier(7)]);
         let mut t = Trace {
             name: "t".into(),
             segments: vec![],
@@ -460,7 +653,7 @@ mod tests {
         );
         for k in 4..7 {
             let mut bad = t.clone();
-            bad.lanes[k] = vec![Op::Barrier(7), Op::Barrier(7)];
+            bad.lanes[k] = vec![Op::Barrier(7), Op::Barrier(7)].into();
             assert_eq!(
                 bad.validate_grouped(&geom(), &groups),
                 Err(TraceError::BarrierMismatch { lane: k })
@@ -479,7 +672,7 @@ mod tests {
         let t = Trace {
             name: "t".into(),
             segments: vec![],
-            lanes: vec![vec![Op::Unlock(3)]],
+            lanes: lanes(vec![vec![Op::Unlock(3)]]),
         };
         assert_eq!(
             t.validate(&geom()),
@@ -488,7 +681,7 @@ mod tests {
         let t2 = Trace {
             name: "t".into(),
             segments: vec![],
-            lanes: vec![vec![Op::Lock(3)]],
+            lanes: lanes(vec![vec![Op::Lock(3)]]),
         };
         assert_eq!(
             t2.validate(&geom()),
@@ -523,15 +716,23 @@ mod tests {
             let t = Trace {
                 name: "t".into(),
                 segments,
-                lanes: vec![vec![Op::Read(VirtAddr(last))]],
+                lanes: vec![OpLane::new()],
             };
             assert_eq!(t.validate(&geom()), Err(TraceError::BadSegments));
         }
-        // One page lower it fits, and its rounded-up tail page is shared.
+        // One page lower it fits. (An op lane cannot hold an address
+        // this high, so the lane stays empty.)
         let t = Trace {
             name: "t".into(),
             segments: vec![seg(last - 2 * page, page + 1)],
-            lanes: vec![vec![Op::Read(VirtAddr(last - 1))]],
+            lanes: vec![OpLane::new()],
+        };
+        assert_eq!(t.validate(&geom()), Ok(()));
+        // A segment's rounded-up tail page is shared.
+        let t = Trace {
+            name: "t".into(),
+            segments: vec![seg(SHARED_BASE, page + 1)],
+            lanes: lanes(vec![vec![Op::Read(VirtAddr(SHARED_BASE + 2 * page - 1))]]),
         };
         assert_eq!(t.validate(&geom()), Ok(()));
     }
@@ -547,20 +748,21 @@ mod tests {
         let t = Trace {
             name: "t".into(),
             segments: vec![seg(SHARED_BASE, 4096)],
-            lanes: vec![vec![
+            lanes: lanes(vec![vec![
                 Op::Read(VirtAddr(SHARED_BASE + 8)),
                 Op::Read(private_va(0, 64)),
                 Op::Barrier(3),
                 Op::Lock(7),
                 Op::Unlock(7),
-            ]],
+            ]]),
         };
         let r = relocate(&t, 8192, 2, 1);
         assert_eq!(r.segments[0].va_base, SHARED_BASE + 8192);
-        assert_eq!(r.lanes[0][0], Op::Read(VirtAddr(SHARED_BASE + 8192 + 8)));
-        assert_eq!(r.lanes[0][1], Op::Read(private_va(2, 64)));
-        assert_eq!(r.lanes[0][2], Op::Barrier((1 << 20) | 3));
-        assert_eq!(r.lanes[0][3], Op::Lock((1 << 20) | 7));
+        let op = |pc| r.lanes[0].get(pc).unwrap();
+        assert_eq!(op(0), Op::Read(VirtAddr(SHARED_BASE + 8192 + 8)));
+        assert_eq!(op(1), Op::Read(private_va(2, 64)));
+        assert_eq!(op(2), Op::Barrier((1 << 20) | 3));
+        assert_eq!(op(3), Op::Lock((1 << 20) | 7));
     }
 
     #[test]
@@ -568,14 +770,14 @@ mod tests {
         let job = |p: usize| Trace {
             name: format!("job{p}"),
             segments: vec![seg(SHARED_BASE, 8192)],
-            lanes: vec![
+            lanes: lanes(vec![
                 vec![
                     Op::Write(VirtAddr(SHARED_BASE)),
                     Op::Barrier(0),
                     Op::Read(private_va(0, 0)),
                 ],
                 vec![Op::Barrier(0), Op::Read(VirtAddr(SHARED_BASE + 4096))],
-            ],
+            ]),
         };
         let (combined, groups) = compose_jobs(&[job(0), job(1)], &geom());
         assert_eq!(groups, vec![0..2, 2..4]);
@@ -586,12 +788,12 @@ mod tests {
             .validate_grouped(&geom(), &groups)
             .expect("composed trace valid");
         // Barrier ids differ between jobs.
-        let b0 = combined.lanes[0].iter().find_map(|op| match op {
-            Op::Barrier(b) => Some(*b),
+        let b0 = combined.lanes[0].iter().find_map(|op| match *op {
+            Op::Barrier(b) => Some(b),
             _ => None,
         });
-        let b1 = combined.lanes[2].iter().find_map(|op| match op {
-            Op::Barrier(b) => Some(*b),
+        let b1 = combined.lanes[2].iter().find_map(|op| match *op {
+            Op::Barrier(b) => Some(b),
             _ => None,
         });
         assert_ne!(b0, b1);
@@ -605,5 +807,66 @@ mod tests {
         };
         assert!(e.to_string().contains("lane 1"));
         assert!(TraceError::BadSegments.to_string().contains("segments"));
+    }
+
+    fn every_kind_of_op() -> Vec<Op> {
+        let top = VirtAddr(LANE_VA_LIMIT - 1);
+        vec![
+            Op::Read(VirtAddr(0)),
+            Op::Read(top),
+            Op::Write(VirtAddr(SHARED_BASE + 64)),
+            Op::Write(top),
+            Op::Compute(0),
+            Op::Compute(u32::MAX),
+            Op::Barrier(0),
+            Op::Barrier(u32::MAX),
+            Op::Lock(1),
+            Op::Lock(u32::MAX),
+            Op::Unlock(1),
+            Op::Unlock(u32::MAX),
+        ]
+    }
+
+    #[test]
+    fn op_lane_round_trips_every_op() {
+        let ops = every_kind_of_op();
+        let lane = OpLane::from(ops.clone());
+        assert_eq!(lane.len(), ops.len());
+        assert!(!lane.is_empty());
+        for (pc, &op) in ops.iter().enumerate() {
+            assert_eq!(lane.get(pc), Some(op));
+        }
+        assert_eq!(lane.get(ops.len()), None);
+        assert_eq!(lane.iter().map(|op| *op).collect::<Vec<_>>(), ops);
+        let mut pushed = OpLane::new();
+        for &op in &ops {
+            pushed.push(op);
+        }
+        assert_eq!(pushed, lane);
+        assert_eq!(format!("{lane:?}"), format!("{ops:?}"));
+    }
+
+    #[test]
+    fn an_op_costs_eight_bytes() {
+        let ops = every_kind_of_op();
+        let mut lane = OpLane::from(ops.clone());
+        lane.shrink_to_fit();
+        assert_eq!(
+            lane.0.capacity() * std::mem::size_of_val(&lane.0[0]),
+            8 * ops.len()
+        );
+        assert_eq!(std::mem::size_of::<Op>(), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit an op lane")]
+    fn op_lane_rejects_an_address_at_2_pow_61() {
+        OpLane::new().push(Op::Write(VirtAddr(LANE_VA_LIMIT)));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit an op lane")]
+    fn op_lane_from_vec_rejects_an_address_at_2_pow_61() {
+        let _ = OpLane::from(vec![Op::Compute(1), Op::Read(VirtAddr(LANE_VA_LIMIT))]);
     }
 }

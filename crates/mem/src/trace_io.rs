@@ -20,7 +20,7 @@ use std::fmt;
 use std::io::{self, Read, Write};
 
 use crate::addr::VirtAddr;
-use crate::trace::{Op, SegmentSpec, Trace};
+use crate::trace::{Op, OpLane, SegmentSpec, Trace, LANE_VA_LIMIT};
 
 const MAGIC: &[u8; 4] = b"PRTR";
 const VERSION: u32 = 1;
@@ -42,6 +42,10 @@ pub enum TraceIoError {
     BadLength(u64),
     /// A trace or segment name is not valid UTF-8.
     BadName,
+    /// A read or write address is at or above
+    /// [`LANE_VA_LIMIT`] (2^61), so no
+    /// [`OpLane`] can hold it. Reported only once the checksum matched.
+    AddressTooHigh(u64),
 }
 
 impl fmt::Display for TraceIoError {
@@ -54,6 +58,9 @@ impl fmt::Display for TraceIoError {
             TraceIoError::BadChecksum => write!(f, "trace checksum mismatch"),
             TraceIoError::BadLength(l) => write!(f, "implausible length {l} in trace"),
             TraceIoError::BadName => write!(f, "trace name is not valid UTF-8"),
+            TraceIoError::AddressTooHigh(va) => {
+                write!(f, "address {va:#x} in trace is not below 2^61")
+            }
         }
     }
 }
@@ -129,7 +136,7 @@ impl<W: Write> CountingWriter<'_, W> {
 /// let trace = Trace {
 ///     name: "demo".into(),
 ///     segments: vec![SegmentSpec { name: "d".into(), va_base: SHARED_BASE, bytes: 4096 }],
-///     lanes: vec![vec![Op::Write(VirtAddr(SHARED_BASE)), Op::Barrier(0)]],
+///     lanes: vec![vec![Op::Write(VirtAddr(SHARED_BASE)), Op::Barrier(0)].into()],
 /// };
 /// let mut buf = Vec::new();
 /// write_trace(&trace, &mut buf)?;
@@ -229,7 +236,9 @@ impl<R: Read> CountingReader<'_, R> {
 ///
 /// # Errors
 ///
-/// Returns [`TraceIoError`] on malformed or corrupted input.
+/// Returns [`TraceIoError`] on malformed or corrupted input, and
+/// [`TraceIoError::AddressTooHigh`] for an intact file with an address
+/// an op lane cannot hold.
 pub fn read_trace<R: Read>(reader: &mut R) -> Result<Trace, TraceIoError> {
     let mut r = CountingReader {
         inner: reader,
@@ -265,13 +274,15 @@ pub fn read_trace<R: Read>(reader: &mut R) -> Result<Trace, TraceIoError> {
         return Err(TraceIoError::BadLength(lane_count as u64));
     }
     let mut lanes = Vec::with_capacity(lane_count as usize);
+    // The first address no lane can hold. It is reported after the
+    // checksum, so a corrupted address byte still reads as corruption.
+    let mut too_high = None;
     for _ in 0..lane_count {
         let ops = r.u64()?;
         if ops > 1 << 28 {
             return Err(TraceIoError::BadLength(ops));
         }
-        // Never trust an untrusted length for preallocation.
-        let mut lane = Vec::with_capacity(ops.min(1 << 16) as usize);
+        let mut lane = OpLane::new();
         for _ in 0..ops {
             let tag = r.u8()?;
             let op = match tag {
@@ -283,8 +294,14 @@ pub fn read_trace<R: Read>(reader: &mut R) -> Result<Trace, TraceIoError> {
                 5 => Op::Unlock(r.u32()?),
                 t => return Err(TraceIoError::BadOpTag(t)),
             };
-            lane.push(op);
+            match op {
+                Op::Read(va) | Op::Write(va) if va.0 >= LANE_VA_LIMIT => {
+                    too_high.get_or_insert(va.0);
+                }
+                _ => lane.push(op),
+            }
         }
+        lane.shrink_to_fit();
         lanes.push(lane);
     }
     let computed = r.crc.0;
@@ -292,6 +309,9 @@ pub fn read_trace<R: Read>(reader: &mut R) -> Result<Trace, TraceIoError> {
     r.inner.read_exact(&mut crc_bytes)?;
     if u64::from_le_bytes(crc_bytes) != computed {
         return Err(TraceIoError::BadChecksum);
+    }
+    if let Some(va) = too_high {
+        return Err(TraceIoError::AddressTooHigh(va));
     }
     Ok(Trace {
         name,
@@ -351,9 +371,10 @@ mod tests {
                     Op::Barrier(3),
                     Op::Lock(5),
                     Op::Unlock(5),
-                ],
-                vec![Op::Barrier(3)],
-                vec![],
+                ]
+                .into(),
+                vec![Op::Barrier(3)].into(),
+                OpLane::new(),
             ],
         }
     }
@@ -455,7 +476,7 @@ mod tests {
                 va_base: top,
                 bytes: 3 * geom.page_bytes(),
             }],
-            lanes: vec![vec![Op::Read(VirtAddr(top))]],
+            lanes: vec![OpLane::new()],
         };
         let mut buf = Vec::new();
         write_trace(&t, &mut buf).unwrap();
@@ -471,5 +492,68 @@ mod tests {
     fn errors_display() {
         assert!(TraceIoError::BadMagic.to_string().contains("PRTR"));
         assert!(TraceIoError::BadVersion(7).to_string().contains('7'));
+    }
+
+    /// Serializes a one-lane trace holding `ops`.
+    fn one_lane(ops: Vec<Op>) -> Vec<u8> {
+        let t = Trace {
+            name: "t".into(),
+            segments: vec![],
+            lanes: vec![ops.into()],
+        };
+        let mut buf = Vec::new();
+        write_trace(&t, &mut buf).unwrap();
+        buf
+    }
+
+    #[test]
+    fn extreme_payloads_round_trip() {
+        let ops = vec![
+            Op::Read(VirtAddr(LANE_VA_LIMIT - 1)),
+            Op::Write(VirtAddr(LANE_VA_LIMIT - 1)),
+            Op::Compute(u32::MAX),
+            Op::Barrier(u32::MAX),
+            Op::Lock(u32::MAX),
+            Op::Unlock(u32::MAX),
+        ];
+        let buf = one_lane(ops.clone());
+        let back = read_trace(&mut buf.as_slice()).unwrap();
+        assert_eq!(back.lanes, vec![OpLane::from(ops)]);
+    }
+
+    #[test]
+    fn address_at_2_pow_61_is_a_typed_error() {
+        for first in [Op::Read(VirtAddr(1)), Op::Write(VirtAddr(1))] {
+            let mut buf = one_lane(vec![first, Op::Compute(3)]);
+            // The op's address follows its tag byte, which follows the
+            // header (magic, version, name, segment and lane counts) and
+            // the lane's op count.
+            let at = 4 + 4 + (4 + 1) + 4 + 4 + 8 + 1;
+            assert_eq!(buf[at..at + 8], 1u64.to_le_bytes());
+            buf[at..at + 8].copy_from_slice(&LANE_VA_LIMIT.to_le_bytes());
+            // Re-seal the file, so only the address is out of range.
+            let body = buf.len() - 8;
+            let mut crc = Fnv::new();
+            crc.update(&buf[..body]);
+            buf[body..].copy_from_slice(&crc.0.to_le_bytes());
+            let err = read_trace(&mut buf.as_slice()).unwrap_err();
+            assert!(
+                matches!(err, TraceIoError::AddressTooHigh(va) if va == LANE_VA_LIMIT),
+                "{err}"
+            );
+            assert!(err.to_string().contains("2^61"));
+        }
+    }
+
+    #[test]
+    fn corrupted_address_reads_as_a_checksum_failure() {
+        let mut buf = one_lane(vec![Op::Read(VirtAddr(1))]);
+        // Set the address's top byte without re-sealing the file.
+        let top_byte = 4 + 4 + (4 + 1) + 4 + 4 + 8 + 1 + 7;
+        buf[top_byte] = 0xFF;
+        assert!(matches!(
+            read_trace(&mut buf.as_slice()),
+            Err(TraceIoError::BadChecksum)
+        ));
     }
 }

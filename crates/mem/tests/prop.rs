@@ -10,7 +10,7 @@ use prism_mem::frames::{FrameClass, FramePool, UsageTracker};
 use prism_mem::mode::FrameMode;
 use prism_mem::page_table::SegmentTable;
 use prism_mem::pit::{Pit, PitEntry};
-use prism_mem::trace::{Op, SegmentSpec, Trace};
+use prism_mem::trace::{Op, OpLane, SegmentSpec, Trace, LANE_VA_LIMIT};
 use prism_mem::trace_io::{read_trace, write_trace};
 use prism_sim::{FastMap, SimRng};
 
@@ -207,10 +207,11 @@ fn utilization_is_a_fraction() {
     }
 }
 
+/// A random op; addresses cover everything an op lane can hold.
 fn arb_op(rng: &mut SimRng) -> Op {
     match rng.gen_range(0..6) {
-        0 => Op::Read(VirtAddr(rng.next_u64())),
-        1 => Op::Write(VirtAddr(rng.next_u64())),
+        0 => Op::Read(VirtAddr(rng.next_u64() % LANE_VA_LIMIT)),
+        1 => Op::Write(VirtAddr(rng.next_u64() % LANE_VA_LIMIT)),
         2 => Op::Compute(rng.next_u64() as u32),
         3 => Op::Barrier(rng.next_u64() as u32),
         4 => Op::Lock(rng.next_u64() as u32),
@@ -222,7 +223,7 @@ fn arb_lanes(
     rng: &mut SimRng,
     lanes: std::ops::Range<u64>,
     ops: std::ops::Range<u64>,
-) -> Vec<Vec<Op>> {
+) -> Vec<OpLane> {
     let n = rng.gen_range(lanes.start..lanes.end);
     (0..n)
         .map(|_| {

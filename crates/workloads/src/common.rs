@@ -2,7 +2,7 @@
 //! per-processor lane builders, and the [`Workload`] trait.
 
 use prism_mem::addr::VirtAddr;
-use prism_mem::trace::{private_va, Op, SegmentSpec, Trace, SHARED_BASE};
+use prism_mem::trace::{private_va, Op, OpLane, SegmentSpec, Trace, SHARED_BASE};
 
 /// A generator of PRISM workload traces.
 pub trait Workload {
@@ -95,11 +95,11 @@ impl Layout {
 }
 
 /// Builds one processor's operation lane, merging consecutive compute
-/// cycles into single ops.
+/// cycles into single ops. Ops are packed as they are appended.
 #[derive(Debug)]
 pub struct Lane {
     proc: usize,
-    ops: Vec<Op>,
+    ops: OpLane,
     pending_compute: u64,
 }
 
@@ -108,7 +108,7 @@ impl Lane {
     pub fn new(proc: usize) -> Lane {
         Lane {
             proc,
-            ops: Vec::new(),
+            ops: OpLane::new(),
             pending_compute: 0,
         }
     }
@@ -180,9 +180,11 @@ impl Lane {
         self.write(va)
     }
 
-    /// Finishes the lane.
-    pub fn into_ops(mut self) -> Vec<Op> {
+    /// Finishes the lane, trimmed to exactly its ops: a trace keeps
+    /// its lanes for as long as it runs.
+    pub fn into_lane(mut self) -> OpLane {
         self.flush_compute();
+        self.ops.shrink_to_fit();
         self.ops
     }
 
@@ -237,7 +239,7 @@ pub fn finish_trace(name: &str, layout: Layout, lanes: Vec<Lane>) -> Trace {
     let trace = Trace {
         name: name.to_string(),
         segments: layout.into_segments(),
-        lanes: lanes.into_iter().map(Lane::into_ops).collect(),
+        lanes: lanes.into_iter().map(Lane::into_lane).collect(),
     };
     if cfg!(debug_assertions) {
         trace
@@ -269,15 +271,15 @@ mod tests {
         let mut lane = Lane::new(0);
         lane.compute(5).compute(7).read(VirtAddr(SHARED_BASE));
         lane.compute(3).barrier(0);
-        let ops = lane.into_ops();
+        let ops = lane.into_lane();
         assert_eq!(
             ops,
-            vec![
+            OpLane::from(vec![
                 Op::Compute(12),
                 Op::Read(VirtAddr(SHARED_BASE)),
                 Op::Compute(3),
                 Op::Barrier(0)
-            ]
+            ])
         );
     }
 

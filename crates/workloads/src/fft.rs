@@ -106,7 +106,7 @@ mod tests {
         let mut touched = prism_sim::FastSet::default();
         for lane in &trace.lanes {
             for op in lane {
-                if let Op::Read(va) | Op::Write(va) = op {
+                if let Op::Read(va) | Op::Write(va) = *op {
                     touched.insert((va.0 - prism_mem::trace::SHARED_BASE) / 16);
                 }
             }
@@ -128,7 +128,7 @@ mod tests {
         let t = Fft::new(64).generate(1);
         let barriers = t.lanes[0]
             .iter()
-            .filter(|op| matches!(op, Op::Barrier(_)))
+            .filter(|op| matches!(**op, Op::Barrier(_)))
             .count();
         assert_eq!(barriers, 1 + 6, "bit-reverse barrier + log2(64) stages");
     }

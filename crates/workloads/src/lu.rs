@@ -179,7 +179,7 @@ mod tests {
         let t = Lu::new(32, 8).generate(2);
         let barriers = t.lanes[0]
             .iter()
-            .filter(|op| matches!(op, Op::Barrier(_)))
+            .filter(|op| matches!(**op, Op::Barrier(_)))
             .count();
         assert_eq!(barriers, 3 * 4, "3 barriers per step, nb=4 steps");
     }
@@ -220,7 +220,7 @@ mod tests {
             let t = lu.generate(1);
             let mut pages = prism_sim::FastSet::default();
             for op in t.lanes[0].iter().take(2 * 16 * 16) {
-                if let Op::Read(va) | Op::Write(va) = op {
+                if let Op::Read(va) | Op::Write(va) = *op {
                     pages.insert(va.0 >> 12);
                 }
             }

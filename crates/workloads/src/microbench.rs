@@ -10,7 +10,7 @@
 
 use prism_kernel::policy::PagePolicy;
 use prism_mem::addr::VirtAddr;
-use prism_mem::trace::{private_va, Op, SegmentSpec, Trace, SHARED_BASE};
+use prism_mem::trace::{private_va, Op, OpLane, SegmentSpec, Trace, SHARED_BASE};
 
 /// How to extract the scenario's latency from the two runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,7 +45,7 @@ pub struct Scenario {
 }
 
 struct Builder {
-    lanes: Vec<Vec<Op>>,
+    lanes: Vec<OpLane>,
     segments: Vec<SegmentSpec>,
     next_barrier: u32,
 }
@@ -53,7 +53,7 @@ struct Builder {
 impl Builder {
     fn new(procs: usize, pages: u64) -> Builder {
         Builder {
-            lanes: vec![Vec::new(); procs],
+            lanes: vec![OpLane::new(); procs],
             segments: vec![SegmentSpec {
                 name: "mb".into(),
                 va_base: SHARED_BASE,
@@ -405,7 +405,11 @@ mod tests {
             );
             // setup must be a prefix of full, lane by lane.
             for (a, b) in sc.setup.lanes.iter().zip(sc.full.lanes.iter()) {
-                assert_eq!(&b[..a.len()], &a[..], "{}: prefix property", sc.name);
+                assert!(
+                    a.iter().eq(b.iter().take(a.len())),
+                    "{}: prefix property",
+                    sc.name
+                );
             }
         }
     }

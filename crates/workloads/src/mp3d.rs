@@ -159,7 +159,7 @@ mod tests {
         let t = Mp3d::new(100, 3, 4, 1).generate(2);
         let barriers = t.lanes[0]
             .iter()
-            .filter(|op| matches!(op, Op::Barrier(_)))
+            .filter(|op| matches!(**op, Op::Barrier(_)))
             .count();
         assert_eq!(barriers, 3);
     }
@@ -171,7 +171,7 @@ mod tests {
         let cells_len = t.segments[1].bytes;
         let mut distinct = prism_sim::FastSet::default();
         for op in &t.lanes[0] {
-            if let Op::Read(va) | Op::Write(va) = op {
+            if let Op::Read(va) | Op::Write(va) = *op {
                 if va.0 >= cells_base && va.0 < cells_base + cells_len {
                     distinct.insert(va.0);
                 }

@@ -115,7 +115,7 @@ mod tests {
         let t = Ocean::new(10, 3).generate(2);
         let barriers = t.lanes[0]
             .iter()
-            .filter(|op| matches!(op, Op::Barrier(_)))
+            .filter(|op| matches!(**op, Op::Barrier(_)))
             .count();
         assert_eq!(barriers, 9);
     }
@@ -125,7 +125,7 @@ mod tests {
         let t = Ocean::new(8, 1).generate(1);
         let mut writes = prism_sim::FastSet::default();
         for op in &t.lanes[0] {
-            if let Op::Write(va) = op {
+            if let Op::Write(va) = *op {
                 writes.insert(va.0);
             }
         }
@@ -137,7 +137,7 @@ mod tests {
     fn boundary_rows_are_read_not_written() {
         let t = Ocean::new(8, 1).generate(1);
         for op in &t.lanes[0] {
-            if let Op::Write(va) = op {
+            if let Op::Write(va) = *op {
                 let off = va.0 - prism_mem::trace::SHARED_BASE;
                 if off < 8 * 8 * 8 {
                     // first grid only

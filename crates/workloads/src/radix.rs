@@ -188,7 +188,7 @@ mod tests {
         'outer: for lane in &t.lanes {
             let mut barriers_seen = 0;
             for op in lane {
-                match op {
+                match *op {
                     Op::Barrier(_) => {
                         barriers_seen += 1;
                         if barriers_seen == 3 {

@@ -207,7 +207,7 @@ mod tests {
         assert!(t.segments.is_empty());
         for lane in &t.lanes {
             for op in lane {
-                if let Op::Read(va) | Op::Write(va) = op {
+                if let Op::Read(va) | Op::Write(va) = *op {
                     assert!(va.0 >= prism_mem::trace::PRIVATE_BASE);
                 }
             }
@@ -217,9 +217,9 @@ mod tests {
     #[test]
     fn producer_writes_before_consumers_read() {
         let t = Synthetic::producer_consumer(3, 4096, 1000).generate(3);
-        assert!(matches!(t.lanes[0][0], Op::Write(_)));
+        assert!(matches!(t.lanes[0].get(0).unwrap(), Op::Write(_)));
         // Consumers start with the barrier.
-        assert!(matches!(t.lanes[1][0], Op::Barrier(_)));
+        assert!(matches!(t.lanes[1].get(0).unwrap(), Op::Barrier(_)));
     }
 
     #[test]

@@ -325,7 +325,7 @@ mod tests {
             .lanes
             .iter()
             .flatten()
-            .filter(|op| matches!(op, prism_mem::trace::Op::Lock(_)))
+            .filter(|op| matches!(**op, prism_mem::trace::Op::Lock(_)))
             .count();
         assert_eq!(locks as u64, 2 * 24 * 23 / 2, "two locks per pair");
     }

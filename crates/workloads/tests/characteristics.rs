@@ -10,7 +10,7 @@ use prism_workloads::{suite, AppId, Scale};
 fn write_fraction(t: &Trace) -> f64 {
     let (mut reads, mut writes) = (0u64, 0u64);
     for op in t.lanes.iter().flatten() {
-        match op {
+        match *op {
             Op::Read(_) => reads += 1,
             Op::Write(_) => writes += 1,
             _ => {}
@@ -24,7 +24,7 @@ fn per_lane_refs(t: &Trace) -> Vec<u64> {
         .iter()
         .map(|l| {
             l.iter()
-                .filter(|op| matches!(op, Op::Read(_) | Op::Write(_)))
+                .filter(|op| matches!(**op, Op::Read(_) | Op::Write(_)))
                 .count() as u64
         })
         .collect()
@@ -35,7 +35,7 @@ fn shared_lines(t: &Trace) -> (usize, usize) {
     let mut by_line: prism_sim::FastMap<u64, FastSet<usize>> = Default::default();
     for (lane, ops) in t.lanes.iter().enumerate() {
         for op in ops {
-            if let Op::Read(va) | Op::Write(va) = op {
+            if let Op::Read(va) | Op::Write(va) = *op {
                 if va.0 < prism_mem::trace::PRIVATE_BASE {
                     by_line.entry(va.0 >> 6).or_default().insert(lane);
                 }
@@ -116,7 +116,7 @@ fn phase_structure_matches_kernels() {
         let t = w.generate(4);
         let barriers = t.lanes[0]
             .iter()
-            .filter(|op| matches!(op, Op::Barrier(_)))
+            .filter(|op| matches!(**op, Op::Barrier(_)))
             .count();
         match id {
             AppId::Fft => assert_eq!(barriers, 11, "bit-reverse + log2(1024)"),
@@ -138,7 +138,7 @@ fn locks_appear_only_in_water() {
             .lanes
             .iter()
             .flatten()
-            .filter(|op| matches!(op, Op::Lock(_)))
+            .filter(|op| matches!(**op, Op::Lock(_)))
             .count();
         match id {
             AppId::WaterNsq | AppId::WaterSpa => {

@@ -100,7 +100,7 @@ fn main() {
         name: "idle".into(),
         segments: trace.segments.clone(),
         lanes: (0..cfg.total_procs())
-            .map(|_| vec![Op::Compute(200_000)])
+            .map(|_| vec![Op::Compute(200_000)].into())
             .collect(),
     };
     let audited = machine.run(&idle);
@@ -162,6 +162,6 @@ fn dirty_failover_trace() -> Trace {
             va_base: SHARED_BASE,
             bytes: 4096,
         }],
-        lanes,
+        lanes: lanes.into_iter().map(Into::into).collect(),
     }
 }

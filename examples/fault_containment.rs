@@ -30,7 +30,7 @@ fn main() {
             va_base: SHARED_BASE,
             bytes: 4096,
         }],
-        lanes,
+        lanes: lanes.into_iter().map(Into::into).collect(),
     };
     let mut machine = Machine::new(config.clone());
     machine.run(&trace);
@@ -66,7 +66,7 @@ fn main() {
     let trace = Trace {
         name: "failure-demo".into(),
         segments: vec![],
-        lanes,
+        lanes: lanes.into_iter().map(Into::into).collect(),
     };
     let mut machine = Machine::new(config.clone());
     machine.fail_node(NodeId(0));

@@ -136,6 +136,6 @@ fn failover_trace() -> Trace {
             va_base: SHARED_BASE,
             bytes: 4096,
         }],
-        lanes,
+        lanes: lanes.into_iter().map(Into::into).collect(),
     }
 }

@@ -17,7 +17,7 @@
 use prism::machine::machine::Machine;
 use prism::mem::addr::VirtAddr;
 use prism::mem::mode::FrameMode;
-use prism::mem::trace::{Op, SegmentSpec, Trace, SHARED_BASE};
+use prism::mem::trace::{Op, OpLane, SegmentSpec, Trace, SHARED_BASE};
 use prism::prelude::*;
 
 const REUSED_PAGES: u64 = 16;
@@ -60,7 +60,7 @@ fn workload(procs: usize) -> Trace {
                 bytes: STREAM_PAGES * 4096,
             },
         ],
-        lanes,
+        lanes: lanes.into_iter().map(Into::into).collect(),
     }
 }
 
@@ -95,7 +95,7 @@ fn main() {
         let empty = Trace {
             name: "attach".into(),
             segments: trace.segments.clone(),
-            lanes: vec![vec![]; 8],
+            lanes: vec![OpLane::new(); 8],
         };
         machine.run(&empty);
     }

@@ -26,7 +26,7 @@ fn shared_trace() -> Trace {
             va_base: SHARED_BASE,
             bytes: 4096,
         }],
-        lanes,
+        lanes: lanes.into_iter().map(Into::into).collect(),
     }
 }
 
@@ -83,7 +83,7 @@ fn failed_node_kills_only_its_own_processors() {
     let trace = Trace {
         name: "private".into(),
         segments: vec![],
-        lanes,
+        lanes: lanes.into_iter().map(Into::into).collect(),
     };
     let mut m = Machine::new(config());
     m.fail_node(NodeId(2));
@@ -112,7 +112,7 @@ fn touching_a_failed_home_kills_the_toucher_but_not_others() {
             va_base: SHARED_BASE,
             bytes: 4096,
         }],
-        lanes,
+        lanes: lanes.into_iter().map(Into::into).collect(),
     };
     let mut m = Machine::new(config());
     m.fail_node(NodeId(0));
@@ -142,7 +142,7 @@ fn barriers_release_survivors_when_a_participant_dies() {
             va_base: SHARED_BASE,
             bytes: 4096,
         }],
-        lanes,
+        lanes: lanes.into_iter().map(Into::into).collect(),
     };
     let mut m = Machine::new(config());
     m.fail_node(NodeId(0));

@@ -37,7 +37,7 @@ fn random_trace(seed: u64, procs: usize, bytes: u64, refs: usize) -> Trace {
             va_base: SHARED_BASE,
             bytes,
         }],
-        lanes,
+        lanes: lanes.into_iter().map(Into::into).collect(),
     }
 }
 

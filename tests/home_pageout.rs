@@ -28,7 +28,7 @@ fn one_page_trace(lanes: Vec<Vec<Op>>) -> Trace {
             va_base: SHARED_BASE,
             bytes: 4096,
         }],
-        lanes,
+        lanes: lanes.into_iter().map(Into::into).collect(),
     }
 }
 
@@ -78,7 +78,7 @@ fn refault_after_home_page_out_contacts_home_and_sees_latest_data() {
     let trace = Trace {
         name: "after-pageout".into(),
         segments: vec![],
-        lanes,
+        lanes: lanes.into_iter().map(Into::into).collect(),
     };
     let r2 = m.run(&trace);
     // The writer node's flag was reset: its refault contacts home again.

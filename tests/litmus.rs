@@ -35,7 +35,7 @@ fn two_lane_trace(a: Vec<Op>, b: Vec<Op>) -> Trace {
             va_base: SHARED_BASE,
             bytes: 4096,
         }],
-        lanes: vec![a, b],
+        lanes: vec![a.into(), b.into()],
     }
 }
 
@@ -114,7 +114,7 @@ fn independent_reads_of_independent_writes() {
             va_base: SHARED_BASE,
             bytes: 4096,
         }],
-        lanes,
+        lanes: lanes.into_iter().map(Into::into).collect(),
     };
     let report = Machine::new(cfg).run(&trace);
     assert!(report.reads_checked >= 4);
@@ -149,7 +149,7 @@ fn lock_protected_counter_is_race_free() {
             va_base: SHARED_BASE,
             bytes: 4096,
         }],
-        lanes,
+        lanes: lanes.into_iter().map(Into::into).collect(),
     };
     let report = Machine::new(cfg).run(&trace);
     assert_eq!(report.lock_acquisitions.0, 200);

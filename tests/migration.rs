@@ -38,7 +38,7 @@ fn hot_page_migrates_to_its_user() {
             va_base: SHARED_BASE,
             bytes: 4096,
         }],
-        lanes,
+        lanes: lanes.into_iter().map(Into::into).collect(),
     };
     let report = Machine::new(migrating_config()).run(&trace);
     assert!(report.migrations >= 1, "the page should migrate");
@@ -78,7 +78,7 @@ fn stale_hints_are_forwarded_then_learned() {
             va_base: SHARED_BASE,
             bytes: 4096,
         }],
-        lanes,
+        lanes: lanes.into_iter().map(Into::into).collect(),
     };
     let report = Machine::new(migrating_config()).run(&trace);
     assert!(report.migrations >= 1);

@@ -148,7 +148,7 @@ fn same_barrier_id_is_scoped_per_job() {
                 va_base: SHARED_BASE,
                 bytes: 4096 * (barriers as u64 + 1),
             }],
-            lanes: (0..4).map(lane).collect(),
+            lanes: (0..4).map(|p| lane(p).into()).collect(),
         }
     };
     let jobs = [job("twice", 2), job("once", 1)];

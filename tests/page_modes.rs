@@ -6,7 +6,7 @@ use prism::kernel::policy::PagePolicy;
 use prism::machine::machine::Machine;
 use prism::mem::addr::{GlobalPage, Gsid, NodeId, VirtAddr};
 use prism::mem::mode::FrameMode;
-use prism::mem::trace::{Op, SegmentSpec, Trace, SHARED_BASE};
+use prism::mem::trace::{Op, OpLane, SegmentSpec, Trace, SHARED_BASE};
 use prism::prelude::*;
 
 fn config(policy: PagePolicy, cap: Option<usize>) -> MachineConfig {
@@ -35,7 +35,7 @@ fn one_page_trace(reader_lane: usize) -> Trace {
             va_base: SHARED_BASE,
             bytes: 4096,
         }],
-        lanes,
+        lanes: lanes.into_iter().map(Into::into).collect(),
     }
 }
 
@@ -57,7 +57,7 @@ fn lanuma_suggestion_overrides_scoma_policy() {
     let attach = Trace {
         name: "attach".into(),
         segments: trace.segments.clone(),
-        lanes: vec![vec![]; 8],
+        lanes: vec![OpLane::new(); 8],
     };
     suggested.run(&attach);
     suggested.suggest_page_mode(NodeId(1), gp, FrameMode::LaNuma);
@@ -77,7 +77,7 @@ fn scoma_suggestion_overrides_lanuma_policy() {
     let attach = Trace {
         name: "attach".into(),
         segments: trace.segments.clone(),
-        lanes: vec![vec![]; 8],
+        lanes: vec![OpLane::new(); 8],
     };
     m.run(&attach);
     m.suggest_page_mode(NodeId(1), gp, FrameMode::Scoma);
@@ -127,7 +127,7 @@ fn user_mix_beats_both_static_configurations() {
                 bytes: STREAM_PAGES * 4096,
             },
         ],
-        lanes,
+        lanes: lanes.into_iter().map(Into::into).collect(),
     };
 
     let cap = Some(10);
@@ -138,7 +138,7 @@ fn user_mix_beats_both_static_configurations() {
     let attach = Trace {
         name: "attach".into(),
         segments: trace.segments.clone(),
-        lanes: vec![vec![]; 8],
+        lanes: vec![OpLane::new(); 8],
     };
     mixed.run(&attach);
     mixed.suggest_region_mode(STREAM_BASE, STREAM_PAGES * 4096, FrameMode::LaNuma);

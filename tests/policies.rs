@@ -103,7 +103,7 @@ fn lanuma_pays_capacity_misses_when_working_set_exceeds_l2() {
             va_base: SHARED_BASE,
             bytes: 8 * 512 * 64,
         }],
-        lanes,
+        lanes: lanes.into_iter().map(Into::into).collect(),
     };
     let scoma = Simulation::new(base_config(), PolicyKind::Scoma)
         .run_trace(&trace)

@@ -32,7 +32,7 @@ fn random_trace(rng: &mut SimRng, max_ops: u64, shared_pages: u64) -> Trace {
                 })
                 .collect();
             lane.push(Op::Barrier(0));
-            lane
+            lane.into()
         })
         .collect();
     Trace {

@@ -30,7 +30,7 @@ fn reads(lane: usize, lines: u64) -> Trace {
             va_base: SHARED_BASE,
             bytes: 4096,
         }],
-        lanes,
+        lanes: lanes.into_iter().map(Into::into).collect(),
     }
 }
 
@@ -84,7 +84,7 @@ fn segment_attachment_is_idempotent_and_extensible() {
                 bytes: 4096,
             },
         ],
-        lanes,
+        lanes: lanes.into_iter().map(Into::into).collect(),
     };
     let r = m.run(&trace);
     assert!(r.reads_checked > 0 || r.total_refs > 0);
@@ -106,7 +106,7 @@ fn conflicting_reattachment_panics() {
             va_base: SHARED_BASE,
             bytes: 8192,
         }],
-        lanes: vec![Vec::new(); 8],
+        lanes: vec![Default::default(); 8],
     };
     m.run(&trace);
 }
@@ -126,7 +126,7 @@ fn barriers_reset_between_runs() {
         Trace {
             name: "barriers".into(),
             segments: vec![],
-            lanes,
+            lanes: lanes.into_iter().map(Into::into).collect(),
         }
     };
     let r1 = m.run(&barrier_trace(3));

@@ -26,7 +26,7 @@ fn trace() -> Trace {
             va_base: SHARED_BASE,
             bytes: 2 * page,
         }],
-        lanes: vec![lane0, lane1],
+        lanes: vec![lane0.into(), lane1.into()],
     }
 }
 
