@@ -5,7 +5,7 @@
 //! host wall-clock per machine size.
 //!
 //! A second section races the engine's two run-loop schedulers — the
-//! default binary-heap ready queue against the O(P) linear-scan
+//! default tournament-tree pick against the O(P) linear-scan
 //! baseline — on the 8-node / 32-processor machine. The golden
 //! determinism tests prove the two produce identical reports, so the
 //! wall-clock gap is pure scheduler overhead.

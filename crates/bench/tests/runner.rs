@@ -1,0 +1,84 @@
+//! `runner run --trace-in` on traces that cannot run to completion: the
+//! binary reports the typed error on stderr and exits 2, instead of
+//! panicking.
+
+use std::path::PathBuf;
+use std::process::Command;
+
+use prism_core::mem::trace::{Op, Trace};
+use prism_core::mem::trace_io::save_trace;
+
+fn two_lanes(name: &str, lane0: Vec<Op>, lane1: Vec<Op>) -> Trace {
+    Trace {
+        name: name.into(),
+        segments: vec![],
+        lanes: vec![lane0.into(), lane1.into()],
+    }
+}
+
+/// Saves `trace`, replays it on a 2×1 machine, and returns the exit
+/// code and stderr.
+fn replay(trace: &Trace) -> (Option<i32>, String) {
+    let dir = std::env::temp_dir().join("prism-runner-errors");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path: PathBuf = dir.join(format!("{}-{}.prtr", trace.name, std::process::id()));
+    save_trace(trace, &path).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_runner"))
+        .args(["run", "--nodes", "2", "--ppn", "1", "--trace-in"])
+        .arg(&path)
+        .output()
+        .unwrap();
+    std::fs::remove_file(&path).ok();
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn a_deadlocked_trace_exits_2_with_the_blocked_processors() {
+    let trace = two_lanes(
+        "abba",
+        vec![
+            Op::Lock(1),
+            Op::Compute(1_000),
+            Op::Lock(2),
+            Op::Unlock(2),
+            Op::Unlock(1),
+        ],
+        vec![
+            Op::Lock(2),
+            Op::Compute(1_000),
+            Op::Lock(1),
+            Op::Unlock(1),
+            Op::Unlock(2),
+        ],
+    );
+    let (code, stderr) = replay(&trace);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert_eq!(
+        stderr.trim(),
+        "runner: processors [0, 1] ended in state Blocked: trace deadlock"
+    );
+}
+
+#[test]
+fn a_recursive_lock_exits_2_as_an_invalid_trace() {
+    let trace = two_lanes(
+        "recursive",
+        vec![
+            Op::Lock(3),
+            Op::Lock(3),
+            Op::Compute(1),
+            Op::Unlock(3),
+            Op::Unlock(3),
+        ],
+        vec![Op::Compute(1)],
+    );
+    let (code, stderr) = replay(&trace);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert_eq!(
+        stderr.trim(),
+        "runner: invalid trace: lane 0 acquires lock 3 while holding it"
+    );
+}

@@ -112,7 +112,8 @@ pub fn sweep(
 /// Returns [`SimError`] when the trace does not fit the machine. Every
 /// configuration has the same processor count and geometry, so the
 /// trace is checked once, with the error [`Simulation::run_trace`]
-/// would give.
+/// would give. A configuration that deadlocks fails the sweep with
+/// [`SimError::Deadlock`]; if several do, the first in serial order.
 ///
 /// # Panics
 ///
@@ -155,14 +156,27 @@ fn sweep_on(
         if let Some(frames) = capacity {
             sim = sim.with_page_cache_capacity(frames);
         }
-        Machine::new(sim.effective_config()).run(trace)
+        Machine::new(sim.effective_config()).try_run(trace)
     };
-    let first_reports = par_map(workers, &first, |&policy| run(policy, None));
-    let mut reports: BTreeMap<PolicyKind, RunReport> =
-        first.into_iter().zip(first_reports).collect();
+    // One phase's reports in `phase` order, or its first deadlock.
+    let run_phase = |phase: &[PolicyKind], capacity: Option<usize>| {
+        par_map(workers, phase, |&policy| run(policy, capacity))
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(SimError::Deadlock)
+    };
+    let mut reports: BTreeMap<PolicyKind, RunReport> = first
+        .iter()
+        .copied()
+        .zip(run_phase(&first, None)?)
+        .collect();
     let capacity = derive_scoma70_capacity(&reports[&PolicyKind::Scoma], SCOMA70_FRACTION);
-    let limited_reports = par_map(workers, &limited, |&policy| run(policy, Some(capacity)));
-    reports.extend(limited.into_iter().zip(limited_reports));
+    reports.extend(
+        limited
+            .iter()
+            .copied()
+            .zip(run_phase(&limited, Some(capacity))?),
+    );
     Ok(SweepResult {
         app: trace.name.clone(),
         capacity,
@@ -335,6 +349,26 @@ mod tests {
                 ..
             }))
         ));
+    }
+
+    #[test]
+    fn a_deadlocked_configuration_fails_the_sweep() {
+        // Lanes 0 and 1 deadlock; lanes 2 and 3 finish.
+        let mut trace = crate::simulation::abba_trace();
+        trace
+            .lanes
+            .extend([vec![Op::Compute(5)].into(), vec![].into()]);
+        let want = Simulation::new(config(), PolicyKind::Scoma)
+            .run_trace(&trace)
+            .unwrap_err();
+        assert_eq!(
+            want,
+            SimError::Deadlock(prism_machine::RunError::Deadlock { procs: vec![0, 1] })
+        );
+        for workers in [1, 2] {
+            let got = sweep_on(workers, &config(), &trace, &PolicyKind::ALL).unwrap_err();
+            assert_eq!(got, want, "{workers} workers");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use std::fmt;
 
 use prism_machine::config::MachineConfig;
-use prism_machine::machine::Machine;
+use prism_machine::machine::{Machine, RunError};
 use prism_machine::report::RunReport;
 use prism_mem::trace::{Trace, TraceError};
 use prism_workloads::Workload;
@@ -23,6 +23,9 @@ pub enum SimError {
     },
     /// The trace is structurally invalid.
     InvalidTrace(TraceError),
+    /// The trace is well-formed but deadlocked when run: processors
+    /// ended blocked on locks or barriers nobody will release.
+    Deadlock(RunError),
 }
 
 impl fmt::Display for SimError {
@@ -33,6 +36,7 @@ impl fmt::Display for SimError {
                 "trace has {trace} lanes but the machine has {machine} processors"
             ),
             SimError::InvalidTrace(e) => write!(f, "invalid trace: {e}"),
+            SimError::Deadlock(e) => e.fmt(f),
         }
     }
 }
@@ -41,6 +45,7 @@ impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SimError::InvalidTrace(e) => Some(e),
+            SimError::Deadlock(e) => Some(e),
             SimError::LaneMismatch { .. } => None,
         }
     }
@@ -114,12 +119,13 @@ impl Simulation {
     /// # Errors
     ///
     /// Returns [`SimError::LaneMismatch`] when the trace's processor
-    /// count differs from the machine's, or [`SimError::InvalidTrace`]
-    /// when validation fails.
+    /// count differs from the machine's, [`SimError::InvalidTrace`]
+    /// when validation fails, or [`SimError::Deadlock`] when the run
+    /// deadlocks.
     pub fn run_trace(&self, trace: &Trace) -> Result<RunReport, SimError> {
         let cfg = self.effective_config();
         check_trace(&cfg, trace)?;
-        Ok(Machine::new(cfg).run(trace))
+        Machine::new(cfg).try_run(trace).map_err(SimError::Deadlock)
     }
 }
 
@@ -138,10 +144,46 @@ pub(crate) fn check_trace(cfg: &MachineConfig, trace: &Trace) -> Result<(), SimE
         .map_err(SimError::InvalidTrace)
 }
 
+/// Two lanes that take locks 1 and 2 in opposite orders, each holding
+/// its first lock long enough for the other to take its own: a well-formed
+/// trace that deadlocks on any machine with two processors.
+#[cfg(test)]
+pub(crate) fn abba_trace() -> Trace {
+    use prism_mem::trace::Op;
+    Trace {
+        name: "abba".into(),
+        segments: vec![],
+        lanes: vec![
+            vec![
+                Op::Lock(1),
+                Op::Compute(1_000),
+                Op::Lock(2),
+                Op::Unlock(2),
+                Op::Unlock(1),
+            ]
+            .into(),
+            vec![
+                Op::Lock(2),
+                Op::Compute(1_000),
+                Op::Lock(1),
+                Op::Unlock(1),
+                Op::Unlock(2),
+            ]
+            .into(),
+        ],
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prism_mem::trace::Op;
+    use prism_mem::trace_io::{read_trace, write_trace};
     use prism_workloads::Synthetic;
+
+    fn two_procs() -> MachineConfig {
+        MachineConfig::builder().nodes(2).procs_per_node(1).build()
+    }
 
     fn small_config() -> MachineConfig {
         MachineConfig::builder()
@@ -173,6 +215,56 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("3 lanes"));
+    }
+
+    #[test]
+    fn abba_deadlock_is_an_error() {
+        let trace = abba_trace();
+        assert_eq!(trace.validate(&two_procs().geometry), Ok(()));
+        let want = RunError::Deadlock { procs: vec![0, 1] };
+        assert_eq!(Machine::new(two_procs()).try_run(&trace).unwrap_err(), want);
+        let err = Simulation::new(two_procs(), PolicyKind::Scoma)
+            .run_trace(&trace)
+            .unwrap_err();
+        assert_eq!(err, SimError::Deadlock(want));
+        assert_eq!(
+            err.to_string(),
+            "processors [0, 1] ended in state Blocked: trace deadlock"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "processors [0, 1] ended in state Blocked: trace deadlock")]
+    fn run_panics_on_a_deadlock() {
+        Machine::new(two_procs()).run(&abba_trace());
+    }
+
+    #[test]
+    fn a_recursive_lock_read_from_a_file_is_an_invalid_trace() {
+        let trace = Trace {
+            name: "recursive".into(),
+            segments: vec![],
+            lanes: vec![
+                vec![Op::Compute(1)].into(),
+                vec![
+                    Op::Lock(3),
+                    Op::Lock(3),
+                    Op::Compute(1),
+                    Op::Unlock(3),
+                    Op::Unlock(3),
+                ]
+                .into(),
+            ],
+        };
+        let mut buf = Vec::new();
+        write_trace(&trace, &mut buf).unwrap();
+        let back = read_trace(&mut buf.as_slice()).unwrap();
+        assert_eq!(
+            Simulation::new(two_procs(), PolicyKind::Scoma)
+                .run_trace(&back)
+                .unwrap_err(),
+            SimError::InvalidTrace(TraceError::RecursiveLock { lane: 1, lock: 3 })
+        );
     }
 
     #[test]

@@ -15,15 +15,17 @@ use crate::faults::{JournalPolicy, RetryPolicy};
 /// linear scan is kept as the A/B baseline for scheduler benchmarks.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SchedulerKind {
-    /// Binary-heap ready queue: `O(log P)` pick with a deterministic
-    /// `(clock, proc)` tie-break; fault/watchdog/audit sweeps run as
-    /// scheduled control events instead of per-pick checks.
+    /// Tournament-tree ready set over the processor slots: `O(log P)`
+    /// pick with a deterministic `(clock, proc)` tie-break;
+    /// fault/watchdog/audit sweeps run as scheduled control events
+    /// instead of per-pick checks. (Named for the binary heap it
+    /// replaced; repro files record the name.)
     #[default]
     Heap,
     /// The original `O(P)` scan over all processors at every pick, with
     /// fault/watchdog/audit checks re-evaluated each iteration.
     LinearScan,
-    /// The heap ready queue plus an epoch-parallel executor: per epoch,
+    /// The [`SchedulerKind::Heap`] ready set plus an epoch-parallel executor: per epoch,
     /// a maximal set of node groups with pairwise-disjoint page-home
     /// footprints runs concurrently on scoped worker threads, and
     /// per-worker effects merge back in deterministic `(clock, proc)`

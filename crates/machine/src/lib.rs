@@ -10,9 +10,9 @@
 //! The crate is organized as three engine layers over the node model
 //! (see DESIGN.md §5c):
 //!
-//! 1. **Scheduling** — `sched`: the binary-heap ready queue that picks
-//!    the earliest-clock processor in O(log P) and folds fault,
-//!    watchdog, and audit sweeps into the same event stream.
+//! 1. **Scheduling** — `sched`: the tournament tree that picks the
+//!    earliest-clock processor in O(log P) and folds fault, watchdog,
+//!    and audit sweeps into the same event stream.
 //! 2. **Transactions** — [`txn`]: reified protocol transactions (local
 //!    fill pipelines, the remote-access state machine, migration), with
 //!    `access`/`remote` reduced to thin drivers.
@@ -26,8 +26,8 @@
 //!   [`config::SchedulerKind`].
 //! * [`machine`] — [`machine::Machine`]: setup, placement, barriers
 //!   and locks, and the public `run`/`run_jobs` entry points.
-//! * `sched` — the heap scheduler and the run loop (both heap and
-//!   linear-scan baselines).
+//! * `sched` — the tournament-tree scheduler and the run loop (tree
+//!   and linear-scan baselines).
 //! * [`obs`] — counters, histograms, and the [`obs::ObsEvent`] ring.
 //! * [`txn`] — protocol transactions: local fills, the remote-access
 //!   state machine ([`txn::remote_txn`]), and page migration.
@@ -105,7 +105,7 @@ mod watchdog;
 pub use config::{AuditMode, DirectoryKind, MachineConfig, SchedulerKind};
 pub use failure::NoPitBinding;
 pub use faults::{FaultPlan, FaultPlanError, FaultReport, JournalPolicy, RetryPolicy};
-pub use machine::Machine;
+pub use machine::{Machine, RunError};
 pub use obs::ObsEvent;
 pub use par::{policy_label, ParallelFallback, ParallelFallbackReason};
 pub use report::{NodeReport, RunReport};

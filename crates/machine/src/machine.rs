@@ -4,9 +4,9 @@
 //! the cross-node state (homes, barriers, locks, shadow, fault plan) —
 //! with the engine split into three layers:
 //!
-//! * [`crate::sched`] — the deterministic run loop: a binary-heap ready
-//!   queue picks the earliest runnable processor, and fault/watchdog/
-//!   audit sweeps fire as scheduled control events.
+//! * [`crate::sched`] — the deterministic run loop: a tournament tree
+//!   over the processor slots picks the earliest runnable processor,
+//!   and fault/watchdog/audit sweeps fire as scheduled control events.
 //! * [`crate::txn`] — protocol transactions (local fills, remote
 //!   misses, migrations, failovers) as typed pipelines driven by
 //!   `access`/`remote`.
@@ -39,6 +39,33 @@ use crate::shadow::Shadow;
 /// Seed for the auditor's dedicated sampling RNG stream: sampled sweeps
 /// must draw identically across schedulers and reruns.
 pub(crate) const AUDIT_RNG_SEED: u64 = 0x000A_0D17_5EED_0001;
+
+/// Why a run could not complete.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RunError {
+    /// The trace deadlocked: these processors (flat ids, ascending)
+    /// ended blocked on locks or barriers nobody will release.
+    Deadlock {
+        /// The blocked processors.
+        procs: Vec<usize>,
+    },
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunError::Deadlock { procs } => match procs.as_slice() {
+                [p] => write!(f, "processor {p} ended in state Blocked: trace deadlock"),
+                _ => write!(
+                    f,
+                    "processors {procs:?} ended in state Blocked: trace deadlock"
+                ),
+            },
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
 
 /// A simulated PRISM machine.
 ///
@@ -82,7 +109,8 @@ pub struct Machine {
     /// The observability bus: counters, latency histograms, fault
     /// accounting, audit findings, and the structural event ring.
     pub(crate) obs: EventBus,
-    /// The heap scheduler's ready queue and control-event queue.
+    /// The scheduler: its tournament tree of Ready processors and its
+    /// control-event queue.
     pub(crate) sched: Sched,
     pub(crate) shadow: Option<Shadow>,
     pub(crate) fault: Option<FaultState>,
@@ -507,11 +535,28 @@ impl Machine {
     /// # Panics
     ///
     /// Panics if the trace's lane count mismatches the machine, or if the
-    /// trace deadlocks (blocked processors that can never be released).
+    /// trace deadlocks (blocked processors that can never be released),
+    /// with the message of the [`RunError`] that [`Machine::try_run`]
+    /// returns.
     pub fn run(&mut self, trace: &Trace) -> RunReport {
+        self.try_run(trace).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Like [`Machine::run`], but a deadlocked trace is an error.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Deadlock`] when processors end blocked on locks or
+    /// barriers nobody will release — for example two lanes taking the
+    /// same two locks in opposite orders.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace's lane count mismatches the machine.
+    pub fn try_run(&mut self, trace: &Trace) -> Result<RunReport, RunError> {
         self.load(trace);
-        self.run_loop(trace);
-        self.finalize_report()
+        self.run_loop(trace)?;
+        Ok(self.finalize_report())
     }
 
     /// Runs several independent jobs side by side on this machine
@@ -523,8 +568,8 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics if the combined lane count mismatches the machine or a job
-    /// is malformed.
+    /// Panics if the combined lane count mismatches the machine, a job
+    /// is malformed, or the jobs deadlock (as [`Machine::run`] does).
     pub fn run_jobs(&mut self, jobs: &[prism_mem::trace::Trace]) -> RunReport {
         let (combined, groups) = prism_mem::trace::compose_jobs(jobs, &self.cfg.geometry);
         // Which combined-segment indices (= gsids) belong to each job.
@@ -560,7 +605,7 @@ impl Machine {
                 (range, BarrierSet::new(participants))
             })
             .collect();
-        self.run_loop(&combined);
+        self.run_loop(&combined).unwrap_or_else(|e| panic!("{e}"));
         self.finalize_report()
     }
 }

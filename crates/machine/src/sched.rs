@@ -8,21 +8,21 @@
 //! decision, in two interchangeable implementations selected by
 //! [`SchedulerKind`]:
 //!
-//! * **Heap** — a binary-heap ready queue holding one entry per Ready
-//!   processor, ordered by `(clock, proc)`. Picking the next processor
-//!   and the batch bound (the second-earliest clock) is `O(log P)`
-//!   instead of the `O(P)` rescan of the original loop. Fault
-//!   injections, watchdog sweeps, and audit sweeps become *control
-//!   events* on a companion queue, popped exactly at the picks where the
-//!   original loop's per-iteration checks would have fired — so results
-//!   are bit-identical while fault-free picks pay nothing for them.
+//! * **Heap** — a tournament tree over the fixed processor slots. Leaf
+//!   `i` holds processor `i`'s packed `(clock, proc)` key while it is
+//!   Ready and `u64::MAX` otherwise; every inner node holds the smaller
+//!   of its children, so the root is the next pick. Re-keying a
+//!   processor replays one leaf-to-root path (log₂P branch-free `min`s),
+//!   and the batch bound — the earliest key among the *other*
+//!   processors — is the minimum of the siblings along the winner's
+//!   path. Fault injections, watchdog sweeps, and audit sweeps are
+//!   *control events* on a companion queue, popped exactly at the picks
+//!   where the original loop's per-iteration checks would have fired —
+//!   so results are bit-identical while fault-free picks pay nothing for
+//!   them. (The variant keeps its historical name: repro files and chaos
+//!   artifacts record it.)
 //! * **LinearScan** — the original loop, kept as the benchmark baseline
 //!   (`scaling` A/Bs the two) and as an oracle for the golden test.
-//!
-//! Stale heap entries are invalidated lazily through per-processor
-//! sequence numbers: blocking, killing, or re-queueing a processor bumps
-//! its sequence, and entries whose sequence no longer matches are
-//! discarded when they surface at the top of the heap.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -36,7 +36,7 @@ use prism_sim::Cycle;
 
 use crate::config::SchedulerKind;
 use crate::faults::ScheduledFaultKind;
-use crate::machine::Machine;
+use crate::machine::{Machine, RunError};
 use crate::node::ProcState;
 use crate::obs::{Ctr, ObsEvent};
 
@@ -54,76 +54,126 @@ enum ControlKind {
     Audit,
 }
 
-/// The heap scheduler's state: a ready queue of processors and a queue
-/// of scheduled control events.
+/// The scheduler's state: a tournament tree of Ready processors and a
+/// queue of scheduled control events.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Sched {
-    /// One valid entry per Ready processor: `(clock, flat id, seq)`,
-    /// min-ordered so ties resolve to the lowest processor id.
-    procs: BinaryHeap<Reverse<(u64, usize, u64)>>,
-    /// Per-processor sequence numbers; an entry is valid only while its
-    /// recorded sequence matches.
-    seq: Vec<u64>,
+    /// `2·S` nodes for `S` leaf slots (the next power of two at or
+    /// above the processor count, at least 2). Leaf `S + i` holds
+    /// processor `i`'s key `(clock << bits) | i` while it is Ready and
+    /// `u64::MAX` otherwise; node `k < S` holds the minimum of nodes
+    /// `2k` and `2k + 1`, so `tree[1]` is the earliest `(clock, proc)`.
+    /// Node 0 is unused.
+    tree: Vec<u64>,
+    /// `log2 S`: the width of the processor field in a key.
+    bits: u32,
     /// Scheduled control events as `(due cycle, kind)`.
     control: BinaryHeap<Reverse<(u64, ControlKind)>>,
     /// False while the linear-scan loop drives the machine: wake
-    /// notifications are skipped so the baseline pays no heap cost.
+    /// notifications are skipped so the baseline pays no tree cost.
     active: bool,
 }
 
 impl Sched {
     fn reset(&mut self, total: usize, active: bool) {
-        self.procs.clear();
+        let slots = total.next_power_of_two().max(2);
+        self.bits = slots.trailing_zeros();
+        self.tree.clear();
+        self.tree.resize(2 * slots, u64::MAX);
         self.control.clear();
-        self.seq.clear();
-        self.seq.resize(total, 0);
         self.active = active;
     }
 
-    /// Enqueues a Ready processor at `clock`. Any stale entry for the
-    /// same processor is implicitly invalidated.
+    /// The largest clock a key can carry. The processor id takes the
+    /// low `bits` bits, and the all-ones key marks an empty slot, so
+    /// clocks stop one short of `2^(64 - bits) - 1` (`2^59 - 2` at 32
+    /// processors — far past any timeline `Resource` can hold).
+    fn max_clock(&self) -> u64 {
+        (u64::MAX >> self.bits) - 1
+    }
+
+    fn pack(&self, clock: Cycle, flat: usize) -> u64 {
+        let c = clock.as_u64();
+        assert!(
+            c <= self.max_clock(),
+            "processor {flat} clock {c} exceeds the scheduler's packed-key limit of {} \
+             cycles (2^{} - 2)",
+            self.max_clock(),
+            64 - self.bits
+        );
+        (c << self.bits) | flat as u64
+    }
+
+    fn unpack(&self, key: u64) -> (Cycle, usize) {
+        if key == u64::MAX {
+            (Cycle::NEVER, usize::MAX)
+        } else {
+            (
+                Cycle(key >> self.bits),
+                (key & ((1 << self.bits) - 1)) as usize,
+            )
+        }
+    }
+
+    /// Writes `flat`'s leaf and replays its path to the root.
+    fn set_leaf(&mut self, flat: usize, key: u64) {
+        let mut k = self.tree.len() / 2 + flat;
+        let mut v = key;
+        self.tree[k] = v;
+        while k > 1 {
+            v = v.min(self.tree[k ^ 1]);
+            k >>= 1;
+            self.tree[k] = v;
+        }
+    }
+
+    /// Marks a processor Ready at `clock`, replacing any key it had.
     pub(crate) fn wake(&mut self, flat: usize, clock: Cycle) {
         if !self.active {
             return;
         }
-        self.seq[flat] += 1;
-        self.procs
-            .push(Reverse((clock.as_u64(), flat, self.seq[flat])));
+        let key = self.pack(clock, flat);
+        self.set_leaf(flat, key);
     }
 
-    /// Invalidates any queued entry for `flat` (the processor died or
+    /// Withdraws `flat` from the ready set (the processor died or
     /// blocked outside the normal pick flow).
     pub(crate) fn invalidate(&mut self, flat: usize) {
         if !self.active {
             return;
         }
-        self.seq[flat] += 1;
+        self.set_leaf(flat, u64::MAX);
     }
 
-    /// Pops the earliest Ready processor, discarding stale entries.
+    /// The earliest Ready processor, left in place.
+    pub(crate) fn top(&self) -> Option<(Cycle, usize)> {
+        match self.tree.get(1) {
+            Some(&key) if key != u64::MAX => Some(self.unpack(key)),
+            _ => None,
+        }
+    }
+
+    /// Removes and returns the earliest Ready processor.
     pub(crate) fn pop_proc(&mut self) -> Option<(Cycle, usize)> {
-        while let Some(&Reverse((c, f, s))) = self.procs.peek() {
-            self.procs.pop();
-            if s == self.seq[f] {
-                return Some((Cycle(c), f));
-            }
-        }
-        None
+        let top = self.top()?;
+        self.set_leaf(top.1, u64::MAX);
+        Some(top)
     }
 
-    /// The earliest queued `(clock, proc)` key (the batch bound after a
-    /// pop), with stale entries discarded on the way. The proc id rides
-    /// along so batches break ties at equal clocks by processor id —
-    /// the same order pops resolve them — making the interleaving a
-    /// pure `(clock, proc)` merge of the lanes.
-    fn peek_key(&mut self) -> (Cycle, usize) {
-        while let Some(&Reverse((c, f, s))) = self.procs.peek() {
-            if s == self.seq[f] {
-                return (Cycle(c), f);
-            }
-            self.procs.pop();
+    /// The earliest `(clock, proc)` key among every processor *except*
+    /// `flat` — the batch bound when `flat` is the pick, whether or not
+    /// it was popped. The proc id rides along so batches break ties at
+    /// equal clocks by processor id, the same order picks resolve them,
+    /// making the interleaving a pure `(clock, proc)` merge of the
+    /// lanes. `(Cycle::NEVER, usize::MAX)` when no other is Ready.
+    fn runner_up(&self, flat: usize) -> (Cycle, usize) {
+        let mut k = self.tree.len() / 2 + flat;
+        let mut v = u64::MAX;
+        while k > 1 {
+            v = v.min(self.tree[k ^ 1]);
+            k >>= 1;
         }
-        (Cycle::NEVER, usize::MAX)
+        self.unpack(v)
     }
 
     /// Deactivates wake notifications (run loop exit).
@@ -169,22 +219,30 @@ impl Sched {
 
 impl Machine {
     /// Drives the loaded trace to completion with the configured
-    /// scheduler, then asserts no processor deadlocked.
-    pub(crate) fn run_loop(&mut self, trace: &Trace) {
+    /// scheduler, then checks that no processor deadlocked.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Deadlock`] when the run ended with processors
+    /// neither Finished nor Dead: blocked on a lock or barrier nobody
+    /// will release.
+    pub(crate) fn run_loop(&mut self, trace: &Trace) -> Result<(), RunError> {
         match self.cfg.scheduler {
             SchedulerKind::Heap => self.run_loop_heap(trace),
             SchedulerKind::LinearScan => self.run_loop_linear(trace),
             SchedulerKind::ParallelHeap => self.run_loop_parallel(trace),
         }
-        // Everyone must be Finished or Dead; anything Blocked means the
-        // trace deadlocked.
-        for flat in 0..self.cfg.total_procs() {
-            let (n, pi) = self.split_flat(flat);
-            let st = self.nodes[n].procs[pi].state;
-            assert!(
-                st == ProcState::Finished || st == ProcState::Dead,
-                "processor {flat} ended in state {st:?}: trace deadlock"
-            );
+        let procs: Vec<usize> = (0..self.cfg.total_procs())
+            .filter(|&flat| {
+                let (n, pi) = self.split_flat(flat);
+                let st = self.nodes[n].procs[pi].state;
+                st != ProcState::Finished && st != ProcState::Dead
+            })
+            .collect();
+        if procs.is_empty() {
+            Ok(())
+        } else {
+            Err(RunError::Deadlock { procs })
         }
     }
 
@@ -226,23 +284,24 @@ impl Machine {
 
     fn run_loop_heap(&mut self, trace: &Trace) {
         self.prime_sched();
-        while let Some((clock, flat)) = self.sched.pop_proc() {
+        while let Some((clock, flat)) = self.sched.top() {
             self.heap_step(trace, clock, flat);
         }
         self.sched.active = false;
     }
 
-    /// One serial pick of the heap loop for an already-popped processor:
-    /// due control events fire, the processor runs its batch, and it
-    /// requeues if still Ready. The parallel loop falls back to this
+    /// One serial pick for processor `flat`, the earliest Ready one
+    /// (still in the tree, or popped by the parallel loop): due control
+    /// events fire, the processor runs its batch, and its leaf is
+    /// re-keyed from its state. The parallel loop falls back to this
     /// exact step whenever an epoch cannot be formed, which is what
     /// keeps `ParallelHeap` observationally identical to `Heap`.
     pub(crate) fn heap_step(&mut self, trace: &Trace, clock: Cycle, flat: usize) {
-        // The batch bound is the second-earliest Ready `(clock, proc)`
+        // The batch bound is the earliest other Ready `(clock, proc)`
         // key, captured *before* control events run — a fault may kill
         // the bounding processor, but the original loop computed
         // its bound before applying faults too.
-        let mut bound = self.sched.peek_key();
+        let mut bound = self.sched.runner_up(flat);
         let (fault_due, watchdog_due, audit_due) = self.sched.drain_control(clock.as_u64());
         if fault_due {
             self.apply_fault_events(clock);
@@ -276,9 +335,11 @@ impl Machine {
         ));
         self.run_batch(trace, flat, bound);
         let (n, pi) = self.split_flat(flat);
-        if self.nodes[n].procs[pi].state == ProcState::Ready {
-            let c = self.nodes[n].procs[pi].clock;
-            self.sched.wake(flat, c);
+        let p = &self.nodes[n].procs[pi];
+        if p.state == ProcState::Ready {
+            self.sched.wake(flat, p.clock);
+        } else {
+            self.sched.invalidate(flat);
         }
     }
 
@@ -643,5 +704,138 @@ impl Machine {
             .note_transit(frame, line, now.as_u64());
         let due = now.as_u64().saturating_add(self.cfg.watchdog_deadline);
         self.sched.schedule(due, ControlKind::Watchdog);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use prism_sim::SimRng;
+
+    /// The brute-force ready set the tree replaces: one optional clock
+    /// per processor, scanned in full for every question.
+    struct Model(Vec<Option<u64>>);
+
+    impl Model {
+        /// The earliest `(clock, proc)` over every processor but `skip`.
+        fn min_except(&self, skip: usize) -> Option<(Cycle, usize)> {
+            (0..self.0.len())
+                .filter(|&f| f != skip)
+                .filter_map(|f| self.0[f].map(|c| (Cycle(c), f)))
+                .min()
+        }
+    }
+
+    fn active(procs: usize) -> Sched {
+        let mut s = Sched::default();
+        s.reset(procs, true);
+        s
+    }
+
+    #[test]
+    fn tree_matches_a_brute_force_ready_set() {
+        for (seed, procs) in [1, 2, 3, 5, 8, 31, 32, 33].into_iter().enumerate() {
+            let mut rng = SimRng::for_stream(0x5C4E_D7EE, seed as u64);
+            let mut s = active(procs);
+            let mut model = Model(vec![None; procs]);
+            for step in 0..3_000 {
+                let flat = rng.gen_index(procs);
+                // Few distinct clocks, so ties between processors are
+                // common and the proc id has to break them.
+                let clock = rng.gen_range(0..12);
+                match rng.gen_index(5) {
+                    0 | 1 => {
+                        s.wake(flat, Cycle(clock));
+                        model.0[flat] = Some(clock);
+                    }
+                    2 => {
+                        s.invalidate(flat);
+                        model.0[flat] = None;
+                    }
+                    3 => {
+                        let want = model.min_except(usize::MAX);
+                        assert_eq!(s.pop_proc(), want, "P={procs}, step {step}: pop");
+                        if let Some((_, f)) = want {
+                            model.0[f] = None;
+                        }
+                    }
+                    // The serial loop's pick: run the top in place, then
+                    // re-key it from its new state.
+                    _ => {
+                        if let Some((c, f)) = s.top() {
+                            let next = rng.gen_bool(0.8).then(|| c.as_u64() + clock);
+                            match next {
+                                Some(c) => s.wake(f, Cycle(c)),
+                                None => s.invalidate(f),
+                            }
+                            model.0[f] = next;
+                        }
+                    }
+                }
+                let top = model.min_except(usize::MAX);
+                assert_eq!(s.top(), top, "P={procs}, step {step}: top");
+                let never = (Cycle::NEVER, usize::MAX);
+                if let Some((_, f)) = top {
+                    assert_eq!(
+                        s.runner_up(f),
+                        model.min_except(f).unwrap_or(never),
+                        "P={procs}, step {step}: runner-up of the top"
+                    );
+                }
+                assert_eq!(
+                    s.runner_up(flat),
+                    model.min_except(flat).unwrap_or(never),
+                    "P={procs}, step {step}: runner-up of {flat}"
+                );
+            }
+            // Draining pops every Ready processor in `(clock, proc)` order.
+            let mut want: Vec<(Cycle, usize)> = (0..procs)
+                .filter_map(|f| model.0[f].map(|c| (Cycle(c), f)))
+                .collect();
+            want.sort_unstable();
+            let got: Vec<_> = std::iter::from_fn(|| s.pop_proc()).collect();
+            assert_eq!(got, want, "P={procs}: drain order");
+            assert_eq!(s.top(), None);
+        }
+    }
+
+    #[test]
+    fn an_inactive_tree_ignores_wakes() {
+        let mut s = Sched::default();
+        s.reset(4, false);
+        s.wake(2, Cycle(7));
+        assert_eq!(s.top(), None);
+        s.active = true;
+        s.wake(2, Cycle(7));
+        s.active = false;
+        s.invalidate(2);
+        assert_eq!(s.top(), Some((Cycle(7), 2)));
+    }
+
+    #[test]
+    fn the_largest_packable_clock_is_accepted() {
+        for procs in [2, 32, 33] {
+            let mut s = active(procs);
+            let max = s.max_clock();
+            assert_eq!(max, (1 << (64 - s.bits)) - 2, "P={procs}");
+            // At 2 and 32 processors the last one has the highest slot,
+            // whose key at the largest clock is one below the all-ones
+            // empty key.
+            let last = procs - 1;
+            s.wake(last, Cycle(max));
+            assert_eq!(s.top(), Some((Cycle(max), last)), "P={procs}");
+            s.wake(0, Cycle(max));
+            assert_eq!(s.top(), Some((Cycle(max), 0)), "P={procs}");
+            assert_eq!(s.runner_up(0), (Cycle(max), last), "P={procs}");
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "exceeds the scheduler's packed-key limit of 576460752303423486 cycles (2^59 - 2)"
+    )]
+    fn one_past_the_largest_packable_clock_panics() {
+        let mut s = active(32);
+        s.wake(3, Cycle(s.max_clock() + 1));
     }
 }
