@@ -80,11 +80,8 @@ fn main() -> ExitCode {
         ..CampaignConfig::default()
     };
     println!(
-        "chaos campaign: seed {:#x}, {} cases x {} scheduler runs, {}ms deadline",
-        cfg.seed,
-        cfg.cases,
-        prism_chaos::SCHEDULES.len(),
-        args.deadline_ms
+        "chaos campaign: seed {:#x}, {} cases, {}ms deadline",
+        cfg.seed, cfg.cases, args.deadline_ms
     );
     let outcome = run_campaign(&cfg);
 

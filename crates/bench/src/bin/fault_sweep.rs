@@ -19,28 +19,19 @@
 //! cargo run --release -p prism-bench --bin fault_sweep
 //! ```
 
-use std::time::Instant;
-
 use prism_core::kernel::migration::MigrationPolicy;
 use prism_core::machine::machine::Machine;
-use prism_core::machine::{FaultPlan, JournalPolicy, ParallelFallbackReason, RetryPolicy};
+use prism_core::machine::{FaultPlan, JournalPolicy, RetryPolicy};
 use prism_core::mem::addr::{NodeId, VirtAddr};
 use prism_core::mem::trace::{Op, SegmentSpec, Trace, SHARED_BASE};
 use prism_core::sim::Cycle;
-use prism_core::{MachineConfig, RunReport, SchedulerKind};
+use prism_core::{MachineConfig, RunReport};
 use prism_workloads::{app, AppId, Scale};
 
 const DROP_RATES: [f64; 5] = [0.001, 0.005, 0.01, 0.02, 0.05];
 const BUDGETS: [u32; 5] = [1, 2, 3, 5, 8];
 const SEED: u64 = 0xFA117;
 const JSON_FILE: &str = "BENCH_fault.json";
-
-/// Worker-thread counts for the fault-era serial-vs-parallel A/B.
-const PAR_WORKERS: [usize; 3] = [1, 2, 4];
-/// Link-loss rates for the A/B; the window is bounded, so epochs resume
-/// once it closes no matter how lossy it was while open.
-const PAR_DROP_RATES: [f64; 3] = [0.0, 0.005, 0.02];
-const PAR_TIMING_RUNS: u32 = 2;
 
 fn config(max_attempts: u32) -> MachineConfig {
     let mut cfg = MachineConfig::builder()
@@ -161,10 +152,7 @@ fn main() {
     // ── Recovery cost: journaling, failover, and the watchdog ───────
     let recovery = recovery_section(&trace);
 
-    // ── Fault-era epoch parallelism: serial vs ParallelHeap ─────────
-    let parallel = parallel_section();
-
-    let json = render_json(&cells, &recovery, &parallel);
+    let json = render_json(&cells, &recovery);
     prism_bench::write_bench_json(JSON_FILE, &json);
 
     println!(
@@ -225,122 +213,9 @@ fn recovery_section(app_trace: &Trace) -> Vec<RecoveryCounts> {
     rows
 }
 
-/// One drop-rate row of the fault-era serial-vs-parallel A/B: the same
-/// fault plan under the serial heap and under `ParallelHeap` at each
-/// worker count, with the reports asserted byte-identical in-process.
-struct ParallelFaultRow {
-    drop_rate: f64,
-    serial_ms: f64,
-    workers: Vec<ParallelWorkerCell>,
-}
-
-struct ParallelWorkerCell {
-    workers: usize,
-    wall_ms: f64,
-    epochs: u64,
-    serial_picks: u64,
-    fallback: [u64; ParallelFallbackReason::ALL.len()],
-}
-
-/// Serial-vs-parallel under an active fault plan. The job mix mirrors
-/// the golden `mixed_faults` fixture — one multi-node job supplies the
-/// remote traffic the faults strike, two single-node jobs supply the
-/// disjoint groups epochs need — and the plan exercises every fault-era
-/// admission path: a bounded link window (epochs resume when it
-/// closes), a slow-node episode, a wedged Transit line, and a node
-/// death whose recovery set hazard-serializes overlapping groups.
-fn parallel_section() -> Vec<ParallelFaultRow> {
-    let cfg = |kind: SchedulerKind, workers: usize| {
-        let mut cfg = MachineConfig::builder()
-            .nodes(4)
-            .procs_per_node(2)
-            .audit_interval(Some(50_000))
-            .build();
-        cfg.journal = JournalPolicy::eager();
-        cfg.scheduler = kind;
-        cfg.worker_threads = workers;
-        cfg
-    };
-    let jobs = vec![
-        app(AppId::Ocean, Scale::Small).generate(4),
-        app(AppId::Radix, Scale::Small).generate(2),
-        app(AppId::Fft, Scale::Small).generate(2),
-    ];
-    let plan = |p: f64| {
-        FaultPlan::new(SEED)
-            .link_fault_window(Cycle::ZERO, Cycle(4_000), p, p / 5.0)
-            .slow_node(NodeId(0), Cycle(4_000), Cycle(12_000), 3)
-            .wedge_transit(NodeId(1), Cycle(8_000))
-            .fail_node(NodeId(3), Cycle(20_000))
-    };
-    let time = |kind: SchedulerKind, workers: usize, p: f64| -> (f64, RunReport) {
-        let mut best = f64::INFINITY;
-        let mut report = None;
-        for _ in 0..PAR_TIMING_RUNS {
-            let mut m = Machine::new(cfg(kind, workers));
-            m.install_fault_plan(plan(p)).expect("fault plan validates");
-            let wall = Instant::now();
-            let r = m.run_jobs(&jobs);
-            best = best.min(wall.elapsed().as_secs_f64() * 1e3);
-            report = Some(r);
-        }
-        (best, report.expect("at least one timing run"))
-    };
-
-    println!("\nFault-era epoch parallelism: mixed jobs on 4 nodes x 2 procs, eager journal,");
-    println!(
-        "bounded link window + slow node + Transit wedge + node death (best of {PAR_TIMING_RUNS} runs):"
-    );
-    let mut rows = Vec::new();
-    for p in PAR_DROP_RATES {
-        let (serial_ms, serial) = time(SchedulerKind::Heap, 1, p);
-        let serial_json = serial.to_json();
-        print!("  drop {:>5.1}%: serial {serial_ms:>7.1} ms", p * 100.0);
-        let workers = PAR_WORKERS
-            .into_iter()
-            .map(|w| {
-                let (wall_ms, r) = time(SchedulerKind::ParallelHeap, w, p);
-                assert_eq!(
-                    r.to_json(),
-                    serial_json,
-                    "ParallelHeap({w} workers) diverged from the serial heap at drop rate {p}"
-                );
-                print!(" | {w}w {wall_ms:>7.1} ms {:>4.2}x", serial_ms / wall_ms);
-                let mut fallback = [0u64; ParallelFallbackReason::ALL.len()];
-                for (slot, reason) in fallback.iter_mut().zip(ParallelFallbackReason::ALL) {
-                    *slot = r.parallel_fallback.count(reason);
-                }
-                ParallelWorkerCell {
-                    workers: w,
-                    wall_ms,
-                    epochs: r.parallel_fallback.epochs,
-                    serial_picks: r.parallel_fallback.serial_picks,
-                    fallback,
-                }
-            })
-            .collect::<Vec<_>>();
-        let last = workers.last().expect("at least one worker count");
-        println!(
-            "  ({} epochs, {} serial picks)",
-            last.epochs, last.serial_picks
-        );
-        rows.push(ParallelFaultRow {
-            drop_rate: p,
-            serial_ms,
-            workers,
-        });
-    }
-    println!("  all reports byte-identical to the serial heap (asserted in-process)");
-    rows
-}
-
 /// Hand-rolled JSON (the workspace is dependency-free by design). All
 /// values are integers or exact short floats, so no escaping is needed.
-fn render_json(
-    cells: &[SweepCell],
-    recovery: &[RecoveryCounts],
-    parallel: &[ParallelFaultRow],
-) -> String {
+fn render_json(cells: &[SweepCell], recovery: &[RecoveryCounts]) -> String {
     let mut out = String::from("{\n  \"bench\": \"fault_sweep\",\n");
     out.push_str(&format!(
         "  \"workload\": \"ocean/small\",\n  \"seed\": {SEED},\n  \"link_sweep\": [\n"
@@ -381,41 +256,7 @@ fn render_json(
             if i + 1 < recovery.len() { "," } else { "" }
         ));
     }
-    out.push_str("  ],\n");
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    out.push_str(&format!(
-        "  \"parallel\": {{\"nodes\": 4, \"procs\": 8, \"host_parallelism\": {host_cores}, \
-         \"reports_identical\": true, \"rows\": [\n"
-    ));
-    for (i, row) in parallel.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"drop_rate\": {}, \"serial_wall_ms\": {:.3}, \"workers\": [\n",
-            row.drop_rate, row.serial_ms
-        ));
-        for (j, w) in row.workers.iter().enumerate() {
-            let fallback = ParallelFallbackReason::ALL
-                .iter()
-                .zip(w.fallback)
-                .map(|(r, n)| format!("\"{}\": {n}", r.name()))
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push_str(&format!(
-                "      {{\"workers\": {}, \"wall_ms\": {:.3}, \"speedup\": {:.3}, \
-                 \"epochs\": {}, \"serial_picks\": {}, \"fallback\": {{{fallback}}}}}{}\n",
-                w.workers,
-                w.wall_ms,
-                row.serial_ms / w.wall_ms,
-                w.epochs,
-                w.serial_picks,
-                if j + 1 < row.workers.len() { "," } else { "" }
-            ));
-        }
-        out.push_str(&format!(
-            "    ]}}{}\n",
-            if i + 1 < parallel.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]}\n}\n");
+    out.push_str("  ]\n}\n");
     out
 }
 

@@ -16,7 +16,7 @@
 
 use prism_kernel::migration::MigrationPolicy;
 use prism_kernel::policy::PagePolicy;
-use prism_machine::config::{AuditMode, DirectoryKind, MachineConfig, SchedulerKind};
+use prism_machine::config::{AuditMode, MachineConfig};
 use prism_machine::faults::{FaultPlan, JournalPolicy, RetryPolicy};
 use prism_mem::addr::NodeId;
 use prism_mem::trace::Trace;
@@ -35,39 +35,20 @@ pub const ALL_POLICIES: [PagePolicy; 6] = [
     PagePolicy::DynBoth,
 ];
 
-/// Stable names for page policies in artifacts and coverage maps (the
-/// same labels `RunReport`'s debug `parallel_fallback` section uses).
+/// Stable names for page policies in artifacts and coverage maps.
 pub fn policy_name(p: PagePolicy) -> &'static str {
-    prism_machine::policy_label(p)
+    match p {
+        PagePolicy::Scoma => "scoma",
+        PagePolicy::Lanuma => "lanuma",
+        PagePolicy::DynFcfs => "dyn-fcfs",
+        PagePolicy::DynUtil => "dyn-util",
+        PagePolicy::DynLru => "dyn-lru",
+        PagePolicy::DynBoth => "dyn-both",
+    }
 }
 
 fn policy_from_name(s: &str) -> Option<PagePolicy> {
     ALL_POLICIES.iter().copied().find(|&p| policy_name(p) == s)
-}
-
-/// The two directory backends a campaign flips between.
-pub const ALL_DIRECTORIES: [DirectoryKind; 2] =
-    [DirectoryKind::FullMap, DirectoryKind::LogReplicated];
-
-/// Stable names for directory backends in artifacts and coverage maps.
-pub fn directory_name(k: DirectoryKind) -> &'static str {
-    k.label()
-}
-
-fn directory_from_name(s: &str) -> Option<DirectoryKind> {
-    ALL_DIRECTORIES
-        .iter()
-        .copied()
-        .find(|&k| directory_name(k) == s)
-}
-
-/// Stable names for scheduler kinds in coverage maps and artifacts.
-pub fn scheduler_name(k: SchedulerKind) -> &'static str {
-    match k {
-        SchedulerKind::Heap => "heap",
-        SchedulerKind::LinearScan => "linear-scan",
-        SchedulerKind::ParallelHeap => "parallel-heap",
-    }
 }
 
 /// The synthetic access pattern a case drives.
@@ -325,24 +306,6 @@ pub struct CaseSpec {
     pub journal_eager: bool,
     /// Transit-tag watchdog deadline in cycles.
     pub watchdog_deadline: u64,
-    /// Home-node directory backend. The determinism suite proves the
-    /// two backends byte-equivalent, so flipping this must never change
-    /// a report — the differential oracle holds each case to that.
-    pub directory: DirectoryKind,
-    /// Cursor rewatermark tolerance in trace operations (0 disables
-    /// sliding entirely — the pre-slide full-rescan behavior). A host
-    /// wall-clock heuristic: a slid window is bitwise what a fresh scan
-    /// returns, so reports must be identical at any value — the
-    /// differential oracle holds each case to that.
-    pub rewatermark_tolerance: u64,
-    /// Minimum simulated-cycle span an epoch must cover to be admitted
-    /// by the parallel scheduler. Wall-clock heuristic like
-    /// [`CaseSpec::rewatermark_tolerance`].
-    pub min_epoch_span: u64,
-    /// Cap on the parallel scheduler's exponential scan backoff, in
-    /// picks. Wall-clock heuristic like
-    /// [`CaseSpec::rewatermark_tolerance`]; must be at least 1.
-    pub max_epoch_backoff: u64,
     /// Space-shared jobs (1 = whole-machine, 2 = two jobs on disjoint
     /// node halves; structural faults then only target job 0's nodes so
     /// the containment oracle can hold job 1 harmless).
@@ -379,8 +342,8 @@ impl CaseSpec {
         }
     }
 
-    /// Builds the machine configuration for one scheduler/worker pick.
-    pub fn config(&self, scheduler: SchedulerKind, workers: usize) -> MachineConfig {
+    /// Builds the machine configuration.
+    pub fn config(&self) -> MachineConfig {
         let migration = if self.migration {
             Some(MigrationPolicy::default())
         } else {
@@ -404,12 +367,6 @@ impl CaseSpec {
                 JournalPolicy::Off
             })
             .watchdog_deadline(self.watchdog_deadline)
-            .directory(self.directory)
-            .rewatermark_tolerance(self.rewatermark_tolerance)
-            .min_epoch_span(self.min_epoch_span)
-            .max_epoch_backoff(self.max_epoch_backoff)
-            .scheduler(scheduler)
-            .worker_threads(workers)
             .build()
     }
 
@@ -513,25 +470,6 @@ impl CaseSpec {
             }
         }
 
-        // Drawn last on purpose: appending the backend flip to the end
-        // of the stream leaves every draw above it — and therefore every
-        // historical case field — exactly as earlier harness versions
-        // generated them.
-        let directory = if rng.gen_bool(0.5) {
-            DirectoryKind::LogReplicated
-        } else {
-            DirectoryKind::FullMap
-        };
-        // Also appended after everything older (same reasoning as the
-        // directory draw above): the epoch-executor pacing knobs join
-        // the end of the stream so historical case fields keep their
-        // exact values. All three are wall-clock heuristics the
-        // differential oracle must prove report-invariant — including
-        // tolerance 0, the no-sliding degenerate.
-        let rewatermark_tolerance = [0u64, 16, 256, 4096][rng.gen_index(4)];
-        let min_epoch_span = 64u64 << rng.gen_index(5);
-        let max_epoch_backoff = 1u64 << rng.gen_index(10);
-
         let spec = CaseSpec {
             campaign_seed,
             index,
@@ -548,10 +486,6 @@ impl CaseSpec {
             retry,
             journal_eager,
             watchdog_deadline,
-            directory,
-            rewatermark_tolerance,
-            min_epoch_span,
-            max_epoch_backoff,
             jobs,
             workload,
             faults,
@@ -605,7 +539,6 @@ impl CaseSpec {
         );
         field("journal_eager", self.journal_eager.to_string());
         field("watchdog_deadline", self.watchdog_deadline.to_string());
-        field("directory", quote(directory_name(self.directory)));
         field("jobs", self.jobs.to_string());
         field(
             "workload",
@@ -662,12 +595,6 @@ impl CaseSpec {
                 events.join(",")
             ),
         );
-        field(
-            "rewatermark_tolerance",
-            self.rewatermark_tolerance.to_string(),
-        );
-        field("min_epoch_span", self.min_epoch_span.to_string());
-        field("max_epoch_backoff", self.max_epoch_backoff.to_string());
         o.pop();
         o.push('}');
         o
@@ -766,11 +693,6 @@ impl CaseSpec {
             },
             journal_eager: boolean(v, "journal_eager")?,
             watchdog_deadline: num(v, "watchdog_deadline")?,
-            directory: directory_from_name(req(v, "directory")?.as_str().ok_or("directory")?)
-                .ok_or("unknown directory kind")?,
-            rewatermark_tolerance: num(v, "rewatermark_tolerance")?,
-            min_epoch_span: num(v, "min_epoch_span")?,
-            max_epoch_backoff: num(v, "max_epoch_backoff")?,
             jobs: num(v, "jobs")? as usize,
             workload: WorkloadSpec {
                 kind: WorkloadKind::from_name(
@@ -813,9 +735,8 @@ mod tests {
                 spec.faults.plan().validate(spec.nodes).is_ok(),
                 "case {index} built an invalid plan"
             );
-            // Building configs must not panic for any scheduler pick.
-            spec.config(SchedulerKind::Heap, 1);
-            spec.config(SchedulerKind::ParallelHeap, 4);
+            // Building the config must not panic.
+            spec.config();
             // Two-job cases confine structural faults to job 0's nodes.
             if spec.jobs == 2 {
                 assert!(spec.faults.link_windows.is_empty());
@@ -835,44 +756,6 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), 6, "six consecutive cases span all modes");
-    }
-
-    #[test]
-    fn short_windows_flip_both_directory_backends() {
-        for seed in [3u64, 7, 0xBEEF] {
-            let mut seen: Vec<DirectoryKind> = (0..16)
-                .map(|i| CaseSpec::generate(seed, i).directory)
-                .collect();
-            seen.sort_by_key(|k| directory_name(*k));
-            seen.dedup();
-            assert_eq!(
-                seen.len(),
-                2,
-                "seed {seed:#x} never flipped the directory backend"
-            );
-        }
-    }
-
-    #[test]
-    fn short_windows_span_the_pacing_knobs() {
-        for seed in [3u64, 7, 0xBEEF] {
-            let specs: Vec<CaseSpec> = (0..32).map(|i| CaseSpec::generate(seed, i)).collect();
-            let mut tols: Vec<u64> = specs.iter().map(|s| s.rewatermark_tolerance).collect();
-            tols.sort_unstable();
-            tols.dedup();
-            assert!(
-                tols.len() >= 3,
-                "seed {seed:#x} drew too few tolerance values: {tols:?}"
-            );
-            assert!(
-                specs.iter().any(|s| s.rewatermark_tolerance == 0),
-                "seed {seed:#x} never disabled sliding"
-            );
-            assert!(
-                specs.iter().all(|s| s.max_epoch_backoff >= 1),
-                "backoff caps must stay valid by construction"
-            );
-        }
     }
 
     #[test]

@@ -6,11 +6,9 @@
 //! random-but-valid cases — machine shapes across all six page modes,
 //! reliability knobs (retry, journal, watchdog, auditor), workloads,
 //! and fault plans (link windows, slow episodes, node deaths, PIT
-//! corruption, transit wedges) — runs each across the full scheduler
-//! grid under a progress watchdog, and checks invariant oracles:
+//! corruption, transit wedges) — runs each once under a progress
+//! watchdog, and checks invariant oracles:
 //!
-//! * **differential** — Heap, LinearScan and ParallelHeap at 1/2/4
-//!   workers produce byte-identical reports;
 //! * **audit-explained** — auditor findings only appear when a
 //!   structural fault was injected;
 //! * **containment** — damage stays bounded by the plan; dead nodes
@@ -23,11 +21,6 @@
 //! * **page-accounting** — after every run each real frame is owned by
 //!   exactly one of the free list, the client page cache, and the
 //!   directory-home set.
-//!
-//! Cases also flip the home-node directory backend (full-map vs
-//! log-replicated), so the differential oracle holds the two backends
-//! byte-equivalent across the whole searched space, not just the
-//! determinism suite's fixtures.
 //!
 //! On violation, [`shrink::shrink`] greedily minimizes the case while
 //! the oracle keeps firing, and [`repro::Repro`] serializes a
@@ -56,7 +49,7 @@ use std::time::{Duration, Instant};
 pub use gen::CaseSpec;
 pub use oracle::{Oracle, Violation};
 pub use repro::{replay, Repro};
-pub use run::{run_case, CaseOutcome, SCHEDULES};
+pub use run::{run_case, CaseOutcome};
 pub use shrink::shrink;
 
 /// Campaign parameters.
@@ -66,7 +59,7 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// How many cases to generate and run.
     pub cases: u64,
-    /// Harness watchdog deadline per scheduler run.
+    /// Harness watchdog deadline per run.
     pub deadline: Duration,
     /// Shrink candidate budget per violation.
     pub shrink_budget: usize,
@@ -105,15 +98,14 @@ pub struct CampaignViolation {
 pub struct CampaignOutcome {
     /// Cases generated and run.
     pub cases: u64,
-    /// Individual machine runs executed (cases x scheduler grid).
+    /// Machine runs executed (one per case).
     pub runs: u64,
     /// Violations found, shrunk, and captured.
     pub violations: Vec<CampaignViolation>,
     /// Cases per page-policy name (coverage accounting).
     pub policy_coverage: BTreeMap<String, u64>,
-    /// Cases per directory-backend name (coverage accounting).
-    pub directory_coverage: BTreeMap<String, u64>,
-    /// Completed runs per scheduler name.
+    /// Completed runs per scheduler name (every run uses the `heap`
+    /// tournament-tree loop).
     pub scheduler_runs: BTreeMap<String, u64>,
     /// Runs that ended in a panic or hang (also surface as liveness
     /// violations when the liveness oracle is armed).
@@ -152,15 +144,13 @@ impl CampaignOutcome {
         format!(
             "{{\"bench\":\"chaos\",\"seed\":{seed},\"cases\":{},\"runs\":{},\
              \"failed_runs\":{},\"violations\":{},\"violation_count\":{},\
-             \"policy_coverage\":{},\"directory_coverage\":{},\
-             \"scheduler_runs\":{},\"wall_ms\":{}}}",
+             \"policy_coverage\":{},\"scheduler_runs\":{},\"wall_ms\":{}}}",
             self.cases,
             self.runs,
             self.failed_runs,
             violations,
             self.violations.len(),
             map_json(&self.policy_coverage),
-            map_json(&self.directory_coverage),
             map_json(&self.scheduler_runs),
             self.wall.as_millis(),
         )
@@ -182,23 +172,12 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignOutcome {
             .policy_coverage
             .entry(gen::policy_name(case.policy).to_string())
             .or_insert(0) += 1;
-        *outcome
-            .directory_coverage
-            .entry(gen::directory_name(case.directory).to_string())
-            .or_insert(0) += 1;
         let case_outcome = run_case(&case, cfg.deadline);
         outcome.cases += 1;
-        outcome.runs += case_outcome.runs.len() as u64;
-        for r in &case_outcome.runs {
-            match &r.result {
-                Ok(_) => {
-                    *outcome
-                        .scheduler_runs
-                        .entry(gen::scheduler_name(r.scheduler).to_string())
-                        .or_insert(0) += 1;
-                }
-                Err(_) => outcome.failed_runs += 1,
-            }
+        outcome.runs += 1;
+        match &case_outcome.result {
+            Ok(_) => *outcome.scheduler_runs.entry("heap".into()).or_insert(0) += 1,
+            Err(_) => outcome.failed_runs += 1,
         }
         let Some(violation) = oracle::check_all(&cfg.oracles, &case, &case_outcome) else {
             continue;
@@ -243,15 +222,11 @@ mod tests {
         };
         let out = run_campaign(&cfg);
         assert_eq!(out.cases, 2);
-        assert_eq!(out.runs, 2 * SCHEDULES.len() as u64);
+        assert_eq!(out.runs, 2);
         let doc = out.to_json(cfg.seed);
         let v = json::Json::parse(&doc).unwrap();
         assert_eq!(v.get("cases").unwrap().as_u64(), Some(2));
-        assert_eq!(
-            v.get("runs").unwrap().as_u64(),
-            Some(2 * SCHEDULES.len() as u64)
-        );
+        assert_eq!(v.get("runs").unwrap().as_u64(), Some(2));
         assert!(v.get("policy_coverage").is_some());
-        assert!(v.get("directory_coverage").is_some());
     }
 }

@@ -21,8 +21,8 @@
 use prism_machine::obs::ObsEvent;
 use prism_machine::report::RunReport;
 
-use crate::gen::{scheduler_name, CaseSpec, EventKind};
-use crate::run::{CaseOutcome, CaseRun};
+use crate::gen::{CaseSpec, EventKind};
+use crate::run::CaseOutcome;
 
 /// A violated invariant: which oracle fired and why.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -36,10 +36,6 @@ pub struct Violation {
 /// One pluggable invariant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Oracle {
-    /// All scheduler/worker picks that completed produced byte-identical
-    /// `RunReport::to_json` (the scheduler-invariance contract the
-    /// golden suite pins on fixed fixtures).
-    Differential,
     /// Auditor findings only ever appear when the case injected a
     /// structural fault that explains them (slow-only and fault-free
     /// cases must audit clean).
@@ -74,8 +70,7 @@ pub enum Oracle {
 
 impl Oracle {
     /// The oracles every campaign runs.
-    pub const STANDARD: [Oracle; 6] = [
-        Oracle::Differential,
+    pub const STANDARD: [Oracle; 5] = [
         Oracle::AuditExplained,
         Oracle::Containment,
         Oracle::Liveness,
@@ -86,7 +81,6 @@ impl Oracle {
     /// The oracle's stable name (used in artifacts and reports).
     pub fn name(self) -> &'static str {
         match self {
-            Oracle::Differential => "differential",
             Oracle::AuditExplained => "audit-explained",
             Oracle::Containment => "containment",
             Oracle::Liveness => "liveness",
@@ -101,7 +95,6 @@ impl Oracle {
     /// Resolves a name back to the oracle (for replay).
     pub fn from_name(name: &str) -> Option<Oracle> {
         [
-            Oracle::Differential,
             Oracle::AuditExplained,
             Oracle::Containment,
             Oracle::Liveness,
@@ -118,7 +111,6 @@ impl Oracle {
     /// Checks the invariant, returning the first violation found.
     pub fn check(self, case: &CaseSpec, outcome: &CaseOutcome) -> Option<Violation> {
         match self {
-            Oracle::Differential => check_differential(outcome),
             Oracle::AuditExplained => check_audit_explained(case, outcome),
             Oracle::Containment => check_containment(case, outcome),
             Oracle::Liveness => check_liveness(case, outcome),
@@ -136,40 +128,6 @@ pub fn check_all(oracles: &[Oracle], case: &CaseSpec, outcome: &CaseOutcome) -> 
     oracles.iter().find_map(|o| o.check(case, outcome))
 }
 
-fn run_label(r: &CaseRun) -> String {
-    format!("{}/{}w", scheduler_name(r.scheduler), r.workers)
-}
-
-fn check_differential(outcome: &CaseOutcome) -> Option<Violation> {
-    let completed: Vec<(&CaseRun, String)> = outcome
-        .runs
-        .iter()
-        .filter_map(|r| r.result.as_ref().ok().map(|out| (r, out.report.to_json())))
-        .collect();
-    let (first_run, first_json) = completed.first()?;
-    for (run, json) in &completed[1..] {
-        if json != first_json {
-            let at = json
-                .bytes()
-                .zip(first_json.bytes())
-                .position(|(a, b)| a != b)
-                .unwrap_or_else(|| json.len().min(first_json.len()));
-            let lo = at.saturating_sub(40);
-            return Some(Violation {
-                oracle: Oracle::Differential.name(),
-                detail: format!(
-                    "{} and {} reports diverge at byte {at}: ...{} vs ...{}",
-                    run_label(first_run),
-                    run_label(run),
-                    &first_json[lo..(at + 40).min(first_json.len())],
-                    &json[lo..(at + 40).min(json.len())],
-                ),
-            });
-        }
-    }
-    None
-}
-
 fn check_audit_explained(case: &CaseSpec, outcome: &CaseOutcome) -> Option<Violation> {
     if case.faults.is_structural() {
         // Every finding kind the auditor can raise is reachable from
@@ -178,27 +136,24 @@ fn check_audit_explained(case: &CaseSpec, outcome: &CaseOutcome) -> Option<Viola
         // would need lineage the simulator doesn't record yet.
         return None;
     }
-    for r in &outcome.runs {
-        let Ok(out) = &r.result else { continue };
-        if !out.report.audit.is_empty() {
-            let kinds: Vec<String> = out
-                .report
-                .audit
-                .iter()
-                .map(|f| f.kind.to_string())
-                .collect();
-            return Some(Violation {
-                oracle: Oracle::AuditExplained.name(),
-                detail: format!(
-                    "{} raised {} audit finding(s) [{}] with no structural fault injected",
-                    run_label(r),
-                    out.report.audit.len(),
-                    kinds.join(", ")
-                ),
-            });
-        }
+    let out = outcome.output()?;
+    if out.report.audit.is_empty() {
+        return None;
     }
-    None
+    let kinds: Vec<String> = out
+        .report
+        .audit
+        .iter()
+        .map(|f| f.kind.to_string())
+        .collect();
+    Some(Violation {
+        oracle: Oracle::AuditExplained.name(),
+        detail: format!(
+            "{} audit finding(s) [{}] with no structural fault injected",
+            out.report.audit.len(),
+            kinds.join(", ")
+        ),
+    })
 }
 
 /// Counters that must stay zero on a run with no structural faults.
@@ -226,99 +181,79 @@ fn quiescent_residue(report: &RunReport) -> Vec<(&'static str, u64)> {
 }
 
 fn check_containment(case: &CaseSpec, outcome: &CaseOutcome) -> Option<Violation> {
-    let structural = case.faults.is_structural();
-    for r in &outcome.runs {
-        let Ok(out) = &r.result else { continue };
-        let report = &out.report;
-        if !structural {
-            let residue = quiescent_residue(report);
-            if !residue.is_empty() {
-                let fields: Vec<String> = residue.iter().map(|(k, v)| format!("{k}={v}")).collect();
-                return Some(Violation {
-                    oracle: Oracle::Containment.name(),
-                    detail: format!(
-                        "{} shows fault damage with no structural fault injected: {}",
-                        run_label(r),
-                        fields.join(", ")
-                    ),
-                });
-            }
-            continue;
+    let out = outcome.output()?;
+    let report = &out.report;
+    let violation = |detail: String| {
+        Some(Violation {
+            oracle: Oracle::Containment.name(),
+            detail,
+        })
+    };
+    if !case.faults.is_structural() {
+        let residue = quiescent_residue(report);
+        if residue.is_empty() {
+            return None;
         }
-        // Point-fault counters never exceed what the plan scheduled.
-        let bounds = [
-            (
-                "node_failures",
-                report.fault.node_failures,
-                case.faults.event_count(EventKind::FailNode) as u64,
-            ),
-            (
-                "pit_corruptions",
-                report.fault.pit_corruptions,
-                case.faults.event_count(EventKind::CorruptPit) as u64,
-            ),
-            (
-                "transit_wedges",
-                report.fault.transit_wedges,
-                case.faults.event_count(EventKind::WedgeTransit) as u64,
-            ),
-        ];
-        for (name, got, max) in bounds {
-            if got > max {
-                return Some(Violation {
-                    oracle: Oracle::Containment.name(),
-                    detail: format!(
-                        "{} reports {name}={got} but the plan only scheduled {max}",
-                        run_label(r)
-                    ),
-                });
-            }
+        let fields: Vec<String> = residue.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        return violation(format!(
+            "fault damage with no structural fault injected: {}",
+            fields.join(", ")
+        ));
+    }
+    // Point-fault counters never exceed what the plan scheduled.
+    let bounds = [
+        (
+            "node_failures",
+            report.fault.node_failures,
+            case.faults.event_count(EventKind::FailNode) as u64,
+        ),
+        (
+            "pit_corruptions",
+            report.fault.pit_corruptions,
+            case.faults.event_count(EventKind::CorruptPit) as u64,
+        ),
+        (
+            "transit_wedges",
+            report.fault.transit_wedges,
+            case.faults.event_count(EventKind::WedgeTransit) as u64,
+        ),
+    ];
+    for (name, got, max) in bounds {
+        if got > max {
+            return violation(format!("{name}={got} but the plan only scheduled {max}"));
         }
-        // Dead nodes stay dead: once failed, a node never adopts a page.
-        let mut dead: Vec<u16> = Vec::new();
+    }
+    // Dead nodes stay dead: once failed, a node never adopts a page.
+    let mut dead: Vec<u16> = Vec::new();
+    for (_, ev) in &out.events {
+        match ev {
+            ObsEvent::NodeFailed { node } => dead.push(node.0),
+            ObsEvent::Migration { to, .. } if dead.contains(&to.0) => {
+                return violation(format!(
+                    "page migrated to node {} after that node failed",
+                    to.0
+                ));
+            }
+            ObsEvent::Failover { to, .. } if dead.contains(&to.0) => {
+                return violation(format!(
+                    "page failed over to node {} after that node failed",
+                    to.0
+                ));
+            }
+            _ => {}
+        }
+    }
+    // Two-job cases: faults target job 0's nodes only, so the victim
+    // job (nodes >= job0_nodes) must take zero casualties.
+    if case.jobs == 2 {
+        let fence = case.job0_nodes() as u16;
         for (_, ev) in &out.events {
-            match ev {
-                ObsEvent::NodeFailed { node } => dead.push(node.0),
-                ObsEvent::Migration { to, .. } if dead.contains(&to.0) => {
-                    return Some(Violation {
-                        oracle: Oracle::Containment.name(),
-                        detail: format!(
-                            "{}: page migrated to node {} after that node failed",
-                            run_label(r),
-                            to.0
-                        ),
-                    });
-                }
-                ObsEvent::Failover { to, .. } if dead.contains(&to.0) => {
-                    return Some(Violation {
-                        oracle: Oracle::Containment.name(),
-                        detail: format!(
-                            "{}: page failed over to node {} after that node failed",
-                            run_label(r),
-                            to.0
-                        ),
-                    });
-                }
-                _ => {}
-            }
-        }
-        // Two-job cases: faults target job 0's nodes only, so the
-        // victim job (nodes >= job0_nodes) must take zero casualties.
-        if case.jobs == 2 {
-            let fence = case.job0_nodes() as u16;
-            for (_, ev) in &out.events {
-                if let ObsEvent::ProcKilled { node, proc } = ev {
-                    if node.0 >= fence {
-                        return Some(Violation {
-                            oracle: Oracle::Containment.name(),
-                            detail: format!(
-                                "{}: proc {}@node{} of the fault-free job was killed",
-                                run_label(r),
-                                proc,
-                                node.0
-                            ),
-                        });
-                    }
+            if let ObsEvent::ProcKilled { node, proc } = ev {
+                if node.0 >= fence {
+                    return violation(format!(
+                        "proc {}@node{} of the fault-free job was killed",
+                        proc, node.0
+                    ));
                 }
             }
         }
@@ -327,42 +262,36 @@ fn check_containment(case: &CaseSpec, outcome: &CaseOutcome) -> Option<Violation
 }
 
 fn check_liveness(case: &CaseSpec, outcome: &CaseOutcome) -> Option<Violation> {
-    for r in &outcome.runs {
-        match &r.result {
-            Err(e) => {
-                return Some(Violation {
-                    oracle: Oracle::Liveness.name(),
-                    detail: format!("{} {e}", run_label(r)),
-                });
-            }
-            Ok(out) => {
-                // Every dead processor traces to a cause the machine
-                // recorded: a failed node's processors, a fatal fault,
-                // or a watchdog kill.
-                let f = &out.report.fault;
-                let accounted = f.node_failures * case.procs_per_node as u64
-                    + f.fatal_faults
-                    + f.watchdog_kills;
-                if out.report.dead_procs > accounted {
-                    return Some(Violation {
-                        oracle: Oracle::Liveness.name(),
-                        detail: format!(
-                            "{}: {} dead procs but only {} accounted \
-                             ({} node failures x {} ppn, {} fatal, {} watchdog kills)",
-                            run_label(r),
-                            out.report.dead_procs,
-                            accounted,
-                            f.node_failures,
-                            case.procs_per_node,
-                            f.fatal_faults,
-                            f.watchdog_kills
-                        ),
-                    });
-                }
-            }
+    let out = match &outcome.result {
+        Err(e) => {
+            return Some(Violation {
+                oracle: Oracle::Liveness.name(),
+                detail: format!("the run {e}"),
+            });
         }
+        Ok(out) => out,
+    };
+    // Every dead processor traces to a cause the machine recorded: a
+    // failed node's processors, a fatal fault, or a watchdog kill.
+    let f = &out.report.fault;
+    let accounted =
+        f.node_failures * case.procs_per_node as u64 + f.fatal_faults + f.watchdog_kills;
+    if out.report.dead_procs <= accounted {
+        return None;
     }
-    None
+    Some(Violation {
+        oracle: Oracle::Liveness.name(),
+        detail: format!(
+            "{} dead procs but only {} accounted \
+             ({} node failures x {} ppn, {} fatal, {} watchdog kills)",
+            out.report.dead_procs,
+            accounted,
+            f.node_failures,
+            case.procs_per_node,
+            f.fatal_faults,
+            f.watchdog_kills
+        ),
+    })
 }
 
 /// Per-line replay cost of [`prism_machine::faults::JournalPolicy::
@@ -372,127 +301,81 @@ fn check_liveness(case: &CaseSpec, outcome: &CaseOutcome) -> Option<Violation> {
 const EAGER_REPLAY_CYCLES_PER_LINE: u64 = 24;
 
 fn check_journal_replay(case: &CaseSpec, outcome: &CaseOutcome) -> Option<Violation> {
-    for r in &outcome.runs {
-        let Ok(out) = &r.result else { continue };
-        let f = &out.report.fault;
-        if !case.journal_eager {
-            if f.journal_records != 0 || f.journal_replay_cycles != 0 || f.lines_recovered != 0 {
-                return Some(Violation {
-                    oracle: Oracle::JournalReplay.name(),
-                    detail: format!(
-                        "{} shows journal activity with journaling off: \
-                         {} records, {} replay cycles, {} lines recovered",
-                        run_label(r),
-                        f.journal_records,
-                        f.journal_replay_cycles,
-                        f.lines_recovered
-                    ),
-                });
-            }
-            continue;
+    let f = &outcome.output()?.report.fault;
+    let detail = if !case.journal_eager {
+        if f.journal_records == 0 && f.journal_replay_cycles == 0 && f.lines_recovered == 0 {
+            return None;
         }
-        let expected = f.lines_recovered * EAGER_REPLAY_CYCLES_PER_LINE;
-        if f.journal_replay_cycles != expected {
-            return Some(Violation {
-                oracle: Oracle::JournalReplay.name(),
-                detail: format!(
-                    "{}: {} replay cycles but {} recovered lines x {} \
-                     cycles/line = {expected}",
-                    run_label(r),
-                    f.journal_replay_cycles,
-                    f.lines_recovered,
-                    EAGER_REPLAY_CYCLES_PER_LINE
-                ),
-            });
-        }
-        if f.lines_recovered > 0 && f.journal_records == 0 {
-            return Some(Violation {
-                oracle: Oracle::JournalReplay.name(),
-                detail: format!(
-                    "{} recovered {} lines from an empty journal",
-                    run_label(r),
-                    f.lines_recovered
-                ),
-            });
-        }
-    }
-    None
+        format!(
+            "journal activity with journaling off: \
+             {} records, {} replay cycles, {} lines recovered",
+            f.journal_records, f.journal_replay_cycles, f.lines_recovered
+        )
+    } else if f.journal_replay_cycles != f.lines_recovered * EAGER_REPLAY_CYCLES_PER_LINE {
+        format!(
+            "{} replay cycles but {} recovered lines x {} cycles/line = {}",
+            f.journal_replay_cycles,
+            f.lines_recovered,
+            EAGER_REPLAY_CYCLES_PER_LINE,
+            f.lines_recovered * EAGER_REPLAY_CYCLES_PER_LINE
+        )
+    } else if f.lines_recovered > 0 && f.journal_records == 0 {
+        format!(
+            "recovered {} lines from an empty journal",
+            f.lines_recovered
+        )
+    } else {
+        return None;
+    };
+    Some(Violation {
+        oracle: Oracle::JournalReplay.name(),
+        detail,
+    })
 }
 
 fn check_page_accounting(outcome: &CaseOutcome) -> Option<Violation> {
-    for r in &outcome.runs {
-        let Ok(out) = &r.result else { continue };
-        if let Some(first) = out.accounting.first() {
-            return Some(Violation {
-                oracle: Oracle::PageAccounting.name(),
-                detail: format!(
-                    "{} broke frame conservation ({} violation(s); first: {first})",
-                    run_label(r),
-                    out.accounting.len()
-                ),
-            });
-        }
-    }
-    None
+    let out = outcome.output()?;
+    let first = out.accounting.first()?;
+    Some(Violation {
+        oracle: Oracle::PageAccounting.name(),
+        detail: format!(
+            "frame conservation broken ({} violation(s); first: {first})",
+            out.accounting.len()
+        ),
+    })
 }
 
 fn check_canary(outcome: &CaseOutcome) -> Option<Violation> {
-    for r in &outcome.runs {
-        let Ok(out) = &r.result else { continue };
-        if out.report.remote_misses > 0 {
-            return Some(Violation {
-                oracle: Oracle::CanaryNoRemoteMiss.name(),
-                detail: format!(
-                    "{} performed {} remote misses (the canary claims none ever happen)",
-                    run_label(r),
-                    out.report.remote_misses
-                ),
-            });
-        }
-    }
-    None
+    let out = outcome.output()?;
+    (out.report.remote_misses > 0).then(|| Violation {
+        oracle: Oracle::CanaryNoRemoteMiss.name(),
+        detail: format!(
+            "{} remote misses (the canary claims none ever happen)",
+            out.report.remote_misses
+        ),
+    })
 }
 
 fn check_canary_journal(outcome: &CaseOutcome) -> Option<Violation> {
-    for r in &outcome.runs {
-        let Ok(out) = &r.result else { continue };
-        if out.report.fault.journal_records > 0 {
-            return Some(Violation {
-                oracle: Oracle::CanaryJournalSilent.name(),
-                detail: format!(
-                    "{} wrote {} journal records (the canary claims eager \
-                     journaling never records)",
-                    run_label(r),
-                    out.report.fault.journal_records
-                ),
-            });
-        }
-    }
-    None
+    let out = outcome.output()?;
+    (out.report.fault.journal_records > 0).then(|| Violation {
+        oracle: Oracle::CanaryJournalSilent.name(),
+        detail: format!(
+            "{} journal records (the canary claims eager journaling never records)",
+            out.report.fault.journal_records
+        ),
+    })
 }
 
 fn check_canary_frames(outcome: &CaseOutcome) -> Option<Violation> {
-    for r in &outcome.runs {
-        let Ok(out) = &r.result else { continue };
-        if out.frames_active > 0 {
-            return Some(Violation {
-                oracle: Oracle::CanaryFrameLeak.name(),
-                detail: format!(
-                    "{} finished with {} live frames (the canary claims \
-                     machines end empty)",
-                    run_label(r),
-                    out.frames_active
-                ),
-            });
-        }
-    }
-    None
-}
-
-/// A differential sanity check usable directly: true when two completed
-/// runs' plain reports are byte-identical.
-pub fn reports_match(a: &RunReport, b: &RunReport) -> bool {
-    a.to_json() == b.to_json()
+    let out = outcome.output()?;
+    (out.frames_active > 0).then(|| Violation {
+        oracle: Oracle::CanaryFrameLeak.name(),
+        detail: format!(
+            "{} live frames at the end of the run (the canary claims machines end empty)",
+            out.frames_active
+        ),
+    })
 }
 
 #[cfg(test)]
@@ -530,7 +413,6 @@ mod tests {
     #[test]
     fn oracle_names_round_trip() {
         for o in [
-            Oracle::Differential,
             Oracle::AuditExplained,
             Oracle::Containment,
             Oracle::Liveness,
@@ -565,7 +447,7 @@ mod tests {
         case.journal_eager = true;
         let mut outcome = run_case(&case, Duration::from_secs(60));
         assert_eq!(Oracle::JournalReplay.check(&case, &outcome), None);
-        if let Ok(out) = &mut outcome.runs[0].result {
+        if let Ok(out) = &mut outcome.result {
             out.report.fault.journal_replay_cycles += 1;
         }
         let v = Oracle::JournalReplay.check(&case, &outcome);
@@ -581,7 +463,7 @@ mod tests {
         case.journal_eager = false;
         let mut outcome = run_case(&case, Duration::from_secs(60));
         assert_eq!(Oracle::JournalReplay.check(&case, &outcome), None);
-        if let Ok(out) = &mut outcome.runs[0].result {
+        if let Ok(out) = &mut outcome.result {
             out.report.fault.journal_records = 3;
         }
         assert!(Oracle::JournalReplay.check(&case, &outcome).is_some());
@@ -595,7 +477,7 @@ mod tests {
         let case = small_quiet_case();
         let mut outcome = run_case(&case, Duration::from_secs(60));
         assert_eq!(Oracle::PageAccounting.check(&case, &outcome), None);
-        if let Ok(out) = &mut outcome.runs[1].result {
+        if let Ok(out) = &mut outcome.result {
             out.accounting
                 .push("node 0: frame F7 is both free and live".into());
         }

@@ -4,7 +4,7 @@
 //! minimized it, the result is serialized as one JSON document holding
 //! everything a future session needs: the full shrunk [`CaseSpec`],
 //! which oracle fired and with what detail, and the shrunk case's
-//! baseline (Heap) `RunReport::to_json_debug` text. [`replay`]
+//! `RunReport::to_json_debug` text (its *baseline*). [`replay`]
 //! re-executes the case from the spec alone and demands *byte*
 //! determinism: the same oracle fires with the identical detail string,
 //! and the baseline report text matches the artifact byte for byte.
@@ -17,8 +17,11 @@ use crate::oracle::Oracle;
 use crate::run::run_case;
 use crate::shrink::ShrinkStats;
 
-/// Artifact format version (bump on any incompatible change).
-pub const REPRO_VERSION: u64 = 1;
+/// Artifact format version (bump on any incompatible change). Version 1
+/// artifacts carry directory-backend and epoch-pacing case fields and
+/// baseline counters this harness no longer produces, so they are
+/// rejected rather than replayed into a baseline mismatch.
+pub const REPRO_VERSION: u64 = 2;
 
 /// A serialized violation: the shrunk case plus everything needed to
 /// verify a replay reproduced it exactly.
@@ -36,8 +39,8 @@ pub struct Repro {
     pub shrink_attempts: u64,
     /// Shrink acceptances.
     pub shrink_accepted: u64,
-    /// The shrunk case's baseline (Heap) `to_json_debug` text; empty
-    /// when the baseline run itself failed (e.g. a liveness violation).
+    /// The shrunk case's `to_json_debug` text; empty when the run itself
+    /// failed (e.g. a liveness violation).
     pub baseline: String,
 }
 
@@ -53,7 +56,7 @@ impl Repro {
         let outcome = run_case(&case, deadline);
         let violation = oracle.check(&case, &outcome)?;
         let baseline = outcome
-            .baseline()
+            .output()
             .map(|out| out.report.to_json_debug())
             .unwrap_or_default();
         Some(Repro {
@@ -157,7 +160,7 @@ pub fn replay(repro: &Repro, deadline: Duration) -> ReplayOutcome {
     let outcome = run_case(&repro.case, deadline);
     let violation = oracle.check(&repro.case, &outcome);
     let baseline = outcome
-        .baseline()
+        .output()
         .map(|out| out.report.to_json_debug())
         .unwrap_or_default();
     let violation_reproduced = violation.is_some();
@@ -253,7 +256,7 @@ mod tests {
         let case = canary_case();
         let repro = Repro {
             version: REPRO_VERSION + 1,
-            oracle: "differential".into(),
+            oracle: "liveness".into(),
             detail: String::new(),
             case,
             shrink_attempts: 0,

@@ -1,7 +1,7 @@
 //! Case execution under a harness-level progress watchdog.
 //!
-//! Each scheduler pick of a case runs on its own thread; the harness
-//! waits [`Duration`]-bounded on a channel. Three outcomes:
+//! A case runs on its own thread; the harness waits
+//! [`Duration`]-bounded on a channel. Three outcomes:
 //!
 //! * the run finishes — report and observability events come back;
 //! * the run *panics* — the join handle surfaces the payload, recorded
@@ -15,24 +15,12 @@
 use std::sync::mpsc;
 use std::time::Duration;
 
-use prism_machine::config::SchedulerKind;
 use prism_machine::machine::Machine;
 use prism_machine::obs::ObsEvent;
 use prism_machine::report::RunReport;
-use prism_mem::trace::Trace;
 use prism_sim::Cycle;
 
 use crate::gen::CaseSpec;
-
-/// The scheduler/worker grid every case runs under. Heap is the
-/// baseline the differential oracle compares everything else against.
-pub const SCHEDULES: [(SchedulerKind, usize); 5] = [
-    (SchedulerKind::Heap, 1),
-    (SchedulerKind::LinearScan, 1),
-    (SchedulerKind::ParallelHeap, 1),
-    (SchedulerKind::ParallelHeap, 2),
-    (SchedulerKind::ParallelHeap, 4),
-];
 
 /// A completed run's observable state.
 #[derive(Clone, Debug)]
@@ -77,59 +65,31 @@ impl std::fmt::Display for RunError {
     }
 }
 
-/// One scheduler pick's outcome for a case.
+/// A case's outcome.
 #[derive(Clone, Debug)]
-pub struct CaseRun {
-    /// The scheduler kind.
-    pub scheduler: SchedulerKind,
-    /// Worker threads (1 for the serial schedulers).
-    pub workers: usize,
+pub struct CaseOutcome {
     /// The run's result.
     pub result: Result<RunOutput, RunError>,
 }
 
-/// A case's outcome across the whole scheduler grid.
-#[derive(Clone, Debug)]
-pub struct CaseOutcome {
-    /// One entry per [`SCHEDULES`] pick, in order.
-    pub runs: Vec<CaseRun>,
-}
-
 impl CaseOutcome {
-    /// The baseline (Heap) run's output, when it completed.
-    pub fn baseline(&self) -> Option<&RunOutput> {
-        self.runs
-            .iter()
-            .find(|r| r.scheduler == SchedulerKind::Heap)
-            .and_then(|r| r.result.as_ref().ok())
+    /// The run's output, when it completed.
+    pub fn output(&self) -> Option<&RunOutput> {
+        self.result.as_ref().ok()
     }
 }
 
-/// Runs `case` across the full scheduler grid, each pick watchdogged by
-/// `deadline`.
+/// Runs `case` once, watchdogged by `deadline`.
 pub fn run_case(case: &CaseSpec, deadline: Duration) -> CaseOutcome {
-    let traces = case.traces();
-    let runs = SCHEDULES
-        .iter()
-        .map(|&(scheduler, workers)| CaseRun {
-            scheduler,
-            workers,
-            result: run_one(case, scheduler, workers, &traces, deadline),
-        })
-        .collect();
-    CaseOutcome { runs }
+    CaseOutcome {
+        result: run_one(case, deadline),
+    }
 }
 
-fn run_one(
-    case: &CaseSpec,
-    scheduler: SchedulerKind,
-    workers: usize,
-    traces: &[Trace],
-    deadline: Duration,
-) -> Result<RunOutput, RunError> {
-    let cfg = case.config(scheduler, workers);
+fn run_one(case: &CaseSpec, deadline: Duration) -> Result<RunOutput, RunError> {
+    let cfg = case.config();
     let plan = case.faults.plan();
-    let traces = traces.to_vec();
+    let traces = case.traces();
     let (tx, rx) = mpsc::channel();
     let handle = std::thread::Builder::new()
         .name(format!("chaos-case-{}", case.index))
@@ -180,18 +140,16 @@ mod tests {
     use super::*;
 
     /// The runner itself must be deterministic: the same case twice
-    /// yields byte-identical reports on every grid pick.
+    /// yields byte-identical reports and identical event rings.
     #[test]
     fn run_case_is_deterministic() {
         let case = CaseSpec::generate(0x0DD5, 3);
         let deadline = Duration::from_secs(60);
         let a = run_case(&case, deadline);
         let b = run_case(&case, deadline);
-        for (ra, rb) in a.runs.iter().zip(b.runs.iter()) {
-            let (oa, ob) = (ra.result.as_ref().unwrap(), rb.result.as_ref().unwrap());
-            assert_eq!(oa.report.to_json_debug(), ob.report.to_json_debug());
-            assert_eq!(oa.events.len(), ob.events.len());
-        }
+        let (oa, ob) = (a.output().unwrap(), b.output().unwrap());
+        assert_eq!(oa.report.to_json_debug(), ob.report.to_json_debug());
+        assert_eq!(oa.events, ob.events);
     }
 
     /// A harness deadline of zero classifies even a healthy run as a
@@ -200,9 +158,6 @@ mod tests {
     fn watchdog_flags_runs_that_miss_the_deadline() {
         let case = CaseSpec::generate(0x0DD5, 0);
         let out = run_case(&case, Duration::from_millis(0));
-        assert!(out
-            .runs
-            .iter()
-            .all(|r| matches!(r.result, Err(RunError::Hang { .. }))));
+        assert!(matches!(out.result, Err(RunError::Hang { .. })));
     }
 }

@@ -6,8 +6,8 @@
 //! then machine reduction, then individual fault-plan entries, then
 //! knob resets — re-running the case for each. A candidate is accepted
 //! when the *same oracle* (by name) still reports a violation; the
-//! violation detail may drift (a smaller case diverges at a different
-//! byte), which is fine — the oracle identity is the invariant being
+//! violation detail may drift (a smaller case reports smaller counts),
+//! which is fine — the oracle identity is the invariant being
 //! minimized against. Accepting a candidate restarts the pass on the
 //! smaller case; the loop ends at a fixed point or when the attempt
 //! budget runs out. Everything is deterministic, so shrinking the same
@@ -15,7 +15,6 @@
 
 use std::time::Duration;
 
-use prism_machine::config::DirectoryKind;
 use prism_machine::faults::RetryPolicy;
 
 use crate::gen::{AuditModeSpec, CaseSpec};
@@ -155,39 +154,11 @@ fn candidates(case: &CaseSpec) -> Vec<CaseSpec> {
         c.page_cache_capacity = None;
         push(c);
     }
-    if case.directory != DirectoryKind::FullMap {
-        let mut c = case.clone();
-        c.directory = DirectoryKind::FullMap;
-        push(c);
-    }
     if case.retry != RetryPolicy::default() {
         let mut c = case.clone();
         c.retry = RetryPolicy::default();
         push(c);
     }
-    // Epoch-pacing knobs reset to the machine defaults — they are
-    // wall-clock heuristics, so a violation that survives the reset was
-    // never about pacing.
-    let defaults = prism_machine::config::MachineConfig::builder()
-        .nodes(case.nodes)
-        .procs_per_node(case.procs_per_node)
-        .build();
-    if case.rewatermark_tolerance != defaults.rewatermark_tolerance {
-        let mut c = case.clone();
-        c.rewatermark_tolerance = defaults.rewatermark_tolerance;
-        push(c);
-    }
-    if case.min_epoch_span != defaults.min_epoch_span {
-        let mut c = case.clone();
-        c.min_epoch_span = defaults.min_epoch_span;
-        push(c);
-    }
-    if case.max_epoch_backoff != defaults.max_epoch_backoff {
-        let mut c = case.clone();
-        c.max_epoch_backoff = defaults.max_epoch_backoff;
-        push(c);
-    }
-
     out
 }
 
@@ -215,12 +186,7 @@ mod tests {
                 || (case.audit_interval.is_some() && c.audit_interval.is_none())
                 || (case.audit_mode != AuditModeSpec::Full && c.audit_mode == AuditModeSpec::Full)
                 || (case.page_cache_capacity.is_some() && c.page_cache_capacity.is_none())
-                || (case.directory != DirectoryKind::FullMap
-                    && c.directory == DirectoryKind::FullMap)
-                || (case.retry != RetryPolicy::default() && c.retry == RetryPolicy::default())
-                || c.rewatermark_tolerance != case.rewatermark_tolerance
-                || c.min_epoch_span != case.min_epoch_span
-                || c.max_epoch_backoff != case.max_epoch_backoff;
+                || (case.retry != RetryPolicy::default() && c.retry == RetryPolicy::default());
             assert!(smaller, "candidate did not simplify: {c:?}");
         }
     }

@@ -14,14 +14,10 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use prism_chaos::gen::{policy_name, AuditModeSpec, WorkloadKind, ALL_POLICIES};
-use prism_chaos::oracle::check_all;
+use prism_chaos::gen::{policy_name, WorkloadKind, ALL_POLICIES};
 use prism_chaos::repro::replay;
 use prism_chaos::run::run_case;
 use prism_chaos::{run_campaign, shrink, CampaignConfig, CaseSpec, Oracle, Repro};
-use prism_kernel::policy::PagePolicy;
-use prism_machine::config::SchedulerKind;
-use prism_machine::ParallelFallbackReason;
 
 /// The fixed seed of the tier-1 clean window (CI's release campaign
 /// uses the library default seed; two seeds double the searched space).
@@ -59,8 +55,7 @@ fn captured_canary() -> Repro {
 }
 
 /// Acceptance: a fixed-seed campaign window spanning all six page modes
-/// and all three scheduler kinds completes with zero unexplained oracle
-/// violations. (CI's `chaos-smoke` job runs the full >=200-case release
+/// completes with zero unexplained oracle violations. (CI's `chaos-smoke` job runs the full >=200-case release
 /// campaign; this window keeps the invariant under plain `cargo test`.)
 #[test]
 fn fixed_seed_campaign_window_is_clean() {
@@ -84,18 +79,12 @@ fn fixed_seed_campaign_window_is_clean() {
             "page mode {policy:?} not covered"
         );
     }
-    for sched in ["heap", "linear-scan", "parallel-heap"] {
-        assert!(
-            outcome.scheduler_runs.get(sched).copied().unwrap_or(0) >= WINDOW_CASES,
-            "scheduler {sched} not covered"
-        );
-    }
-    for kind in ["full-map", "log-replicated"] {
-        assert!(
-            outcome.directory_coverage.get(kind).copied().unwrap_or(0) > 0,
-            "directory backend {kind} not covered"
-        );
-    }
+    assert_eq!(outcome.runs, WINDOW_CASES, "one run per case");
+    assert_eq!(
+        outcome.scheduler_runs.keys().collect::<Vec<_>>(),
+        ["heap"],
+        "every run uses the tournament-tree loop"
+    );
     let details: Vec<String> = outcome
         .violations
         .iter()
@@ -146,13 +135,11 @@ fn mutation_canary_is_caught_shrunk_and_replays_deterministically() {
     );
 
     // And independently of the artifact: two raw runs of the shrunk
-    // case agree byte for byte on every scheduler pick.
+    // case agree byte for byte.
     let a = run_case(&parsed.case, deadline());
     let b = run_case(&parsed.case, deadline());
-    for (ra, rb) in a.runs.iter().zip(b.runs.iter()) {
-        let (oa, ob) = (ra.result.as_ref().unwrap(), rb.result.as_ref().unwrap());
-        assert_eq!(oa.report.to_json_debug(), ob.report.to_json_debug());
-    }
+    let (oa, ob) = (a.output().unwrap(), b.output().unwrap());
+    assert_eq!(oa.report.to_json_debug(), ob.report.to_json_debug());
 }
 
 /// Acceptance: the frame-leak canary — "no node keeps any real frame
@@ -269,111 +256,17 @@ fn committed_canary_repro_replays_deterministically() {
     assert_eq!(repro.case.campaign_seed, CANARY_SEED);
 }
 
-/// Satellite lock-in: configurations the parallel scheduler used to
-/// refuse wholesale — lazy migration, client page-cache caps, and every
-/// non-SCOMA page mode — now run epoch-parallel. For each category the
-/// first eligible generated case (shadow checking off, auditor not
-/// incremental; fault plan stripped so no control event forces a serial
-/// pick) runs the full Heap/LinearScan/ParallelHeap 1/2/4w grid: the
-/// standard oracles hold (byte-identical reports), no ParallelHeap run
-/// charges a single `ineligible_config` fallback, and the multi-worker
-/// runs actually form epochs with the footprint ledger engaged.
+/// The debug report dump extends the plain one with the machine-wide
+/// directory-cache counters, without reordering it.
 #[test]
-fn newly_eligible_modes_run_epoch_parallel_across_the_grid() {
-    let eligible = |c: &CaseSpec| !c.check_coherence && c.audit_mode != AuditModeSpec::Incremental;
-    let pick = |label: &'static str, pred: &dyn Fn(&CaseSpec) -> bool| {
-        let mut case = (0..120)
-            .map(|i| CaseSpec::generate(WINDOW_SEED, i))
-            .find(|c| eligible(c) && pred(c))
-            .unwrap_or_else(|| panic!("no eligible {label} case within 120 indices"));
-        case.faults.link_windows.clear();
-        case.faults.events.clear();
-        case.faults.slow_episodes.clear();
-        (label, case)
-    };
-    let selected = [
-        pick("migration-enabled", &|c| c.migration),
-        pick("page-cache-capped", &|c| c.page_cache_capacity.is_some()),
-        pick("non-scoma", &|c| c.policy != PagePolicy::Scoma),
-    ];
-    for (label, case) in &selected {
-        // First pass: the case's own (often page-sharing) workload. The
-        // grid must agree byte for byte and the config must never be the
-        // reason a pick went serial — overlapping footprints may still
-        // keep epochs from forming, and that is legal.
-        let outcome = run_case(case, deadline());
-        if let Some(v) = check_all(&Oracle::STANDARD, case, &outcome) {
-            panic!("{label} case violated [{}]: {}", v.oracle, v.detail);
-        }
-        for r in &outcome.runs {
-            if r.scheduler != SchedulerKind::ParallelHeap {
-                continue;
-            }
-            let out = r
-                .result
-                .as_ref()
-                .unwrap_or_else(|e| panic!("{label} at {}w failed: {e}", r.workers));
-            let fb = &out.report.parallel_fallback;
-            assert_eq!(fb.policy, policy_name(case.policy), "{label} policy label");
-            assert_eq!(
-                fb.count(ParallelFallbackReason::IneligibleConfig),
-                0,
-                "{label} at {}w still charged ineligible_config",
-                r.workers
-            );
-        }
-        // Second pass: the same machine with a node-private workload,
-        // whose per-node footprints are disjoint by construction — here
-        // the multi-worker picks must actually form epochs with the
-        // footprint ledger engaged.
-        let mut private = case.clone();
-        private.workload.kind = WorkloadKind::PrivateOnly;
-        let outcome = run_case(&private, deadline());
-        if let Some(v) = check_all(&Oracle::STANDARD, &private, &outcome) {
-            panic!("{label} (private) violated [{}]: {}", v.oracle, v.detail);
-        }
-        for r in &outcome.runs {
-            if r.scheduler != SchedulerKind::ParallelHeap || r.workers < 2 {
-                continue;
-            }
-            let fb = &r.result.as_ref().unwrap().report.parallel_fallback;
-            assert!(fb.epochs > 0, "{label} at {}w formed no epochs", r.workers);
-            assert!(
-                fb.cursor_hits + fb.cursor_misses > 0,
-                "{label} at {}w never consulted the footprint ledger",
-                r.workers
-            );
-        }
-    }
-}
-
-/// Satellite lock-in: the debug report dump carries the parallel
-/// fallback counters while the scheduler-invariant plain dump does not.
-#[test]
-fn debug_report_dump_exposes_fallback_counters() {
+fn debug_report_dump_extends_the_plain_dump() {
     let case = CaseSpec::generate(WINDOW_SEED, 1);
     let outcome = run_case(&case, deadline());
-    let baseline = outcome.baseline().expect("heap run completes");
-    let plain = baseline.report.to_json();
-    let debug = baseline.report.to_json_debug();
-    assert!(
-        !plain.contains("parallel_fallback"),
-        "plain to_json must stay scheduler-invariant"
-    );
-    assert!(debug.contains("\"parallel_fallback\""));
-    for reason in [
-        "ineligible_config",
-        "control_event_due",
-        "link_fault_window_active",
-        "recovery_hazard",
-        "insufficient_parallelism",
-        "epoch_backoff",
-    ] {
-        assert!(
-            debug.contains(&format!("\"{reason}\"")),
-            "debug dump missing fallback reason {reason}"
-        );
-    }
+    let report = &outcome.output().expect("run completes").report;
+    let plain = report.to_json();
+    let debug = report.to_json_debug();
+    assert!(!plain.contains("dir_counters"));
+    assert!(debug.contains("\"dir_counters\":{\"dir-cache-hits\":"));
     assert!(
         debug.starts_with(&plain[..plain.len() - 1]),
         "debug dump extends the plain dump without reordering it"

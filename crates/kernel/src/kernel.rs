@@ -578,9 +578,7 @@ impl Kernel {
         self.page_cache.get(gpage)
     }
 
-    /// Every page currently held in the client page cache — the set a
-    /// capacity eviction could pick its victim from (footprint closures
-    /// over-approximate with it).
+    /// Every page currently held in the client page cache.
     pub fn page_cache_pages(&self) -> impl Iterator<Item = GlobalPage> + '_ {
         self.page_cache.iter().map(|(gpage, _)| gpage)
     }

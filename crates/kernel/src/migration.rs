@@ -24,22 +24,10 @@ impl PageTraffic {
         PageTraffic::default()
     }
 
-    /// Records one coherence request from `node`. Returns true when the
-    /// node was not a requester before — i.e. the set of potential
-    /// migration targets just grew (footprint ledgers invalidate on
-    /// this).
-    pub fn record(&mut self, node: NodeId) -> bool {
-        let count = self.by_node.entry(node).or_insert(0);
-        let fresh = *count == 0;
-        *count += 1;
+    /// Records one coherence request from `node`.
+    pub fn record(&mut self, node: NodeId) {
+        *self.by_node.entry(node).or_insert(0) += 1;
         self.total += 1;
-        fresh
-    }
-
-    /// Every node that has recorded traffic — the set a migration
-    /// policy can pick a target from.
-    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.by_node.keys().copied()
     }
 
     /// Total requests recorded.

@@ -3,47 +3,9 @@
 use prism_kernel::migration::MigrationPolicy;
 use prism_kernel::policy::PagePolicy;
 use prism_mem::addr::Geometry;
-pub use prism_mem::directory::DirectoryKind;
 use prism_protocol::latency::LatencyModel;
 
 use crate::faults::{JournalPolicy, RetryPolicy};
-
-/// Which ready-queue implementation drives the run loop.
-///
-/// Both produce identical simulation results (the golden determinism
-/// test locks this); they differ only in host wall-clock cost. The
-/// linear scan is kept as the A/B baseline for scheduler benchmarks.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SchedulerKind {
-    /// Tournament-tree ready set over the processor slots: `O(log P)`
-    /// pick with a deterministic `(clock, proc)` tie-break;
-    /// fault/watchdog/audit sweeps run as scheduled control events
-    /// instead of per-pick checks. (Named for the binary heap it
-    /// replaced; repro files record the name.)
-    #[default]
-    Heap,
-    /// The original `O(P)` scan over all processors at every pick, with
-    /// fault/watchdog/audit checks re-evaluated each iteration.
-    LinearScan,
-    /// The [`SchedulerKind::Heap`] ready set plus an epoch-parallel executor: per epoch,
-    /// a maximal set of node groups with pairwise-disjoint page-home
-    /// footprints runs concurrently on scoped worker threads, and
-    /// per-worker effects merge back in deterministic `(clock, proc)`
-    /// order. Results stay byte-identical to [`SchedulerKind::Heap`]
-    /// (the golden suite locks this, fault plans included). Admission
-    /// is per-feature: fault injections, watchdog deadlines, and
-    /// journal flushes bound epochs as control events, open link-fault
-    /// windows and recovery hazards (failed nodes, wedged Transit
-    /// lines) serialize only the picks and groups they touch, and each
-    /// serial fallback is recorded with a structured
-    /// [`ParallelFallbackReason`](crate::ParallelFallbackReason)
-    /// in the report. Only configurations that observe the global pick
-    /// interleaving (shadow checking, incremental auditing, user mode
-    /// preferences) run fully serial; migration, page-cache pressure,
-    /// and every page policy form epochs through the footprint
-    /// ledger's policy-aware closures.
-    ParallelHeap,
-}
 
 /// Scope of an online coherence audit sweep.
 ///
@@ -115,10 +77,6 @@ pub struct MachineConfig {
     pub policy: PagePolicy,
     /// Component latencies (Table 1 calibration by default).
     pub latency: LatencyModel,
-    /// Directory backend home nodes use (full map or node-replicated
-    /// operation log; behavior is byte-identical, the determinism suite
-    /// locks it).
-    pub directory: DirectoryKind,
     /// Directory-cache entries per node.
     pub dir_cache_entries: usize,
     /// Directory-cache associativity.
@@ -152,40 +110,6 @@ pub struct MachineConfig {
     /// Run the online auditor in this scope per sweep (a host-cost /
     /// coverage knob; `Full` reproduces historical behavior).
     pub audit_mode: AuditMode,
-    /// Ready-queue implementation for the run loop (results are
-    /// identical either way; this is a host-performance knob).
-    pub scheduler: SchedulerKind,
-    /// Worker threads for [`SchedulerKind::ParallelHeap`] (clamped to at
-    /// least one; ignored by the serial schedulers).
-    pub worker_threads: usize,
-    /// Minimum simulated-cycle headroom (`bound - clock`) an epoch must
-    /// have to be worth running under [`SchedulerKind::ParallelHeap`].
-    /// An epoch pays for shell swaps, channel round-trips, and the
-    /// merge regardless of how much work it admits; thinner epochs are
-    /// rejected as `insufficient_parallelism` (engaging the scan
-    /// backoff). Purely a host wall-clock heuristic: results are
-    /// byte-identical at any value.
-    pub min_epoch_span: u64,
-    /// Cap on the parallel scheduler's exponential scan backoff, in
-    /// picks skipped between epoch attempts during conflict-heavy
-    /// phases. Must be at least 1. A host wall-clock heuristic like
-    /// [`MachineConfig::min_epoch_span`]: results are byte-identical
-    /// at any value.
-    pub max_epoch_backoff: u64,
-    /// How far (in trace operations) a window cursor's watermark may
-    /// lag behind the requested pick and still be *slid* forward —
-    /// retiring the executed prefix and extending the suffix — instead
-    /// of rescanned from scratch. Zero disables sliding (every drifted
-    /// watermark is a full rescan, the pre-slide behavior). A host
-    /// wall-clock heuristic like [`MachineConfig::min_epoch_span`]:
-    /// results are byte-identical at any value, because a slid window
-    /// is bitwise what the fresh scan would return.
-    pub rewatermark_tolerance: u64,
-    /// Capture a wall-clock stage breakdown (`scan`/`admit`/`execute`/
-    /// `merge` nanoseconds) for the parallel scheduler into the debug
-    /// report. Off by default: host clocks are nondeterministic, and
-    /// golden/chaos replays require a byte-stable debug report.
-    pub stage_timing: bool,
 }
 
 impl MachineConfig {
@@ -240,14 +164,6 @@ impl MachineConfig {
                 "audit sampling fraction must be within [0, 1]"
             );
         }
-        assert!(
-            self.worker_threads >= 1,
-            "parallel scheduler needs at least one worker thread"
-        );
-        assert!(
-            self.max_epoch_backoff >= 1,
-            "epoch backoff cap must be at least one pick"
-        );
     }
 }
 
@@ -266,7 +182,6 @@ impl Default for MachineConfig {
             page_cache_capacity: None,
             policy: PagePolicy::Scoma,
             latency: LatencyModel::default(),
-            directory: DirectoryKind::FullMap,
             dir_cache_entries: 8192,
             dir_cache_assoc: 8,
             home_status_flag: true,
@@ -279,12 +194,6 @@ impl Default for MachineConfig {
             watchdog_deadline: 16_384,
             audit_interval: None,
             audit_mode: AuditMode::Full,
-            scheduler: SchedulerKind::Heap,
-            worker_threads: 4,
-            min_epoch_span: 1024,
-            max_epoch_backoff: 512,
-            rewatermark_tolerance: 4096,
-            stage_timing: false,
         }
     }
 }
@@ -330,8 +239,6 @@ impl MachineConfigBuilder {
         policy: PagePolicy);
     setter!(/// Sets the latency model.
         latency: LatencyModel);
-    setter!(/// Selects the directory backend for home nodes.
-        directory: DirectoryKind);
     setter!(/// Sets directory-cache entries.
         dir_cache_entries: usize);
     setter!(/// Sets directory-cache associativity.
@@ -356,18 +263,6 @@ impl MachineConfigBuilder {
         audit_interval: Option<u64>);
     setter!(/// Selects the auditor's per-sweep scope.
         audit_mode: AuditMode);
-    setter!(/// Selects the run-loop ready-queue implementation.
-        scheduler: SchedulerKind);
-    setter!(/// Sets worker threads for the parallel scheduler.
-        worker_threads: usize);
-    setter!(/// Sets the minimum simulated-cycle span an epoch must cover.
-        min_epoch_span: u64);
-    setter!(/// Caps the parallel scheduler's epoch-scan backoff, in picks.
-        max_epoch_backoff: u64);
-    setter!(/// Sets the cursor rewatermark tolerance, in trace operations.
-        rewatermark_tolerance: u64);
-    setter!(/// Captures wall-clock stage timings in the debug report.
-        stage_timing: bool);
 
     /// Finishes the configuration.
     ///

@@ -140,14 +140,6 @@ pub(crate) struct Journal {
     pages: FastMap<GlobalPage, PageJournal>,
     /// Machine-lifetime record count (survives page retirement).
     total_records: u64,
-    /// Pages retired since the journal was last absorbed. Only consumed
-    /// when *this* journal is a parallel-worker shell's: the parent
-    /// replays the retirements so a page migrating onto its static home
-    /// inside an epoch drops its parent-side records exactly as the
-    /// serial path would. Retirements are rare (migration onto the
-    /// static home, failover), so the parent's own list stays tiny and
-    /// unread.
-    tombstones: Vec<GlobalPage>,
 }
 
 /// Journal state for one page.
@@ -159,49 +151,9 @@ pub(crate) struct PageJournal {
     pub(crate) image_at: Option<Cycle>,
     /// Total records appended for this page (lines + images).
     pub(crate) records: u64,
-    /// True when this state began with a checkpoint (the image
-    /// superseded all older line records): on absorb it *replaces* the
-    /// destination's per-line records instead of extending them.
-    cleared: bool,
 }
 
 impl Journal {
-    /// Folds a parallel-worker shell's journal into this one, draining
-    /// the shell. Shells only ever journal pages whose static homes lie
-    /// inside their epoch footprint, and epoch footprints are pairwise
-    /// disjoint, so per-page state never collides between shells; the
-    /// defensive merge below still resolves a collision deterministically
-    /// (later records win, like sequential appends would).
-    ///
-    /// Two shell events must override, not extend: a page *retired* in
-    /// the shell (migrated onto its static home) drops the parent's
-    /// state via the tombstone list, and a page *checkpointed* in the
-    /// shell (`cleared`) supersedes the parent's per-line records, just
-    /// as [`Journal::checkpoint_page`] would have serially.
-    pub(crate) fn absorb(&mut self, other: &mut Journal) {
-        for gp in other.tombstones.drain(..) {
-            if !other.pages.contains_key(&gp) {
-                self.pages.remove(&gp);
-            }
-        }
-        let mut pages: Vec<(GlobalPage, PageJournal)> = other.pages.drain().collect();
-        pages.sort_by_key(|(g, _)| (g.gsid.0, g.page));
-        for (gp, pj) in pages {
-            let dst = self.pages.entry(gp).or_default();
-            if pj.cleared {
-                dst.lines.clear();
-                dst.image_at = None;
-            }
-            dst.lines.extend(pj.lines);
-            if pj.image_at.is_some() {
-                dst.image_at = pj.image_at;
-            }
-            dst.records += pj.records;
-        }
-        self.total_records += other.total_records;
-        other.total_records = 0;
-    }
-
     /// Appends a dirty-line version record.
     pub(crate) fn record_line(&mut self, gpage: GlobalPage, line: LineIdx, at: Cycle) {
         let pj = self.pages.entry(gpage).or_default();
@@ -216,7 +168,6 @@ impl Journal {
         let pj = self.pages.entry(gpage).or_default();
         pj.lines.clear();
         pj.image_at = Some(at);
-        pj.cleared = true;
         pj.records += 1;
         self.total_records += 1;
     }
@@ -229,7 +180,6 @@ impl Journal {
     /// Drops a page's journal (the page was re-mastered or released).
     pub(crate) fn retire_page(&mut self, gpage: GlobalPage) {
         self.pages.remove(&gpage);
-        self.tombstones.push(gpage);
     }
 
     /// Total records appended across the machine's lifetime (counts
@@ -535,21 +485,6 @@ impl FaultPlan {
         self.link_windows.iter().find(|w| w.contains(t))
     }
 
-    /// True while any link-fault window that can actually perturb a
-    /// message (nonzero drop or corruption probability) has not yet
-    /// expired at time `t`.
-    ///
-    /// The parallel epoch executor keys off this: inside a live window
-    /// every send's fate is drawn from one sequential RNG stream, so
-    /// execution must stay serial to keep the stream's order; once every
-    /// perturbing window has closed, no send dated `>= t` can consume a
-    /// verdict, and epochs are safe again.
-    pub(crate) fn has_live_link_window(&self, t: Cycle) -> bool {
-        self.link_windows
-            .iter()
-            .any(|w| (w.drop_prob > 0.0 || w.corrupt_prob > 0.0) && t < w.until)
-    }
-
     /// Checks the plan against a machine of `nodes` nodes, returning the
     /// first structural error (see [`FaultPlanError`]). Called by
     /// [`crate::machine::Machine::install_fault_plan`]; a plan that
@@ -737,34 +672,6 @@ impl FaultReport {
     /// True when any fault was observed.
     pub fn any(&self) -> bool {
         *self != FaultReport::default()
-    }
-
-    /// Adds another report's tallies into this one, field by field. The
-    /// parallel epoch executor merges per-shell fault accounting back in
-    /// admission order through this; every field is an additive counter,
-    /// so the merged totals equal the serial loop's.
-    pub(crate) fn absorb(&mut self, other: &FaultReport) {
-        self.dropped_messages += other.dropped_messages;
-        self.corrupted_messages += other.corrupted_messages;
-        self.nacks += other.nacks;
-        self.retries += other.retries;
-        self.timeouts += other.timeouts;
-        self.backoff_cycles += other.backoff_cycles;
-        self.failovers += other.failovers;
-        self.pit_corruptions += other.pit_corruptions;
-        self.node_failures += other.node_failures;
-        self.contained_faults += other.contained_faults;
-        self.fatal_faults += other.fatal_faults;
-        self.journal_records += other.journal_records;
-        self.journal_replay_cycles += other.journal_replay_cycles;
-        self.journal_lag_cycles += other.journal_lag_cycles;
-        self.lines_recovered += other.lines_recovered;
-        self.lines_lost += other.lines_lost;
-        self.failover_refusals += other.failover_refusals;
-        self.transit_wedges += other.transit_wedges;
-        self.watchdog_resends += other.watchdog_resends;
-        self.watchdog_remasters += other.watchdog_remasters;
-        self.watchdog_kills += other.watchdog_kills;
     }
 }
 
@@ -1139,63 +1046,6 @@ mod tests {
             plan.validate(4),
             Err(FaultPlanError::UnreachableInjection { at: Cycle::NEVER })
         );
-    }
-
-    #[test]
-    fn live_link_windows_expire() {
-        let plan = FaultPlan::new(1).link_fault_window(Cycle(100), Cycle(200), 0.1, 0.0);
-        assert!(
-            plan.has_live_link_window(Cycle(0)),
-            "not yet open still gates"
-        );
-        assert!(plan.has_live_link_window(Cycle(150)));
-        assert!(plan.has_live_link_window(Cycle(199)));
-        assert!(!plan.has_live_link_window(Cycle(200)), "exclusive end");
-        // Zero-probability windows never consume RNG, so they never gate.
-        let quiet = FaultPlan::new(1).link_fault_window(Cycle(0), Cycle::NEVER, 0.0, 0.0);
-        assert!(!quiet.has_live_link_window(Cycle(0)));
-        // A whole-run perturbing window gates forever.
-        let noisy = FaultPlan::new(1).link_faults(0.01, 0.0);
-        assert!(noisy.has_live_link_window(Cycle(u64::MAX - 1)));
-    }
-
-    #[test]
-    fn fault_reports_absorb_additively() {
-        let mut a = FaultReport {
-            retries: 3,
-            nacks: 1,
-            ..FaultReport::default()
-        };
-        let b = FaultReport {
-            retries: 2,
-            watchdog_resends: 5,
-            journal_records: 7,
-            ..FaultReport::default()
-        };
-        a.absorb(&b);
-        assert_eq!(a.retries, 5);
-        assert_eq!(a.nacks, 1);
-        assert_eq!(a.watchdog_resends, 5);
-        assert_eq!(a.journal_records, 7);
-    }
-
-    #[test]
-    fn journals_absorb_disjoint_pages() {
-        let gp = GlobalPage::default();
-        let mut parent = Journal::default();
-        parent.record_line(gp, LineIdx(1), Cycle(5));
-        let mut shell = Journal::default();
-        let gp2 = GlobalPage {
-            page: gp.page + 1,
-            ..gp
-        };
-        shell.record_line(gp2, LineIdx(2), Cycle(9));
-        shell.record_line(gp2, LineIdx(3), Cycle(11));
-        parent.absorb(&mut shell);
-        assert_eq!(parent.total_records(), 3);
-        assert_eq!(parent.page(gp2).unwrap().lines.len(), 2);
-        assert_eq!(shell.total_records(), 0, "shell is drained");
-        assert!(shell.page(gp2).is_none());
     }
 
     #[test]

@@ -22,12 +22,10 @@
 //!
 //! Modules by concern:
 //!
-//! * [`config`] — [`config::MachineConfig`] and its builder, including
-//!   [`config::SchedulerKind`].
+//! * [`config`] — [`config::MachineConfig`] and its builder.
 //! * [`machine`] — [`machine::Machine`]: setup, placement, barriers
 //!   and locks, and the public `run`/`run_jobs` entry points.
-//! * `sched` — the tournament-tree scheduler and the run loop (tree
-//!   and linear-scan baselines).
+//! * `sched` — the tournament-tree scheduler and the run loop.
 //! * [`obs`] — counters, histograms, and the [`obs::ObsEvent`] ring.
 //! * [`txn`] — protocol transactions: local fills, the remote-access
 //!   state machine ([`txn::remote_txn`]), and page migration.
@@ -81,20 +79,14 @@
 mod access;
 pub mod config;
 mod controller;
-#[cfg(test)]
-mod dir_log_tests;
 mod failure;
 pub mod faults;
-mod fp_ledger;
 mod ingest;
-#[cfg(test)]
-mod inval_tests;
 pub mod machine;
 mod net;
 pub mod node;
 pub mod obs;
 mod paging;
-mod par;
 mod remote;
 pub mod report;
 mod sched;
@@ -102,11 +94,10 @@ pub mod shadow;
 pub mod txn;
 mod watchdog;
 
-pub use config::{AuditMode, DirectoryKind, MachineConfig, SchedulerKind};
+pub use config::{AuditMode, MachineConfig};
 pub use failure::NoPitBinding;
 pub use faults::{FaultPlan, FaultPlanError, FaultReport, JournalPolicy, RetryPolicy};
 pub use machine::{Machine, RunError};
 pub use obs::ObsEvent;
-pub use par::{policy_label, ParallelFallback, ParallelFallbackReason};
 pub use report::{NodeReport, RunReport};
 pub use shadow::{AuditFinding, AuditKind};

@@ -27,17 +27,15 @@ use prism_sim::SimRng;
 
 use crate::config::MachineConfig;
 use crate::faults::{FaultPlan, FaultPlanError, FaultReport, FaultState, Journal};
-use crate::fp_ledger::FootprintLedger;
 use crate::ingest::IngestIndex;
 use crate::node::{Node, ProcState};
 use crate::obs::{EventBus, ObsEvent};
-use crate::par::ParallelFallback;
 use crate::report::RunReport;
 use crate::sched::Sched;
 use crate::shadow::Shadow;
 
 /// Seed for the auditor's dedicated sampling RNG stream: sampled sweeps
-/// must draw identically across schedulers and reruns.
+/// must draw identically across reruns.
 pub(crate) const AUDIT_RNG_SEED: u64 = 0x000A_0D17_5EED_0001;
 
 /// Why a run could not complete.
@@ -126,22 +124,16 @@ pub struct Machine {
     pub(crate) workload_name: String,
     /// Deterministic RNG stream for sampled audit sweeps.
     pub(crate) audit_rng: SimRng,
-    /// True once the user suggested page/region modes; the parallel
-    /// scheduler's eligibility gate treats such machines as opaque.
+    /// True once the user suggested page/region modes (translations may
+    /// then change mode mid-run, which disables `fast_xlat`).
     pub(crate) mode_prefs_set: bool,
     /// Same-page run-length index of the loaded trace (trace-ingest
-    /// batching); shared with parallel-worker shells.
-    pub(crate) ingest: std::sync::Arc<IngestIndex>,
+    /// batching).
+    pub(crate) ingest: IngestIndex,
     /// True when the configuration guarantees translations are stable
     /// for the whole run, letting run continuations reuse the
     /// per-processor translation memo.
     pub(crate) fast_xlat: bool,
-    /// Epoch/fallback accounting for the parallel scheduler (all zeros
-    /// under the serial schedulers); snapshotted into the [`RunReport`].
-    pub(crate) par_fallback: ParallelFallback,
-    /// Persistent window cursors + page-footprint memo for the parallel
-    /// scheduler's epoch formation (see [`crate::fp_ledger`]).
-    pub(crate) fp_ledger: FootprintLedger,
 }
 
 impl Machine {
@@ -185,10 +177,8 @@ impl Machine {
             workload_name: String::new(),
             audit_rng: SimRng::new(AUDIT_RNG_SEED),
             mode_prefs_set: false,
-            ingest: std::sync::Arc::new(IngestIndex::default()),
+            ingest: IngestIndex::default(),
             fast_xlat: false,
-            par_fallback: ParallelFallback::default(),
-            fp_ledger: FootprintLedger::default(),
         }
     }
 
@@ -483,7 +473,7 @@ impl Machine {
 
     /// Loads a trace: registers segments with the IPC server and attaches
     /// them on every kernel (identical virtual addresses on every node).
-    fn load(&mut self, trace: &Trace) {
+    pub(crate) fn load(&mut self, trace: &Trace) {
         assert_eq!(
             trace.lanes.len(),
             self.cfg.total_procs(),
@@ -512,7 +502,7 @@ impl Machine {
         // mid-access, migration and page-cache pressure can remap pages,
         // and non-S-COMA policies convert frame modes — any of those
         // disables reuse (the index itself is still reported).
-        self.ingest = std::sync::Arc::new(IngestIndex::build(trace, self.cfg.geometry));
+        self.ingest = IngestIndex::build(trace, self.cfg.geometry);
         self.fast_xlat = self.fault.is_none()
             && self.cfg.migration.is_none()
             && self.cfg.page_cache_capacity.is_none()
@@ -544,11 +534,16 @@ impl Machine {
 
     /// Like [`Machine::run`], but a deadlocked trace is an error.
     ///
+    /// The trace is not validated here ([`Trace::validate`] does that). A
+    /// lane that acquires a lock it already holds queues behind its own
+    /// hold, so it ends the run as a deadlock in every build profile.
+    ///
     /// # Errors
     ///
     /// [`RunError::Deadlock`] when processors end blocked on locks or
     /// barriers nobody will release — for example two lanes taking the
-    /// same two locks in opposite orders.
+    /// same two locks in opposite orders, or one lane taking a lock it
+    /// already holds.
     ///
     /// # Panics
     ///

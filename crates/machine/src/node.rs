@@ -114,8 +114,6 @@ impl Node {
                 cfg.geometry.lines_per_page(),
                 cfg.dir_cache_entries,
                 cfg.dir_cache_assoc,
-                cfg.directory,
-                cfg.nodes,
             ),
             kernel,
             failed: false,

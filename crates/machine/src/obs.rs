@@ -76,19 +76,10 @@ pub(crate) enum Ctr {
     DirCacheHits,
     /// Directory-cache misses, summed over nodes at finalize.
     DirCacheMisses,
-    /// Directory-log operations appended (log backend only).
-    DirLogAppends,
-    /// Appends flat-combined with the previous append to the same page.
-    DirLogCombined,
-    /// Log entries replayed into lagging per-node replicas — the
-    /// replica-lag measure the reconciliation test checks.
-    DirLogReplays,
-    /// Log compactions (prefix folds into the base image).
-    DirLogCompactions,
 }
 
 impl Ctr {
-    const NAMES: [(Ctr, &'static str); 20] = [
+    const NAMES: [(Ctr, &'static str); 16] = [
         (Ctr::TotalRefs, "total-refs"),
         (Ctr::RemoteMisses, "remote-misses"),
         (Ctr::RemoteUpgrades, "remote-upgrades"),
@@ -105,10 +96,6 @@ impl Ctr {
         (Ctr::BatchedLookups, "batched-lookups"),
         (Ctr::DirCacheHits, "dir-cache-hits"),
         (Ctr::DirCacheMisses, "dir-cache-misses"),
-        (Ctr::DirLogAppends, "dir-log-appends"),
-        (Ctr::DirLogCombined, "dir-log-combined-appends"),
-        (Ctr::DirLogReplays, "dir-log-replays"),
-        (Ctr::DirLogCompactions, "dir-log-compactions"),
     ];
 
     /// The counter's stable report name.
@@ -172,93 +159,6 @@ pub enum ObsEvent {
     },
 }
 
-/// A footprint-ledger invalidation: some machine transition changed a
-/// page's possible destination set (or a node's eviction/write-back
-/// closure), so window cursors and `(node, vpage)` footprint memos
-/// derived from the old state must not be reused.
-///
-/// Emitted by the same txn/paging/sched code paths that perform the
-/// transition — directory client admission, migration re-mastering,
-/// failover, PIT corruption, page-cache eviction, LA-NUMA write-back —
-/// and drained by the epoch executor before each scan
-/// ([`crate::fp_ledger::FootprintLedger::apply`]). Recording is gated
-/// on [`EventBus::inval_enabled`] so the serial schedulers pay one
-/// branch and no allocation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum CursorInval {
-    /// The page's home moved (migration or failover re-mastering):
-    /// every node's memo for this virtual page is stale, and so is
-    /// every node's eviction/write-back closure (closures embed the
-    /// homes of cached pages).
-    HomeMoved {
-        /// Shared virtual page number of the re-mastered page.
-        vpage: u64,
-    },
-    /// The page's destination set grew (a new directory client, or a
-    /// new traffic requester that migration could pick as a target):
-    /// every node's memo for this virtual page is stale.
-    PageDest {
-        /// Shared virtual page number of the affected page.
-        vpage: u64,
-    },
-    /// One node's view of one page changed (PIT corruption scrambling
-    /// its dynamic-home hint, a page-cache eviction dropping its
-    /// mapping, an LA-NUMA write-back or unmap): exactly that node's
-    /// memo for that virtual page is stale.
-    NodePage {
-        /// The node whose PIT/page-cache entry changed.
-        node: usize,
-        /// Shared virtual page number of the affected page.
-        vpage: u64,
-    },
-    /// One node's eviction/write-back closure changed (a page entered
-    /// or left its page cache or LA-NUMA mapping set): the ledger's
-    /// cached closure for the node is stale. Applied lazily through the
-    /// ledger's per-node generation counter.
-    NodeClosure {
-        /// The node whose closure changed.
-        node: usize,
-        /// True when the closure's member set may have *grown* (a page
-        /// entered the cache/mapping set). A pure shrink (eviction,
-        /// unmap) leaves old cursors holding a superset closure — sound
-        /// for admission — so the ledger drops its cached value without
-        /// bumping the node generation, and cursors survive the churn.
-        grew: bool,
-    },
-}
-
-/// Wall-clock nanoseconds the epoch executor spent per pipeline stage,
-/// accumulated across the run: window scanning, disjoint-footprint
-/// admission, worker execution (dispatch to last join), and shell
-/// merging. Recording is gated on [`EventBus::stage_enabled`] — host
-/// clocks are nondeterministic, so the fields stay zero (and the debug
-/// report byte-stable) unless a bench explicitly opts in via
-/// `MachineConfig::stage_timing`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StageTimes {
-    /// Nanoseconds spent scanning trace windows (ledger lookups and
-    /// full scans included).
-    pub scan_ns: u64,
-    /// Nanoseconds spent in disjoint-footprint admission and group
-    /// partitioning.
-    pub admit_ns: u64,
-    /// Nanoseconds from first dispatch to last worker join.
-    pub execute_ns: u64,
-    /// Nanoseconds spent merging shell machines back, in admission
-    /// order.
-    pub merge_ns: u64,
-}
-
-impl StageTimes {
-    /// Accumulates another breakdown into this one.
-    pub(crate) fn add(&mut self, other: StageTimes) {
-        self.scan_ns += other.scan_ns;
-        self.admit_ns += other.admit_ns;
-        self.execute_ns += other.execute_ns;
-        self.merge_ns += other.merge_ns;
-    }
-}
-
 /// The machine-wide observability bus (see module docs).
 #[derive(Clone, Debug)]
 pub(crate) struct EventBus {
@@ -285,21 +185,6 @@ pub(crate) struct EventBus {
     /// Total-pushed watermark of `touched` at the last sweep; if more
     /// events than the ring holds arrived since, some were lost.
     touched_seen: u64,
-    /// Pending footprint-ledger invalidations (see [`CursorInval`]).
-    /// Only populated while `inval_enabled`; the epoch executor drains
-    /// it before every scan.
-    inval: Vec<CursorInval>,
-    /// Whether [`EventBus::note_inval`] records anything. True only on
-    /// the `ParallelHeap` run loop (parent machine and shells alike);
-    /// the serial schedulers have no ledger to invalidate.
-    inval_enabled: bool,
-    /// Per-stage wall-clock accounting for the epoch executor; all
-    /// zeros unless `stage_enabled`.
-    pub(crate) stage: StageTimes,
-    /// Whether the epoch executor samples host clocks into `stage`.
-    /// Off by default: host timings are nondeterministic, and the
-    /// debug report must stay byte-stable for golden and chaos replay.
-    stage_enabled: bool,
 }
 
 impl EventBus {
@@ -320,67 +205,7 @@ impl EventBus {
             sweeps: 0,
             touched: EventRing::new(TOUCHED_CAPACITY),
             touched_seen: 0,
-            inval: Vec::new(),
-            inval_enabled: false,
-            stage: StageTimes::default(),
-            stage_enabled: false,
         }
-    }
-
-    /// A bus with ledger-invalidation recording preset (shell machines
-    /// inherit the parent's setting so hooks fired inside an epoch are
-    /// captured and merged back).
-    pub(crate) fn new_with_inval(enabled: bool) -> EventBus {
-        let mut bus = EventBus::new();
-        bus.inval_enabled = enabled;
-        bus
-    }
-
-    /// Turns ledger-invalidation recording on or off; disabling drops
-    /// anything still queued.
-    pub(crate) fn set_inval_enabled(&mut self, enabled: bool) {
-        self.inval_enabled = enabled;
-        if !enabled {
-            self.inval.clear();
-        }
-    }
-
-    /// Whether this bus records ledger invalidations.
-    pub(crate) fn inval_enabled(&self) -> bool {
-        self.inval_enabled
-    }
-
-    /// Records a footprint-ledger invalidation (no-op unless enabled).
-    #[inline]
-    pub(crate) fn note_inval(&mut self, ev: CursorInval) {
-        if self.inval_enabled {
-            self.inval.push(ev);
-        }
-    }
-
-    /// Takes every pending ledger invalidation, oldest first.
-    pub(crate) fn drain_inval(&mut self) -> Vec<CursorInval> {
-        std::mem::take(&mut self.inval)
-    }
-
-    /// Turns stage-timing capture on or off; disabling zeroes anything
-    /// already accumulated.
-    pub(crate) fn set_stage_enabled(&mut self, enabled: bool) {
-        self.stage_enabled = enabled;
-        if !enabled {
-            self.stage = StageTimes::default();
-        }
-    }
-
-    /// Whether the epoch executor should sample host clocks.
-    #[inline]
-    pub(crate) fn stage_enabled(&self) -> bool {
-        self.stage_enabled
-    }
-
-    /// Takes the accumulated stage breakdown, leaving zeros behind.
-    pub(crate) fn take_stage(&mut self) -> StageTimes {
-        std::mem::take(&mut self.stage)
     }
 
     /// Increments a counter by one.
@@ -431,33 +256,6 @@ impl EventBus {
         pages.sort_by_key(|g| (g.gsid.0, g.page));
         pages.dedup();
         (pages, overflowed)
-    }
-
-    /// Folds a worker's bus into this one: counters add index-by-index,
-    /// the latency histograms merge, the fault accounting absorbs
-    /// additively, and any structural events append in call order —
-    /// the epoch executor merges shells in admission order, so the ring
-    /// stays in the serial emission order.
-    ///
-    /// Worker batches never run the auditor (shells disable it and the
-    /// incremental mode is structurally ineligible), so a worker bus's
-    /// findings, sweep count, and touched-page feed must still be
-    /// empty — merging debug-asserts that invariant.
-    pub(crate) fn merge_from(&mut self, worker: &EventBus) {
-        debug_assert!(worker.findings.is_empty(), "worker recorded audit findings");
-        debug_assert_eq!(worker.sweeps, 0, "worker ran audit sweeps");
-        debug_assert!(worker.touched.is_empty(), "worker touched audit feed");
-        self.counters.merge(&worker.counters);
-        self.local_fill_latency.merge(&worker.local_fill_latency);
-        self.remote_fetch_latency
-            .merge(&worker.remote_fetch_latency);
-        self.fault_latency.merge(&worker.fault_latency);
-        self.fault.absorb(&worker.fault);
-        for &(at, ev) in worker.ring.iter() {
-            self.ring.push((at, ev));
-        }
-        self.inval.extend_from_slice(&worker.inval);
-        self.stage.add(worker.stage);
     }
 }
 

@@ -2,7 +2,6 @@
 
 use prism_kernel::kernel::{EvictOrder, FaultClass};
 use prism_mem::addr::{FrameNo, GlobalPage, LineIdx, NodeId, VirtAddr};
-use prism_mem::directory::DirOp;
 use prism_mem::mode::FrameMode;
 use prism_mem::pit::PitEntry;
 use prism_mem::tags::LineTag;
@@ -10,7 +9,7 @@ use prism_protocol::msg::MsgKind;
 use prism_sim::Cycle;
 
 use crate::machine::Machine;
-use crate::obs::{Ctr, CursorInval};
+use crate::obs::Ctr;
 
 impl Machine {
     /// Services a page fault on `vpage` for processor `pi` of node `n`.
@@ -110,27 +109,13 @@ impl Machine {
                     if newly {
                         self.init_home_page(home, gp, home_frame);
                     }
-                    {
-                        let reader = NodeId(n as u16);
-                        let fresh = !self.nodes[home]
-                            .controller
-                            .dir
-                            .read(reader, gp)
-                            .expect("home page initialized")
-                            .clients
-                            .contains(reader);
-                        self.nodes[home]
-                            .controller
-                            .dir
-                            .apply(gp, DirOp::AddClient(reader));
-                        if fresh {
-                            // The page's destination set grew: remote
-                            // transactions can now fan out to this
-                            // client, so memoized footprints for the
-                            // page are stale on every node.
-                            self.obs.note_inval(CursorInval::PageDest { vpage });
-                        }
-                    }
+                    self.nodes[home]
+                        .controller
+                        .dir
+                        .page_mut(gp)
+                        .expect("home page initialized")
+                        .clients
+                        .insert(NodeId(n as u16));
                     t = self.send(home, n, MsgKind::PageInReply, t);
                     t += Cycle(lat.dispatch + lat.pit_access());
                     self.nodes[n]
@@ -162,13 +147,6 @@ impl Machine {
                         .tags
                         .allocate(frame, LineTag::Invalid);
                 }
-                // The node's cached-page set grew (page cache or
-                // LA-NUMA mapping): its eviction/write-back closure now
-                // includes this page's homes.
-                self.obs.note_inval(CursorInval::NodeClosure {
-                    node: n,
-                    grew: true,
-                });
             }
         }
         self.obs.fault_latency.record(t - t0);
@@ -420,30 +398,17 @@ impl Machine {
                 evict.vpage << (self.cfg.geometry.page_log2() - self.cfg.geometry.line_log2());
             let reader = NodeId(n as u16);
             let mut home_frame = None;
-            let mut ops = Vec::new();
-            if let Some(pd) = self.nodes[home].controller.dir.read(reader, gp) {
+            if let Some(pd) = self.nodes[home].controller.dir.page_mut(gp) {
                 home_frame = Some(pd.home_frame);
-                // Each line's transition depends only on that line's
-                // current state, so snapshotting the ops before applying
-                // them is equivalent to interleaved read-modify-write.
                 for &l in &dirty_lines {
                     let cur = pd.line(l);
-                    ops.push(DirOp::SetLine(
-                        l,
-                        prism_protocol::dirproto::apply_writeback(cur, reader),
-                    ));
+                    *pd.line_mut(l) = prism_protocol::dirproto::apply_writeback(cur, reader);
                 }
                 for &l in &shared_lines {
                     let cur = pd.line(l);
-                    ops.push(DirOp::SetLine(
-                        l,
-                        prism_protocol::dirproto::apply_replacement_hint(cur, reader),
-                    ));
+                    *pd.line_mut(l) = prism_protocol::dirproto::apply_replacement_hint(cur, reader);
                 }
-                ops.push(DirOp::ClearClientFrame(reader));
-            }
-            for op in ops {
-                self.nodes[home].controller.dir.apply(gp, op);
+                pd.client_frames.remove(&reader);
             }
             if let Some(hf) = home_frame {
                 for &l in &dirty_lines {
@@ -474,18 +439,6 @@ impl Machine {
         self.nodes[n]
             .kernel
             .commit_page_out(gp, evict.convert_to_lanuma);
-        // The node's cached-page set changed (the victim left; under
-        // `convert_to_lanuma` an imaginary mapping replaces it, so the
-        // member set never grows — the victim's homes were already in
-        // the closure) and its view of the victim page is gone.
-        self.obs.note_inval(CursorInval::NodeClosure {
-            node: n,
-            grew: false,
-        });
-        self.obs.note_inval(CursorInval::NodePage {
-            node: n,
-            vpage: evict.vpage,
-        });
         t
     }
 }

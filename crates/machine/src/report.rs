@@ -17,7 +17,6 @@ use prism_sim::Cycle;
 use crate::faults::FaultReport;
 use crate::machine::Machine;
 use crate::obs::Ctr;
-use crate::par::ParallelFallback;
 use crate::shadow::AuditFinding;
 
 /// Per-node results.
@@ -138,31 +137,15 @@ pub struct RunReport {
     pub audit: Vec<AuditFinding>,
     /// Auditor sweeps completed (periodic plus the end-of-run sweep).
     pub audit_sweeps: u64,
-    /// Epoch and serial-fallback accounting of the parallel scheduler
-    /// (all zeros under serial schedulers). Excluded from
-    /// [`RunReport::to_json`]: the JSON report is the
-    /// scheduler-invariant golden artifact, and these counters are
-    /// scheduler-dependent by construction.
-    pub parallel_fallback: ParallelFallback,
-    /// Directory-backend diagnostics as named [`Ctr`] entries:
-    /// machine-wide directory-cache hits/misses plus the log backend's
-    /// append / combined-append / replay / compaction counters. Excluded
-    /// from [`RunReport::to_json`] like `parallel_fallback`: the log
-    /// counters are zero under `FullMap` and nonzero under
-    /// `LogReplicated`, so they would break the backend invariance the
-    /// golden artifact asserts.
+    /// Machine-wide directory-cache hits and misses as named [`Ctr`]
+    /// entries. Excluded from [`RunReport::to_json`]: the per-node
+    /// figures there already carry them, and the golden artifact's
+    /// format predates this block.
     pub dir_counters: Vec<(String, u64)>,
 }
 
 /// The counters surfaced in the debug report's `dir_counters` block.
-const DIR_CTRS: [Ctr; 6] = [
-    Ctr::DirCacheHits,
-    Ctr::DirCacheMisses,
-    Ctr::DirLogAppends,
-    Ctr::DirLogCombined,
-    Ctr::DirLogReplays,
-    Ctr::DirLogCompactions,
-];
+const DIR_CTRS: [Ctr; 2] = [Ctr::DirCacheHits, Ctr::DirCacheMisses];
 
 impl Machine {
     /// Snapshots the event bus and per-node state into a [`RunReport`].
@@ -188,24 +171,15 @@ impl Machine {
         if self.cfg.audit_interval.is_some() {
             self.audit_sweep(exec);
         }
-        // Fold per-node directory-cache and operation-log counters onto
-        // the bus. The adds are delta-based so a second finalize of the
-        // same machine does not double-count.
+        // Fold per-node directory-cache counters onto the bus. The adds
+        // are delta-based so a second finalize of the same machine does
+        // not double-count.
         let (mut dch, mut dcm) = (0u64, 0u64);
-        let mut dls = prism_mem::dir_log::DirLogStats::default();
         for node in &self.nodes {
             dch += node.controller.dir_cache.hits();
             dcm += node.controller.dir_cache.misses();
-            dls.absorb(&node.controller.dir.log_stats());
         }
-        for (c, total) in [
-            (Ctr::DirCacheHits, dch),
-            (Ctr::DirCacheMisses, dcm),
-            (Ctr::DirLogAppends, dls.appends),
-            (Ctr::DirLogCombined, dls.combined_appends),
-            (Ctr::DirLogReplays, dls.replayed),
-            (Ctr::DirLogCompactions, dls.compactions),
-        ] {
+        for (c, total) in [(Ctr::DirCacheHits, dch), (Ctr::DirCacheMisses, dcm)] {
             let seen = self.obs.get(c);
             self.obs.add(c, total.saturating_sub(seen));
         }
@@ -278,7 +252,6 @@ impl Machine {
             fault: self.fault_report(),
             audit: self.obs.findings.clone(),
             audit_sweeps: self.obs.sweeps,
-            parallel_fallback: self.par_fallback.clone(),
             dir_counters: DIR_CTRS
                 .iter()
                 .map(|&c| (c.name().to_string(), self.obs.get(c)))
@@ -306,16 +279,9 @@ impl RunReport {
         self.json_impl(false)
     }
 
-    /// [`RunReport::to_json`] plus the scheduler-dependent diagnostics
-    /// the golden artifact deliberately omits: the `parallel_fallback`
-    /// counters (epochs, serial picks, and the per-reason breakdown).
-    ///
-    /// The plain `to_json` stays byte-identical across `Heap`,
-    /// `LinearScan`, and `ParallelHeap` — that invariance is what the
-    /// golden suite and the chaos differential oracle assert — so this
-    /// debug variant exists for artifacts that *want* to capture how a
-    /// particular scheduler behaved: chaos repro artifacts record it so
-    /// a replayed case can show whether epochs actually formed.
+    /// [`RunReport::to_json`] plus diagnostics the golden artifact
+    /// deliberately omits: the machine-wide `dir_counters` block.
+    /// Chaos repro artifacts record this form.
     pub fn to_json_debug(&self) -> String {
         self.json_impl(true)
     }
@@ -391,11 +357,6 @@ impl RunReport {
         field_raw(&mut o, "audit", &format!("[{}]", audits.join(",")));
         field_u64(&mut o, "audit_sweeps", self.audit_sweeps);
         if debug {
-            field_raw(
-                &mut o,
-                "parallel_fallback",
-                &parallel_fallback_json(&self.parallel_fallback),
-            );
             let mut d = String::from("{");
             for (name, v) in &self.dir_counters {
                 field_u64(&mut d, name, *v);
@@ -561,39 +522,6 @@ fn fault_json(f: &FaultReport) -> String {
     o
 }
 
-fn parallel_fallback_json(p: &ParallelFallback) -> String {
-    let mut o = String::from("{");
-    field_str(&mut o, "policy", &p.policy);
-    field_u64(&mut o, "epochs", p.epochs);
-    field_u64(&mut o, "serial_picks", p.serial_picks);
-    let groups: Vec<String> = p.epoch_groups.iter().map(|g| g.to_string()).collect();
-    field_raw(&mut o, "epoch_groups", &format!("[{}]", groups.join(",")));
-    field_u64(&mut o, "cursor_hits", p.cursor_hits);
-    field_u64(&mut o, "cursor_slides", p.cursor_slides);
-    field_u64(&mut o, "cursor_misses", p.cursor_misses);
-    field_u64(&mut o, "cursor_invalidations", p.cursor_invalidations);
-    // All-zero (and therefore byte-stable) unless the run opted into
-    // host-clock stage capture via `MachineConfig::stage_timing`.
-    let mut stage = String::from("{");
-    field_u64(&mut stage, "scan_ns", p.stage.scan_ns);
-    field_u64(&mut stage, "admit_ns", p.stage.admit_ns);
-    field_u64(&mut stage, "execute_ns", p.stage.execute_ns);
-    field_u64(&mut stage, "merge_ns", p.stage.merge_ns);
-    stage.pop();
-    stage.push('}');
-    field_raw(&mut o, "stage_ns", &stage);
-    let mut reasons = String::from("{");
-    for reason in crate::par::ParallelFallbackReason::ALL {
-        field_u64(&mut reasons, reason.name(), p.count(reason));
-    }
-    reasons.pop();
-    reasons.push('}');
-    field_raw(&mut o, "reasons", &reasons);
-    o.pop();
-    o.push('}');
-    o
-}
-
 fn audit_json(a: &AuditFinding) -> String {
     let mut o = String::from("{");
     field_u64(&mut o, "at", a.at.as_u64());
@@ -659,13 +587,6 @@ impl fmt::Display for RunReport {
                 "  audit: {} sweeps, {} findings",
                 self.audit_sweeps,
                 self.audit.len()
-            )?;
-        }
-        if self.parallel_fallback.epochs > 0 || self.parallel_fallback.serial_picks > 0 {
-            writeln!(
-                f,
-                "  parallel: {} epochs, {} serial picks",
-                self.parallel_fallback.epochs, self.parallel_fallback.serial_picks
             )?;
         }
         write!(

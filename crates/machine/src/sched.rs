@@ -1,28 +1,24 @@
-//! The scheduling layer: ready queue, run loop, and scheduled control
+//! The scheduling layer: ready set, run loop, and scheduled control
 //! events.
 //!
 //! The machine advances processors in a conservative deterministic
 //! interleaving: the runnable processor with the earliest clock executes
 //! next (ties break toward the lowest processor id), and keeps executing
 //! in a batch while it remains the earliest. This module owns that
-//! decision, in two interchangeable implementations selected by
-//! [`SchedulerKind`]:
+//! decision.
 //!
-//! * **Heap** — a tournament tree over the fixed processor slots. Leaf
-//!   `i` holds processor `i`'s packed `(clock, proc)` key while it is
-//!   Ready and `u64::MAX` otherwise; every inner node holds the smaller
-//!   of its children, so the root is the next pick. Re-keying a
-//!   processor replays one leaf-to-root path (log₂P branch-free `min`s),
-//!   and the batch bound — the earliest key among the *other*
-//!   processors — is the minimum of the siblings along the winner's
-//!   path. Fault injections, watchdog sweeps, and audit sweeps are
-//!   *control events* on a companion queue, popped exactly at the picks
-//!   where the original loop's per-iteration checks would have fired —
-//!   so results are bit-identical while fault-free picks pay nothing for
-//!   them. (The variant keeps its historical name: repro files and chaos
-//!   artifacts record it.)
-//! * **LinearScan** — the original loop, kept as the benchmark baseline
-//!   (`scaling` A/Bs the two) and as an oracle for the golden test.
+//! The ready set is a tournament tree over the fixed processor slots.
+//! Leaf `i` holds processor `i`'s packed `(clock, proc)` key while it is
+//! Ready and `u64::MAX` otherwise; every inner node holds the smaller of
+//! its children, so the root is the next pick. Re-keying a processor
+//! replays one leaf-to-root path (log₂P branch-free `min`s), and the
+//! batch bound — the earliest key among the *other* processors — is the
+//! minimum of the siblings along the winner's path. Fault injections,
+//! watchdog sweeps, and audit sweeps are *control events* on a companion
+//! queue, popped exactly at the picks where a per-pick check would have
+//! fired, so fault-free picks pay nothing for them. The unit tests hold
+//! the loop to a brute-force reference that rescans every processor and
+//! re-derives every control due at each pick.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -34,7 +30,6 @@ use prism_protocol::msg::MsgKind;
 use prism_sim::sync::{BarrierOutcome, LockOutcome};
 use prism_sim::Cycle;
 
-use crate::config::SchedulerKind;
 use crate::faults::ScheduledFaultKind;
 use crate::machine::{Machine, RunError};
 use crate::node::ProcState;
@@ -69,8 +64,8 @@ pub(crate) struct Sched {
     bits: u32,
     /// Scheduled control events as `(due cycle, kind)`.
     control: BinaryHeap<Reverse<(u64, ControlKind)>>,
-    /// False while the linear-scan loop drives the machine: wake
-    /// notifications are skipped so the baseline pays no tree cost.
+    /// False outside the run loop (and while the test-only reference
+    /// loop drives the machine): wakes and schedules are skipped.
     active: bool,
 }
 
@@ -146,7 +141,7 @@ impl Sched {
     }
 
     /// The earliest Ready processor, left in place.
-    pub(crate) fn top(&self) -> Option<(Cycle, usize)> {
+    fn top(&self) -> Option<(Cycle, usize)> {
         match self.tree.get(1) {
             Some(&key) if key != u64::MAX => Some(self.unpack(key)),
             _ => None,
@@ -154,7 +149,8 @@ impl Sched {
     }
 
     /// Removes and returns the earliest Ready processor.
-    pub(crate) fn pop_proc(&mut self) -> Option<(Cycle, usize)> {
+    #[cfg(test)]
+    fn pop_proc(&mut self) -> Option<(Cycle, usize)> {
         let top = self.top()?;
         self.set_leaf(top.1, u64::MAX);
         Some(top)
@@ -176,16 +172,9 @@ impl Sched {
         self.unpack(v)
     }
 
-    /// Deactivates wake notifications (run loop exit).
-    pub(crate) fn deactivate(&mut self) {
-        self.active = false;
-    }
-
     /// The earliest scheduled control event's due cycle (`u64::MAX`
-    /// when none is queued). The parallel executor bounds every epoch
-    /// by this so no batch runs past a point where the serial loop
-    /// would have fired a sweep.
-    pub(crate) fn peek_control(&self) -> u64 {
+    /// when none is queued).
+    fn peek_control(&self) -> u64 {
         self.control.peek().map_or(u64::MAX, |&Reverse((at, _))| at)
     }
 
@@ -218,8 +207,8 @@ impl Sched {
 }
 
 impl Machine {
-    /// Drives the loaded trace to completion with the configured
-    /// scheduler, then checks that no processor deadlocked.
+    /// Drives the loaded trace to completion, then checks that no
+    /// processor deadlocked.
     ///
     /// # Errors
     ///
@@ -227,11 +216,17 @@ impl Machine {
     /// neither Finished nor Dead: blocked on a lock or barrier nobody
     /// will release.
     pub(crate) fn run_loop(&mut self, trace: &Trace) -> Result<(), RunError> {
-        match self.cfg.scheduler {
-            SchedulerKind::Heap => self.run_loop_heap(trace),
-            SchedulerKind::LinearScan => self.run_loop_linear(trace),
-            SchedulerKind::ParallelHeap => self.run_loop_parallel(trace),
+        self.prime_sched();
+        while let Some((clock, flat)) = self.sched.top() {
+            self.step(trace, clock, flat);
         }
+        self.sched.active = false;
+        self.deadlocked()
+    }
+
+    /// `Err(Deadlock)` naming every processor neither Finished nor Dead
+    /// once no processor is Ready.
+    fn deadlocked(&self) -> Result<(), RunError> {
         let procs: Vec<usize> = (0..self.cfg.total_procs())
             .filter(|&flat| {
                 let (n, pi) = self.split_flat(flat);
@@ -249,7 +244,7 @@ impl Machine {
     /// Rebuilds the scheduler from current machine state: every Ready
     /// processor, the next pending scheduled fault, watchdog deadlines
     /// for lines already wedged in Transit, and the next audit sweep.
-    pub(crate) fn prime_sched(&mut self) {
+    fn prime_sched(&mut self) {
         let total = self.cfg.total_procs();
         let mut sched = std::mem::take(&mut self.sched);
         sched.reset(total, true);
@@ -282,21 +277,10 @@ impl Machine {
         self.sched = sched;
     }
 
-    fn run_loop_heap(&mut self, trace: &Trace) {
-        self.prime_sched();
-        while let Some((clock, flat)) = self.sched.top() {
-            self.heap_step(trace, clock, flat);
-        }
-        self.sched.active = false;
-    }
-
-    /// One serial pick for processor `flat`, the earliest Ready one
-    /// (still in the tree, or popped by the parallel loop): due control
-    /// events fire, the processor runs its batch, and its leaf is
-    /// re-keyed from its state. The parallel loop falls back to this
-    /// exact step whenever an epoch cannot be formed, which is what
-    /// keeps `ParallelHeap` observationally identical to `Heap`.
-    pub(crate) fn heap_step(&mut self, trace: &Trace, clock: Cycle, flat: usize) {
+    /// One pick for processor `flat`, the earliest Ready one: due
+    /// control events fire, the processor runs its batch, and its leaf
+    /// is re-keyed from its state.
+    fn step(&mut self, trace: &Trace, clock: Cycle, flat: usize) {
         // The batch bound is the earliest other Ready `(clock, proc)`
         // key, captured *before* control events run — a fault may kill
         // the bounding processor, but the original loop computed
@@ -325,10 +309,8 @@ impl Machine {
         // No batch runs past the next control due: an operation starting
         // at or after it belongs to a later pick, where the event has
         // already fired. This pins every fault injection, watchdog
-        // deadline, and audit sweep to a schedule-independent point of
-        // the interleaving — the parallel executor cuts its epochs at
-        // the same dues, which is what lets `ParallelHeap` reproduce
-        // serial sweep cadence byte for byte.
+        // deadline, and audit sweep to a fixed point of the `(clock,
+        // proc)` interleaving.
         bound = bound.min((
             Cycle(self.sched.peek_control().saturating_sub(1)),
             usize::MAX,
@@ -340,69 +322,6 @@ impl Machine {
             self.sched.wake(flat, p.clock);
         } else {
             self.sched.invalidate(flat);
-        }
-    }
-
-    /// The original `O(P)` loop: rescan every processor per pick, with
-    /// fault/watchdog/audit checks re-evaluated each iteration.
-    fn run_loop_linear(&mut self, trace: &Trace) {
-        self.sched.active = false;
-        loop {
-            // Earliest runnable processor (deterministic tie-break on id).
-            let mut best: Option<(Cycle, usize)> = None;
-            let mut bound = (Cycle::NEVER, usize::MAX);
-            for flat in 0..self.cfg.total_procs() {
-                let (n, pi) = self.split_flat(flat);
-                let p = &self.nodes[n].procs[pi];
-                if p.state == ProcState::Ready {
-                    match best {
-                        None => best = Some((p.clock, flat)),
-                        Some((c, bf)) if p.clock < c => {
-                            bound = bound.min((c, bf));
-                            best = Some((p.clock, flat));
-                        }
-                        Some(_) => bound = bound.min((p.clock, flat)),
-                    }
-                }
-            }
-            let Some((clock, flat)) = best else {
-                break;
-            };
-            // Scheduled faults strike before the processor at their cycle
-            // executes, at a deterministic point of the interleaving.
-            if self.fault.is_some() {
-                self.apply_fault_events(clock);
-                self.watchdog_sweep(clock);
-            }
-            // Periodic online audit sweeps run at the same deterministic
-            // points (between atomic protocol transactions).
-            if clock.as_u64() >= self.next_audit {
-                self.audit_sweep(clock);
-                let interval = self.cfg.audit_interval.expect("audit scheduled");
-                self.next_audit = clock.as_u64().saturating_add(interval.max(1));
-            }
-            // Mirror the heap loop's control-due batch cap (see
-            // `heap_step`): recompute the dues the heap would hold on
-            // its control queue and stop the batch short of the
-            // earliest, so both serial loops fire events at identical
-            // points of the interleaving.
-            let mut ctl = self.next_audit;
-            if let Some(state) = self.fault.as_ref() {
-                if let Some(ev) = state.plan.schedule().get(state.next_event) {
-                    ctl = ctl.min(ev.at.as_u64());
-                }
-                let deadline = self.cfg.watchdog_deadline;
-                for node in &self.nodes {
-                    if node.failed {
-                        continue;
-                    }
-                    for (_, _, at) in node.controller.transit_lines() {
-                        ctl = ctl.min(at.saturating_add(deadline));
-                    }
-                }
-            }
-            let bound = bound.min((Cycle(ctl.saturating_sub(1)), usize::MAX));
-            self.run_batch(trace, flat, bound);
         }
     }
 
@@ -577,10 +496,9 @@ impl Machine {
         }
     }
 
-    /// Applies every scheduled fault whose time has come. Runs before
-    /// the earliest runnable processor at a deterministic point of the
-    /// interleaving — per pick in linear-scan mode, on a popped control
-    /// event in heap mode.
+    /// Applies every scheduled fault whose time has come. Runs on a
+    /// popped control event, before the earliest runnable processor
+    /// executes, at a deterministic point of the interleaving.
     pub(crate) fn apply_fault_events(&mut self, now: Cycle) {
         loop {
             let Some(state) = self.fault.as_mut() else {
@@ -635,18 +553,9 @@ impl Machine {
         }
         let frame = candidates[state.rng.gen_index(candidates.len())];
         let bogus = NodeId(state.rng.gen_index(self.cfg.nodes) as u16);
-        let mut corrupted = None;
         if let Some(e) = self.nodes[n].controller.pit.translate_mut(frame) {
             e.dyn_home = bogus;
             e.home_frame_hint = None;
-            corrupted = Some(e.gpage);
-        }
-        // The scrambled hint is a real first hop for this node's next
-        // request: its memoized footprint for the page no longer covers
-        // it.
-        if let Some(vpage) = corrupted.and_then(|gp| self.shared_vpage_value(gp)) {
-            self.obs
-                .note_inval(crate::obs::CursorInval::NodePage { node: n, vpage });
         }
         self.freport(|r| {
             r.pit_corruptions += 1;
@@ -710,7 +619,81 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MachineConfig;
+    use crate::faults::FaultPlan;
+    use crate::report::RunReport;
+    use prism_kernel::policy::PagePolicy;
+    use prism_mem::addr::VirtAddr;
+    use prism_mem::trace::{SegmentSpec, SHARED_BASE};
     use prism_sim::SimRng;
+
+    impl Machine {
+        /// The brute-force reference for [`Machine::run_loop`]: rescan
+        /// every processor per pick, apply due faults and sweep the
+        /// watchdog at every pick of a fault-planned run, and recompute
+        /// each batch's control-due cap from machine state instead of a
+        /// queue.
+        fn run_loop_linear(&mut self, trace: &Trace) -> Result<(), RunError> {
+            self.sched.active = false;
+            loop {
+                // Earliest runnable processor (deterministic tie-break on id).
+                let mut best: Option<(Cycle, usize)> = None;
+                let mut bound = (Cycle::NEVER, usize::MAX);
+                for flat in 0..self.cfg.total_procs() {
+                    let (n, pi) = self.split_flat(flat);
+                    let p = &self.nodes[n].procs[pi];
+                    if p.state == ProcState::Ready {
+                        match best {
+                            None => best = Some((p.clock, flat)),
+                            Some((c, bf)) if p.clock < c => {
+                                bound = bound.min((c, bf));
+                                best = Some((p.clock, flat));
+                            }
+                            Some(_) => bound = bound.min((p.clock, flat)),
+                        }
+                    }
+                }
+                let Some((clock, flat)) = best else {
+                    break;
+                };
+                // Scheduled faults strike before the processor at their cycle
+                // executes, at a deterministic point of the interleaving.
+                if self.fault.is_some() {
+                    self.apply_fault_events(clock);
+                    self.watchdog_sweep(clock);
+                }
+                // Periodic online audit sweeps run at the same deterministic
+                // points (between atomic protocol transactions).
+                if clock.as_u64() >= self.next_audit {
+                    self.audit_sweep(clock);
+                    let interval = self.cfg.audit_interval.expect("audit scheduled");
+                    self.next_audit = clock.as_u64().saturating_add(interval.max(1));
+                }
+                // Mirror the tree loop's control-due batch cap (see
+                // `Machine::step`): recompute the dues the tree loop would
+                // hold on its control queue and stop the batch short of the
+                // earliest.
+                let mut ctl = self.next_audit;
+                if let Some(state) = self.fault.as_ref() {
+                    if let Some(ev) = state.plan.schedule().get(state.next_event) {
+                        ctl = ctl.min(ev.at.as_u64());
+                    }
+                    let deadline = self.cfg.watchdog_deadline;
+                    for node in &self.nodes {
+                        if node.failed {
+                            continue;
+                        }
+                        for (_, _, at) in node.controller.transit_lines() {
+                            ctl = ctl.min(at.saturating_add(deadline));
+                        }
+                    }
+                }
+                let bound = bound.min((Cycle(ctl.saturating_sub(1)), usize::MAX));
+                self.run_batch(trace, flat, bound);
+            }
+            self.deadlocked()
+        }
+    }
 
     /// The brute-force ready set the tree replaces: one optional clock
     /// per processor, scanned in full for every question.
@@ -759,7 +742,7 @@ mod tests {
                             model.0[f] = None;
                         }
                     }
-                    // The serial loop's pick: run the top in place, then
+                    // The run loop's pick: run the top in place, then
                     // re-key it from its new state.
                     _ => {
                         if let Some((c, f)) = s.top() {
@@ -837,5 +820,184 @@ mod tests {
     fn one_past_the_largest_packable_clock_panics() {
         let mut s = active(32);
         s.wake(3, Cycle(s.max_clock() + 1));
+    }
+
+    type Observed = (Result<RunReport, RunError>, Vec<(Cycle, ObsEvent)>);
+
+    /// Asserts two runs produced the same report and the same event
+    /// ring.
+    fn assert_same(tree: &Observed, reference: &Observed, what: &str) {
+        let json = |o: &Observed| o.0.as_ref().map(RunReport::to_json).map_err(Clone::clone);
+        assert_eq!(json(tree), json(reference), "{what}: reports");
+        assert_eq!(tree.1, reference.1, "{what}: events");
+    }
+
+    /// Runs `trace` on a fresh machine through the tree loop
+    /// (`reference == false`) or the brute-force reference loop.
+    fn observe(cfg: &MachineConfig, plan: &FaultPlan, trace: &Trace, reference: bool) -> Observed {
+        let mut m = Machine::new(cfg.clone());
+        if !plan.is_empty() {
+            m.install_fault_plan(plan.clone()).expect("valid plan");
+        }
+        let report = if reference {
+            m.load(trace);
+            m.run_loop_linear(trace).map(|()| m.finalize_report())
+        } else {
+            m.try_run(trace)
+        };
+        (report, m.recent_events())
+    }
+
+    /// A random small trace over four shared pages: reads, writes and
+    /// compute bursts, non-nested lock sections, and barriers every lane
+    /// reaches the same number of times.
+    fn random_trace(rng: &mut SimRng, lanes: usize) -> Trace {
+        let page = 4096u64;
+        let barriers = rng.gen_index(3);
+        let lanes = (0..lanes)
+            .map(|_| {
+                let mut ops = Vec::new();
+                for b in 0..=barriers {
+                    for _ in 0..8 + rng.gen_index(40) {
+                        let va = VirtAddr(SHARED_BASE + rng.gen_range(0..4 * page) / 64 * 64);
+                        match rng.gen_index(10) {
+                            0..=3 => ops.push(Op::Read(va)),
+                            4..=6 => ops.push(Op::Write(va)),
+                            7 | 8 => ops.push(Op::Compute(1 + rng.gen_range(0..400) as u32)),
+                            _ => {
+                                let id = rng.gen_index(3) as u32;
+                                ops.push(Op::Lock(id));
+                                ops.push(Op::Write(va));
+                                ops.push(Op::Unlock(id));
+                            }
+                        }
+                    }
+                    if b < barriers {
+                        ops.push(Op::Barrier(b as u32));
+                    }
+                }
+                ops.into()
+            })
+            .collect();
+        Trace {
+            name: "random".into(),
+            segments: vec![SegmentSpec {
+                name: "s".into(),
+                va_base: SHARED_BASE,
+                bytes: 4 * page,
+            }],
+            lanes,
+        }
+    }
+
+    /// A plan that kills a node, scrambles a PIT entry and wedges a
+    /// Transit line at random points of the run.
+    fn random_plan(rng: &mut SimRng, nodes: usize) -> FaultPlan {
+        let mut plan = FaultPlan::new(rng.next_u64());
+        let at = |rng: &mut SimRng| Cycle(500 + rng.gen_range(0..20_000));
+        let node = |rng: &mut SimRng| NodeId(rng.gen_index(nodes) as u16);
+        for _ in 0..1 + rng.gen_index(3) {
+            plan = match rng.gen_index(3) {
+                0 => plan.fail_node(node(rng), at(rng)),
+                1 => plan.corrupt_pit(node(rng), at(rng)),
+                _ => plan.wedge_transit(node(rng), at(rng)),
+            };
+        }
+        plan
+    }
+
+    /// The tree loop fires control events at the same picks as the
+    /// brute-force reference: random traces, with and without a fault
+    /// plan and an audit cadence, produce identical reports and
+    /// identical structural-event rings on both loops.
+    #[test]
+    fn control_events_fire_where_the_reference_fires_them() {
+        let policies = [PagePolicy::Scoma, PagePolicy::Lanuma, PagePolicy::DynFcfs];
+        // Which control-event kinds fired, so the cases provably cover
+        // every class the queue schedules.
+        let mut fired = [false; 5];
+        for case in 0..24u64 {
+            let mut rng = SimRng::for_stream(0xC0_47_E1, case);
+            let nodes = 2 + rng.gen_index(2);
+            let ppn = 1 + rng.gen_index(2);
+            let trace = random_trace(&mut rng, nodes * ppn);
+            let faulty = random_plan(&mut rng, nodes);
+            let interval = 200 + rng.gen_range(0..3_000);
+            let policy = policies[rng.gen_index(policies.len())];
+            // Short deadlines, so wedged lines come due within the run.
+            let deadline = 512 << rng.gen_index(4);
+            for (plan, audit) in [
+                (FaultPlan::new(0), None),
+                (FaultPlan::new(0), Some(interval)),
+                (faulty.clone(), None),
+                (faulty, Some(interval)),
+            ] {
+                let cfg = MachineConfig::builder()
+                    .nodes(nodes)
+                    .procs_per_node(ppn)
+                    .l1_bytes(1024)
+                    .l2_bytes(4096)
+                    .policy(policy)
+                    .audit_interval(audit)
+                    .watchdog_deadline(deadline)
+                    .build();
+                let what = format!("case {case}, faults {}, audit {audit:?}", !plan.is_empty());
+                let tree = observe(&cfg, &plan, &trace, false);
+                let reference = observe(&cfg, &plan, &trace, true);
+                assert_same(&tree, &reference, &what);
+                for (_, ev) in &tree.1 {
+                    match ev {
+                        ObsEvent::NodeFailed { .. } => fired[0] = true,
+                        ObsEvent::PitCorrupted { .. } => fired[1] = true,
+                        ObsEvent::TransitWedge { .. } => fired[2] = true,
+                        ObsEvent::AuditSweep { .. } => fired[4] = true,
+                        _ => {}
+                    }
+                }
+                if let Ok(r) = &tree.0 {
+                    let f = &r.fault;
+                    fired[3] |= f.watchdog_resends + f.watchdog_remasters + f.watchdog_kills > 0;
+                }
+            }
+        }
+        assert_eq!(
+            fired, [true; 5],
+            "node death, PIT corruption, wedge, watchdog, audit"
+        );
+    }
+
+    /// One compute-heavy lane whose batches run far past audit dues:
+    /// the tree loop cuts them at each due exactly as the reference
+    /// does, so both sweep at the same points.
+    #[test]
+    fn audit_dues_cut_compute_heavy_batches_like_the_reference() {
+        let page = 4096u64;
+        let (mut lane0, mut lane1) = (Vec::new(), Vec::new());
+        for _ in 0..3000 {
+            lane0.push(Op::Read(VirtAddr(SHARED_BASE)));
+            lane0.push(Op::Compute(397));
+            lane1.push(Op::Read(VirtAddr(SHARED_BASE + page)));
+            lane1.push(Op::Compute(11));
+        }
+        let trace = Trace {
+            name: "overshoot".into(),
+            segments: vec![SegmentSpec {
+                name: "s".into(),
+                va_base: SHARED_BASE,
+                bytes: 2 * page,
+            }],
+            lanes: vec![lane0.into(), lane1.into()],
+        };
+        let cfg = MachineConfig::builder()
+            .nodes(2)
+            .procs_per_node(1)
+            .audit_interval(Some(500))
+            .build();
+        let plan = FaultPlan::new(0);
+        let tree = observe(&cfg, &plan, &trace, false);
+        let reference = observe(&cfg, &plan, &trace, true);
+        assert_same(&tree, &reference, "overshoot");
+        let sweeps = tree.0.as_ref().expect("no deadlock").audit_sweeps;
+        assert!(sweeps > 1_000, "only {sweeps} audit sweeps");
     }
 }

@@ -339,30 +339,17 @@ impl Machine {
         }
         self.post_send(n, home, MsgKind::Writeback, t);
         self.obs.incr(Ctr::RemoteWritebacks);
-        // The home's directory state for the line transitions under this
-        // write-back: the writer's memoized view of the page is stale.
-        if let Some(vpage) = self.shared_vpage_value(gpage) {
-            self.obs
-                .note_inval(crate::obs::CursorInval::NodePage { node: n, vpage });
-        }
         let lat = self.cfg.latency;
         self.nodes[home].memory.acquire(t, Cycle(lat.mem_access));
         let reader = prism_mem::addr::NodeId(n as u16);
-        let snap = self.nodes[home]
-            .controller
-            .dir
-            .read(reader, gpage)
-            .map(|pd| (pd.line(line), pd.home_frame));
+        let snap = self.nodes[home].controller.dir.page_mut(gpage).map(|pd| {
+            let cur = pd.line(line);
+            *pd.line_mut(line) = prism_protocol::dirproto::apply_writeback(cur, reader);
+            (cur, pd.home_frame)
+        });
         if let Some((cur, home_frame)) = snap {
             let was_owned =
                 matches!(cur, prism_mem::directory::LineDir::Owned(o) if o.0 as usize == n);
-            self.nodes[home].controller.dir.apply(
-                gpage,
-                prism_mem::directory::DirOp::SetLine(
-                    line,
-                    prism_protocol::dirproto::apply_writeback(cur, reader),
-                ),
-            );
             if was_owned {
                 // Home memory is valid again.
                 self.nodes[home].controller.tags.set(
@@ -411,28 +398,26 @@ impl Machine {
         let lat = self.cfg.latency;
         self.nodes[home].memory.acquire(t, Cycle(lat.mem_occupancy));
         let reader = prism_mem::addr::NodeId(n as u16);
-        let snap = self.nodes[home]
+        let demoted = self.nodes[home]
             .controller
             .dir
-            .read(reader, gpage)
-            .map(|pd| (pd.line(line), pd.home_frame));
-        if let Some((cur, home_frame)) = snap {
-            if matches!(cur, prism_mem::directory::LineDir::Owned(o) if o.0 as usize == n) {
-                self.nodes[home].controller.dir.apply(
-                    gpage,
-                    prism_mem::directory::DirOp::SetLine(
-                        line,
-                        prism_mem::directory::LineDir::Shared(prism_mem::addr::NodeSet::single(
-                            reader,
-                        )),
-                    ),
-                );
-                self.nodes[home].controller.tags.set(
-                    home_frame,
-                    line,
-                    prism_mem::tags::LineTag::Shared,
-                );
-            }
+            .page_mut(gpage)
+            .and_then(|pd| {
+                let owned =
+                    matches!(pd.line(line), prism_mem::directory::LineDir::Owned(o) if o == reader);
+                owned.then(|| {
+                    *pd.line_mut(line) = prism_mem::directory::LineDir::Shared(
+                        prism_mem::addr::NodeSet::single(reader),
+                    );
+                    pd.home_frame
+                })
+            });
+        if let Some(home_frame) = demoted {
+            self.nodes[home].controller.tags.set(
+                home_frame,
+                line,
+                prism_mem::tags::LineTag::Shared,
+            );
         }
         if let Some(sh) = self.shadow.as_mut() {
             sh.writeback(from_flat, home as u16, lid);
@@ -459,21 +444,14 @@ impl Machine {
         }
         self.post_send(n, home, MsgKind::Writeback, t);
         let reader = prism_mem::addr::NodeId(n as u16);
-        let snap = self.nodes[home]
-            .controller
-            .dir
-            .read(reader, gpage)
-            .map(|pd| (pd.line(line), pd.home_frame));
+        let snap = self.nodes[home].controller.dir.page_mut(gpage).map(|pd| {
+            let cur = pd.line(line);
+            *pd.line_mut(line) = prism_protocol::dirproto::apply_replacement_hint(cur, reader);
+            (cur, pd.home_frame)
+        });
         if let Some((cur, home_frame)) = snap {
             let was_owned =
                 matches!(cur, prism_mem::directory::LineDir::Owned(o) if o.0 as usize == n);
-            self.nodes[home].controller.dir.apply(
-                gpage,
-                prism_mem::directory::DirOp::SetLine(
-                    line,
-                    prism_protocol::dirproto::apply_replacement_hint(cur, reader),
-                ),
-            );
             if was_owned {
                 // The node's copy was clean-exclusive, so home memory was
                 // already current; mark the home tag valid again.
@@ -484,66 +462,5 @@ impl Machine {
                 );
             }
         }
-    }
-}
-
-impl Machine {
-    /// The node footprint of an intra-node fill, *closed over the
-    /// side-effects any local action can trigger*: sibling snoops,
-    /// local-memory fills, bus upgrades, and real-frame evictions all
-    /// stay on the accessing node, but
-    ///
-    /// * an L2 eviction of a dirty (or clean-exclusive) **imaginary
-    ///   LA-NUMA line** posts a writeback/replacement hint to the
-    ///   line's *home* — so the homes of every LA-NUMA-mapped page at
-    ///   the node are in the closure;
-    /// * a client fault under **page-cache capacity pressure** may
-    ///   evict any cached page, flushing its dirty lines to *that*
-    ///   page's home — so the homes of every page-cache page are in
-    ///   the closure too.
-    ///
-    /// The closure over-approximates (most fills evict nothing), which
-    /// is the price of deciding admission before execution; it is exact
-    /// `{n}` for plain S-COMA with an unbounded page cache, so the
-    /// historical eligible configurations lose no parallelism. The
-    /// epoch executor caches this per node under a generation counter
-    /// bumped by [`crate::obs::CursorInval::NodeClosure`] events, so
-    /// the PIT/page-cache walks below run once per membership change,
-    /// not once per scan.
-    ///
-    /// Returns the closure alongside its *member list*: the shared
-    /// virtual pages whose homes the closure embeds. The footprint
-    /// ledger caches both — when a page's home moves (`HomeMoved`),
-    /// only nodes whose member list contains the page drop their
-    /// cached closure; every other node's closure provably never
-    /// routed to the moved page and survives, along with every cursor
-    /// built on it. Pages with no shared virtual page (a gap no
-    /// `HomeMoved` can ever name, since those emissions are gated on
-    /// the same mapping) are safely left off the list.
-    pub(crate) fn local_fill_closure(&self, n: usize) -> (prism_mem::addr::NodeSet, Vec<u64>) {
-        let mut set = prism_mem::addr::NodeSet::single(prism_mem::addr::NodeId(n as u16));
-        let mut members: Vec<u64> = Vec::new();
-        let add = |set: &mut prism_mem::addr::NodeSet,
-                   members: &mut Vec<u64>,
-                   gpage: prism_mem::addr::GlobalPage| {
-            set.insert(self.homes.static_home(gpage));
-            set.insert(self.resolve_dyn_home(gpage));
-            if let Some(vp) = self.shared_vpage_value(gpage) {
-                if !members.contains(&vp) {
-                    members.push(vp);
-                }
-            }
-        };
-        for (frame, entry) in self.nodes[n].controller.pit.iter() {
-            if frame.is_imaginary() {
-                add(&mut set, &mut members, entry.gpage);
-            }
-        }
-        if self.cfg.page_cache_capacity.is_some() {
-            for gpage in self.nodes[n].kernel.page_cache_pages() {
-                add(&mut set, &mut members, gpage);
-            }
-        }
-        (set, members)
     }
 }

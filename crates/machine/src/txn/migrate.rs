@@ -15,7 +15,7 @@ use prism_protocol::msg::MsgKind;
 use prism_sim::Cycle;
 
 use crate::machine::Machine;
-use crate::obs::{Ctr, CursorInval, ObsEvent};
+use crate::obs::{Ctr, ObsEvent};
 
 /// Outcome of a successful [`Machine::try_home_failover`].
 #[derive(Clone, Copy, Debug)]
@@ -201,9 +201,6 @@ impl Machine {
             .entry(gpage)
             .or_default()
             .insert(NodeId(old as u16));
-        if let Some(vpage) = self.shared_vpage_value(gpage) {
-            self.obs.note_inval(CursorInval::HomeMoved { vpage });
-        }
         self.obs.incr(Ctr::Migrations);
         self.obs.emit(
             t,
@@ -473,9 +470,6 @@ impl Machine {
             .entry(gpage)
             .or_default()
             .insert(NodeId(dead as u16));
-        if let Some(vpage) = self.shared_vpage_value(gpage) {
-            self.obs.note_inval(CursorInval::HomeMoved { vpage });
-        }
         self.freport(|r| r.failovers += 1);
         self.obs.emit(
             t,
@@ -608,16 +602,6 @@ impl Machine {
                 self.nodes[n].procs[spi].tlb.invalidate(vp);
             }
         }
-        // The node's LA-NUMA mapping set shrank (its write-back closure
-        // changed, but gained nothing) and its view of this page is gone.
-        self.obs.note_inval(CursorInval::NodeClosure {
-            node: n,
-            grew: false,
-        });
-        if let Some(vpage) = self.shared_vpage_value(gpage) {
-            self.obs
-                .note_inval(CursorInval::NodePage { node: n, vpage });
-        }
     }
 
     /// The virtual page a node maps `gpage` at, if it has a mapping.
@@ -632,11 +616,8 @@ impl Machine {
     /// The (machine-wide) virtual page number of a global page, derived
     /// from the segment attachments.
     pub(crate) fn shared_vpage_value(&self, gpage: GlobalPage) -> Option<u64> {
-        // All nodes attach identically, so any node's segment table
-        // answers. Inside an epoch shell only the group's nodes are
-        // real (placeholders have empty segment tables), so scan for
-        // the first node that knows the attachment. The segment table
-        // is small and real nodes come first in the common case.
+        // All nodes attach identically, so the first node that knows
+        // the attachment answers for the machine.
         self.nodes
             .iter()
             .find_map(|node| node.kernel.shared_vpage(gpage, &self.cfg.geometry))

@@ -16,7 +16,7 @@
 
 use prism_mem::addr::{FrameNo, GlobalPage, LineIdx, NodeId};
 use prism_mem::cache::LineState;
-use prism_mem::directory::{DirOp, LineDir};
+use prism_mem::directory::LineDir;
 use prism_mem::tags::LineTag;
 use prism_protocol::dirproto::{transition, DataSource, DirOutcome, ReqKind};
 use prism_protocol::firewall;
@@ -24,7 +24,7 @@ use prism_protocol::msg::MsgKind;
 use prism_sim::Cycle;
 
 use crate::machine::Machine;
-use crate::obs::{Ctr, CursorInval};
+use crate::obs::Ctr;
 
 /// Why a remote transaction aborted. In every case the requesting
 /// processor is killed (contained failure, paper §5).
@@ -329,27 +329,16 @@ impl RemoteTxn {
             .dir_cache
             .probe(self.gpage.line(self.line));
         self.t += Cycle(lat.dir_access(dir_hit));
-        let new_requester = m.nodes[home]
+        m.nodes[home]
             .controller
             .traffic_mut(self.gpage)
             .record(NodeId(n as u16));
-        if new_requester && m.cfg.migration.is_some() {
-            // The migration-target closure just grew: footprints that
-            // memoized the old traffic set no longer cover every node a
-            // migration of this page could touch.
-            if let Some(vpage) = m.shared_vpage_value(self.gpage) {
-                m.obs.note_inval(CursorInval::PageDest { vpage });
-            }
-        }
 
-        // Protocol decisions read through the requester's replica (under
-        // the log backend this is the lazily-replayed per-node view;
-        // after catch-up it is identical to the canonical state).
         let (dirline, home_frame) = {
             let pd = m.nodes[home]
                 .controller
                 .dir
-                .read(NodeId(n as u16), self.gpage)
+                .page(self.gpage)
                 .expect("checked above");
             (pd.line(self.line), pd.home_frame)
         };
@@ -570,15 +559,11 @@ impl RemoteTxn {
         let outcome = self.outcome.as_ref().expect("set by HomeDispatch");
         let new_state = outcome.new_state;
         let home_tag_to = outcome.home_tag_to;
-        {
-            let dir = &mut m.nodes[self.home].controller.dir;
-            dir.apply(self.gpage, DirOp::SetLine(self.line, new_state));
-            dir.apply(self.gpage, DirOp::TrafficTick(1));
+        if let Some(pd) = m.nodes[self.home].controller.dir.page_mut(self.gpage) {
+            *pd.line_mut(self.line) = new_state;
+            pd.traffic += 1;
             if m.cfg.client_frame_hints_in_directory && self.home != self.n {
-                dir.apply(
-                    self.gpage,
-                    DirOp::SetClientFrame(NodeId(self.n as u16), self.frame),
-                );
+                pd.client_frames.insert(NodeId(self.n as u16), self.frame);
             }
         }
         if let Some(tag) = home_tag_to {
@@ -862,69 +847,5 @@ impl Machine {
                 sh.set_node_copy(s as u16, lid, version);
             }
         }
-    }
-}
-
-impl Machine {
-    /// The node footprint a remote transaction over `gpage` issued from
-    /// node `n` could touch across all of its phases: the requester, the
-    /// page's homes (static and dynamic — Route may re-route between
-    /// them), and every client the home directory currently lists (Data
-    /// sourcing may intervene at the owner, Invalidate fans out to all
-    /// sharers). The parallel epoch executor admits two batches into the
-    /// same epoch only when these sets are disjoint, so any transaction
-    /// one batch starts is invisible to the other.
-    ///
-    /// Fault-era destinations are over-approximated too, so epochs stay
-    /// sound under an active fault plan:
-    ///
-    /// * the requester's own PIT hint — Route targets the hint, not the
-    ///   resolved home, so a stale (or corrupted) hint is a real first
-    ///   hop the epoch must own;
-    /// * every *former* home — failover re-masters a dead home's pages
-    ///   back to the static home and migration forwards from old homes,
-    ///   so a page whose mastery ever moved keeps its whole recovery
-    ///   set (including the dead node, which the hazard set then
-    ///   serializes) in one footprint;
-    /// * the static home doubles as the journal record target under an
-    ///   eager [`crate::faults::JournalPolicy`] and the retry resend
-    ///   target for watchdog recovery — both already covered by the
-    ///   unconditional static-home insert above.
-    ///
-    /// With lazy migration enabled the footprint also closes over every
-    /// node in the page's hardware traffic counters: a transaction's
-    /// `Migrate` phase may re-master the page onto the policy's top
-    /// requester, and that target can only come from the recorded set
-    /// (the requester itself is already in the footprint). The set
-    /// grows when a *new* requester records traffic — exactly the
-    /// [`CursorInval::PageDest`] event the ledger invalidates on.
-    pub(crate) fn remote_txn_footprint(
-        &self,
-        n: usize,
-        gpage: GlobalPage,
-    ) -> prism_mem::addr::NodeSet {
-        let mut set = prism_mem::addr::NodeSet::single(NodeId(n as u16));
-        set.insert(self.homes.static_home(gpage));
-        let home = self.resolve_dyn_home(gpage);
-        set.insert(home);
-        if let Some(pd) = self.nodes[home.0 as usize].controller.dir.page(gpage) {
-            set = prism_mem::addr::NodeSet(set.0 | pd.clients.0);
-        }
-        if let Some(frame) = self.nodes[n].controller.pit.frame_of(gpage) {
-            if let Some(entry) = self.nodes[n].controller.pit.translate(frame) {
-                set.insert(entry.dyn_home);
-            }
-        }
-        if let Some(former) = self.former_homes.get(&gpage) {
-            set = prism_mem::addr::NodeSet(set.0 | former.0);
-        }
-        if self.cfg.migration.is_some() {
-            if let Some(traffic) = self.nodes[home.0 as usize].controller.traffic.get(&gpage) {
-                for node in traffic.nodes() {
-                    set.insert(node);
-                }
-            }
-        }
-        set
     }
 }

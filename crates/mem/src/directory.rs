@@ -4,63 +4,12 @@
 //! the state and sharer list of each cache line in the page (paper
 //! Figure 5). Directory storage is modeled as DRAM fronted by an 8K-entry
 //! directory cache (2-cycle hit, 22-cycle miss — paper §4.1).
-//!
-//! Two interchangeable backends implement the [`DirBackend`] trait:
-//! the classic full-map [`Directory`] and the node-replicated
-//! [`crate::dir_log::DirLog`], which turns every mutation into a
-//! [`DirOp`] appended to a bounded per-page operation log with lazily
-//! replayed per-node replicas. [`DirStore`] dispatches between them by
-//! [`DirectoryKind`]; both must produce byte-identical machine behavior
-//! (the determinism suite holds them to it).
 
 use std::hash::{Hash, Hasher};
 
 use prism_sim::FastMap;
 
 use crate::addr::{FrameNo, GlobalLine, GlobalPage, LineIdx, NodeId, NodeSet};
-use crate::dir_log::{DirLog, DirLogStats};
-
-/// Which directory backend a machine's home nodes use.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum DirectoryKind {
-    /// The classic full-map directory: every mutation is a
-    /// read-modify-write on shared per-line state.
-    #[default]
-    FullMap,
-    /// The node-replicated backend: mutations append to a per-page
-    /// operation log; each node replays a private replica lazily on
-    /// read ([`crate::dir_log::DirLog`]).
-    LogReplicated,
-}
-
-impl DirectoryKind {
-    /// Stable lowercase label (used by benches and chaos coverage maps).
-    pub fn label(&self) -> &'static str {
-        match self {
-            DirectoryKind::FullMap => "full-map",
-            DirectoryKind::LogReplicated => "log-replicated",
-        }
-    }
-}
-
-/// One coherence-relevant directory mutation, expressed with *absolute*
-/// new values so replaying a log of ops is idempotent and
-/// order-insensitive per line.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DirOp {
-    /// Set the directory state of one line.
-    SetLine(LineIdx, LineDir),
-    /// A client node mapped the page (page-in reply fan-out set).
-    AddClient(NodeId),
-    /// A client node is no longer tracked (failover scrub).
-    RemoveClient(NodeId),
-    /// Cache the client's frame number for reverse translation.
-    SetClientFrame(NodeId, FrameNo),
-    /// Drop a client's cached frame number (client page-out).
-    ClearClientFrame(NodeId),
-    /// Bump the page's hardware traffic counter.
-    TrafficTick(u64),
-}
 
 /// Directory state of one cache line at its home.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -130,72 +79,6 @@ impl PageDir {
     /// Mutable access to the directory entry for `line`.
     pub fn line_mut(&mut self, line: LineIdx) -> &mut LineDir {
         &mut self.lines[line.0 as usize]
-    }
-
-    /// Applies one logged mutation. Ops carry absolute new values, so
-    /// applying the same op twice leaves the same state (idempotence —
-    /// the property replica replay relies on).
-    pub fn apply(&mut self, op: &DirOp) {
-        match *op {
-            DirOp::SetLine(line, state) => self.lines[line.0 as usize] = state,
-            DirOp::AddClient(node) => {
-                self.clients.insert(node);
-            }
-            DirOp::RemoveClient(node) => {
-                self.clients.remove(node);
-                self.client_frames.remove(&node);
-            }
-            DirOp::SetClientFrame(node, frame) => {
-                self.client_frames.insert(node, frame);
-            }
-            DirOp::ClearClientFrame(node) => {
-                self.client_frames.remove(&node);
-            }
-            DirOp::TrafficTick(by) => self.traffic += by,
-        }
-    }
-}
-
-/// The operations every directory backend must support. Structural
-/// residency changes (`page_in`/`adopt`/`page_out`) move whole pages
-/// between homes; state mutations go through [`DirBackend::apply`] as
-/// [`DirOp`]s so a logging backend can record them.
-pub trait DirBackend {
-    /// Registers directory state for a page now resident at this home.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the page already has directory state here.
-    fn page_in(&mut self, gpage: GlobalPage, home_frame: FrameNo, lines: usize);
-
-    /// Installs previously built directory state (home re-master:
-    /// migration or failover moves the directory wholesale).
-    fn adopt(&mut self, gpage: GlobalPage, dir: PageDir);
-
-    /// Removes and returns the page's *canonical* directory state.
-    fn page_out(&mut self, gpage: GlobalPage) -> Option<PageDir>;
-
-    /// Canonical (fully up-to-date) state for a page, if homed here.
-    /// Audits, footprint closures, and residency checks use this.
-    fn page(&self, gpage: GlobalPage) -> Option<&PageDir>;
-
-    /// The state of a page *as node `reader` observes it*: a logging
-    /// backend replays the reader's replica up to the log tail first.
-    /// Protocol decisions go through this path, so a replay bug shows
-    /// up as a behavioral divergence the differential suite catches.
-    fn read(&mut self, reader: NodeId, gpage: GlobalPage) -> Option<&PageDir>;
-
-    /// Applies one mutation to a page's directory state. A no-op when
-    /// the page is not homed here (mirrors the `page_mut` + `if let`
-    /// idiom of the full-map call sites).
-    fn apply(&mut self, gpage: GlobalPage, op: DirOp);
-
-    /// Number of pages homed here.
-    fn len(&self) -> usize;
-
-    /// True when no page is homed here.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -270,138 +153,6 @@ impl Directory {
     /// Iterates `(page, state)` pairs (unspecified order).
     pub fn iter(&self) -> impl Iterator<Item = (&GlobalPage, &PageDir)> + '_ {
         self.pages.iter()
-    }
-}
-
-impl DirBackend for Directory {
-    fn page_in(&mut self, gpage: GlobalPage, home_frame: FrameNo, lines: usize) {
-        Directory::page_in(self, gpage, home_frame, lines);
-    }
-
-    fn adopt(&mut self, gpage: GlobalPage, dir: PageDir) {
-        Directory::adopt(self, gpage, dir);
-    }
-
-    fn page_out(&mut self, gpage: GlobalPage) -> Option<PageDir> {
-        Directory::page_out(self, gpage)
-    }
-
-    fn page(&self, gpage: GlobalPage) -> Option<&PageDir> {
-        Directory::page(self, gpage)
-    }
-
-    fn read(&mut self, _reader: NodeId, gpage: GlobalPage) -> Option<&PageDir> {
-        // The full map has one authoritative copy: every reader sees it.
-        self.pages.get(&gpage)
-    }
-
-    fn apply(&mut self, gpage: GlobalPage, op: DirOp) {
-        if let Some(pd) = self.pages.get_mut(&gpage) {
-            pd.apply(&op);
-        }
-    }
-
-    fn len(&self) -> usize {
-        Directory::len(self)
-    }
-}
-
-/// A node's directory store: one of the two [`DirBackend`]
-/// implementations, selected by [`DirectoryKind`] at machine build time.
-#[derive(Clone, Debug)]
-pub enum DirStore {
-    /// Full-map backend.
-    FullMap(Directory),
-    /// Node-replicated operation-log backend.
-    LogReplicated(DirLog),
-}
-
-impl DirStore {
-    /// Creates an empty store of the requested kind for a machine of
-    /// `nodes` nodes (the log backend sizes its replica slots by it).
-    pub fn new(kind: DirectoryKind, nodes: usize) -> DirStore {
-        match kind {
-            DirectoryKind::FullMap => DirStore::FullMap(Directory::new()),
-            DirectoryKind::LogReplicated => DirStore::LogReplicated(DirLog::new(nodes)),
-        }
-    }
-
-    /// The backend kind this store dispatches to.
-    pub fn kind(&self) -> DirectoryKind {
-        match self {
-            DirStore::FullMap(_) => DirectoryKind::FullMap,
-            DirStore::LogReplicated(_) => DirectoryKind::LogReplicated,
-        }
-    }
-
-    /// See [`DirBackend::page_in`].
-    pub fn page_in(&mut self, gpage: GlobalPage, home_frame: FrameNo, lines: usize) {
-        self.backend_mut().page_in(gpage, home_frame, lines);
-    }
-
-    /// See [`DirBackend::adopt`].
-    pub fn adopt(&mut self, gpage: GlobalPage, dir: PageDir) {
-        self.backend_mut().adopt(gpage, dir);
-    }
-
-    /// See [`DirBackend::page_out`].
-    pub fn page_out(&mut self, gpage: GlobalPage) -> Option<PageDir> {
-        self.backend_mut().page_out(gpage)
-    }
-
-    /// See [`DirBackend::page`] (canonical state).
-    pub fn page(&self, gpage: GlobalPage) -> Option<&PageDir> {
-        self.backend().page(gpage)
-    }
-
-    /// See [`DirBackend::read`] (replica-replayed state).
-    pub fn read(&mut self, reader: NodeId, gpage: GlobalPage) -> Option<&PageDir> {
-        self.backend_mut().read(reader, gpage)
-    }
-
-    /// See [`DirBackend::apply`].
-    pub fn apply(&mut self, gpage: GlobalPage, op: DirOp) {
-        self.backend_mut().apply(gpage, op);
-    }
-
-    /// See [`DirBackend::len`].
-    pub fn len(&self) -> usize {
-        self.backend().len()
-    }
-
-    /// See [`DirBackend::is_empty`].
-    pub fn is_empty(&self) -> bool {
-        self.backend().is_empty()
-    }
-
-    /// Iterates `(page, canonical state)` pairs (unspecified order).
-    pub fn iter(&self) -> Box<dyn Iterator<Item = (&GlobalPage, &PageDir)> + '_> {
-        match self {
-            DirStore::FullMap(d) => Box::new(d.iter()),
-            DirStore::LogReplicated(d) => Box::new(d.iter()),
-        }
-    }
-
-    /// Log-backend activity counters (all zero under the full map).
-    pub fn log_stats(&self) -> DirLogStats {
-        match self {
-            DirStore::FullMap(_) => DirLogStats::default(),
-            DirStore::LogReplicated(d) => d.stats(),
-        }
-    }
-
-    fn backend(&self) -> &dyn DirBackend {
-        match self {
-            DirStore::FullMap(d) => d,
-            DirStore::LogReplicated(d) => d,
-        }
-    }
-
-    fn backend_mut(&mut self) -> &mut dyn DirBackend {
-        match self {
-            DirStore::FullMap(d) => d,
-            DirStore::LogReplicated(d) => d,
-        }
     }
 }
 

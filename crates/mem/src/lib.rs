@@ -11,11 +11,8 @@
 //! * [`tags`] — 2-bit fine-grain tags for S-COMA frames.
 //! * [`pit`] — the Page Information Table with reverse-translation hints
 //!   and firewall capabilities.
-//! * [`directory`] — the home-node line directory (backend trait, the
-//!   full-map implementation, the [`directory::DirStore`] dispatcher)
-//!   plus the 8K-entry directory cache.
-//! * [`dir_log`] — the node-replicated directory backend: per-page
-//!   operation logs with lazily replayed per-node replicas.
+//! * [`directory`] — the home-node full-map line directory plus the
+//!   8K-entry directory cache.
 //! * [`frames`] — per-mode frame pools and utilization accounting.
 //! * [`page_table`] — node-private page tables and virtual→global
 //!   segment attachments.
@@ -32,7 +29,6 @@
 
 pub mod addr;
 pub mod cache;
-pub mod dir_log;
 pub mod directory;
 pub mod frames;
 pub mod mode;
@@ -47,5 +43,4 @@ pub use addr::{
     FrameNo, Geometry, GlobalLine, GlobalPage, Gsid, LineIdx, NodeId, NodeSet, PhysAddr, ProcId,
     VirtAddr,
 };
-pub use directory::DirectoryKind;
 pub use mode::FrameMode;

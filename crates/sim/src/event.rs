@@ -150,23 +150,6 @@ impl CounterRegistry {
         self.names.is_empty()
     }
 
-    /// Folds another registry with the same layout into this one,
-    /// adding counts index-by-index (used to merge per-worker registries
-    /// back into the authoritative one).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the registries were not registered identically.
-    pub fn merge(&mut self, other: &CounterRegistry) {
-        assert_eq!(
-            self.names, other.names,
-            "cannot merge counter registries with different layouts"
-        );
-        for (dst, src) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *dst += src;
-        }
-    }
-
     /// All counters as `(name, value)` pairs, in registration order.
     pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
         self.names
@@ -218,31 +201,6 @@ mod tests {
     #[should_panic(expected = "at least one event")]
     fn ring_rejects_zero_capacity() {
         let _ = EventRing::<u8>::new(0);
-    }
-
-    #[test]
-    fn registry_merge_adds_by_index() {
-        let mut a = CounterRegistry::new();
-        let mut b = CounterRegistry::new();
-        for reg in [&mut a, &mut b] {
-            reg.register("x");
-            reg.register("y");
-        }
-        a.add(0, 1);
-        b.add(0, 2);
-        b.add(1, 7);
-        a.merge(&b);
-        assert_eq!(a.snapshot(), vec![("x", 3), ("y", 7)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "different layouts")]
-    fn registry_merge_rejects_layout_mismatch() {
-        let mut a = CounterRegistry::new();
-        a.register("x");
-        let mut b = CounterRegistry::new();
-        b.register("y");
-        a.merge(&b);
     }
 
     #[test]

@@ -180,6 +180,10 @@ impl LockSet {
     }
 
     /// Processor `proc` tries to acquire lock `id` at `now`.
+    ///
+    /// Locks are not recursive. A holder that acquires its own lock
+    /// again queues behind itself like any other waiter and is never
+    /// granted it; the machine's run then ends in a deadlock error.
     pub fn acquire(&mut self, id: u32, proc: usize, now: Cycle) -> LockOutcome {
         self.acquisitions += 1;
         match self.locks.get_mut(&id) {
@@ -194,7 +198,6 @@ impl LockSet {
                 LockOutcome::Acquired { at: now }
             }
             Some(state) => {
-                debug_assert_ne!(state.holder, proc, "recursive lock {id} by {proc}");
                 self.contended += 1;
                 state.queue.push((proc, now));
                 LockOutcome::Queued

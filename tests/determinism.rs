@@ -3,7 +3,7 @@
 //!
 //! The fixtures under `tests/golden/` were captured from the
 //! pre-scheduler-refactor engine (linear-scan run loop, monolithic
-//! `Machine`), so any divergence here means the layered engine changed
+//! `Machine`), so any divergence here means the engine changed
 //! observable behavior, not just its internal structure.
 //!
 //! Regenerate fixtures (only after an *intentional* behavior change)
@@ -14,7 +14,6 @@
 //! ```
 
 use prism::kernel::migration::MigrationPolicy;
-use prism::kernel::policy::PagePolicy;
 use prism::machine::machine::Machine;
 use prism::machine::{FaultPlan, JournalPolicy};
 use prism::mem::addr::NodeId;
@@ -84,46 +83,6 @@ fn golden_ocean_faults() {
     check_golden("ocean_faults", &m.run(&trace).to_json());
 }
 
-/// The linear-scan baseline scheduler must reproduce the same golden
-/// fixtures as the default heap scheduler: the two run loops are
-/// observationally equivalent, which is what makes the A/B wall-clock
-/// comparison in the scaling bench meaningful.
-#[test]
-fn golden_lu_audit_linear_scan() {
-    let mut cfg = base_config();
-    cfg.scheduler = SchedulerKind::LinearScan;
-    let trace = app(AppId::Lu, Scale::Small).generate(8);
-    let json = Machine::new(cfg).run(&trace).to_json();
-    check_golden("lu_audit", &json);
-}
-
-/// Scheduler equivalence holds under faults too: the heap loop folds
-/// fault events, watchdog deadlines, and audit sweeps into its control
-/// heap, and must fire them at exactly the cycles the per-pick checks
-/// of the linear loop did.
-#[test]
-fn golden_ocean_faults_linear_scan() {
-    let mut cfg = base_config();
-    cfg.scheduler = SchedulerKind::LinearScan;
-    cfg.migration = Some(MigrationPolicy {
-        check_interval: 16,
-        min_traffic: 32,
-        dominance: 0.55,
-    });
-    cfg.journal = JournalPolicy::Eager {
-        record_cycles: 4,
-        replay_cycles_per_line: 24,
-    };
-    let trace = app(AppId::Ocean, Scale::Small).generate(8);
-    let plan = FaultPlan::new(0xFA117)
-        .link_faults(0.002, 0.0004)
-        .wedge_transit(NodeId(3), Cycle(60_000))
-        .fail_node(NodeId(2), Cycle(120_000));
-    let mut m = Machine::new(cfg);
-    m.install_fault_plan(plan).expect("fault plan validates");
-    check_golden("ocean_faults", &m.run(&trace).to_json());
-}
-
 /// Space-shared composition: two jobs with scoped barriers and per-job
 /// segment placement through `run_jobs`.
 #[test]
@@ -136,497 +95,45 @@ fn golden_composed_jobs() {
     check_golden("composed_jobs", &report.to_json());
 }
 
-/// The parallel scheduler must reproduce the same golden fixtures for
-/// every worker count. This fixture's config enables the coherence
-/// checker, which fails the parallel eligibility gate — locking in the
-/// other half of the `ParallelHeap` contract: ineligible configurations
-/// degrade to the exact serial heap loop.
+/// Three space-shared jobs under a mixed fault plan with eager
+/// journaling: a bounded link-drop/corrupt window, a slow-node episode,
+/// a wedged Transit line the watchdog recovers, and a scheduled node
+/// death. A two-node job supplies remote traffic for the faults to
+/// strike; two single-node jobs run beside it.
 #[test]
-fn golden_lu_audit_parallel_heap() {
-    for workers in [1, 2, 4] {
-        let mut cfg = base_config();
-        cfg.scheduler = SchedulerKind::ParallelHeap;
-        cfg.worker_threads = workers;
-        let trace = app(AppId::Lu, Scale::Small).generate(8);
-        let json = Machine::new(cfg).run(&trace).to_json();
-        check_golden("lu_audit", &json);
-    }
-}
-
-/// Scheduler equivalence under faults, migration, and journaling with
-/// the coherence checker on: the checker observes the global pick
-/// interleaving, so it (alone, since the footprint ledger admitted
-/// migration and friends) still fails the parallel eligibility gate
-/// and `ParallelHeap` must fall back to byte-identical serial
-/// execution.
-#[test]
-fn golden_ocean_faults_parallel_heap() {
-    for workers in [1, 2, 4] {
-        let mut cfg = base_config();
-        cfg.scheduler = SchedulerKind::ParallelHeap;
-        cfg.worker_threads = workers;
-        cfg.migration = Some(MigrationPolicy {
-            check_interval: 16,
-            min_traffic: 32,
-            dominance: 0.55,
-        });
-        cfg.journal = JournalPolicy::Eager {
-            record_cycles: 4,
-            replay_cycles_per_line: 24,
-        };
-        let trace = app(AppId::Ocean, Scale::Small).generate(8);
-        let plan = FaultPlan::new(0xFA117)
-            .link_faults(0.002, 0.0004)
-            .wedge_transit(NodeId(3), Cycle(60_000))
-            .fail_node(NodeId(2), Cycle(120_000));
-        let mut m = Machine::new(cfg);
-        m.install_fault_plan(plan).expect("fault plan validates");
-        check_golden("ocean_faults", &m.run(&trace).to_json());
-    }
-}
-
-/// An *eligible* configuration (no checker, no faults, no migration)
-/// where epochs actually form and run on worker threads: space-shared
-/// single-node jobs give every node its own conflict-free group, and
-/// the merged result must still be byte-identical to the serial heap
-/// schedule for every worker count — with periodic audit sweeps firing
-/// at the same cycles throughout.
-#[test]
-fn parallel_epochs_match_serial_heap() {
-    let eligible = |scheduler: SchedulerKind, workers: usize| {
-        let mut cfg = MachineConfig::builder()
-            .nodes(4)
-            .procs_per_node(2)
-            .l1_bytes(1024)
-            .l2_bytes(4096)
-            .audit_interval(Some(50_000))
-            .build();
-        cfg.scheduler = scheduler;
-        cfg.worker_threads = workers;
-        cfg
-    };
-    let jobs: Vec<_> = [AppId::Lu, AppId::WaterSpa, AppId::Radix, AppId::Fft]
-        .iter()
-        .map(|&a| app(a, Scale::Small).generate(2))
-        .collect();
-    let serial = Machine::new(eligible(SchedulerKind::Heap, 1))
-        .run_jobs(&jobs)
-        .to_json();
-    for workers in [1, 2, 4] {
-        let parallel = Machine::new(eligible(SchedulerKind::ParallelHeap, workers))
-            .run_jobs(&jobs)
-            .to_json();
-        assert_eq!(
-            parallel, serial,
-            "ParallelHeap with {workers} workers diverged from the serial heap schedule"
-        );
-    }
-}
-
-/// Fault-era epochs: the parallel gate no longer requires
-/// `fault.is_none()` / `journal.is_none()`, so an otherwise-eligible
-/// machine with an active fault plan — a bounded link-drop/corrupt
-/// window, a slow-node episode, a wedged Transit line the watchdog
-/// recovers, and a scheduled node death — plus eager journaling must
-/// still produce a byte-identical report at every worker count, while
-/// *actually forming epochs* once the link window closes. The job mix
-/// makes both sides real: a two-node job supplies remote traffic for
-/// the faults to strike, and two single-node jobs supply the disjoint
-/// groups epochs need.
-#[test]
-fn parallel_epochs_match_serial_heap_under_faults() {
-    let cfg = |scheduler: SchedulerKind, workers: usize| {
-        let mut cfg = MachineConfig::builder()
-            .nodes(4)
-            .procs_per_node(2)
-            .l1_bytes(1024)
-            .l2_bytes(4096)
-            .audit_interval(Some(50_000))
-            .build();
-        cfg.journal = JournalPolicy::Eager {
-            record_cycles: 4,
-            replay_cycles_per_line: 24,
-        };
-        cfg.scheduler = scheduler;
-        cfg.worker_threads = workers;
-        cfg
-    };
-    let jobs = || {
-        vec![
-            app(AppId::Ocean, Scale::Small).generate(4),
-            app(AppId::Radix, Scale::Small).generate(2),
-            app(AppId::Fft, Scale::Small).generate(2),
-        ]
-    };
-    let plan = || {
-        FaultPlan::new(0xFA117)
-            .link_fault_window(Cycle::ZERO, Cycle(4_000), 0.01, 0.002)
-            .slow_node(NodeId(0), Cycle(4_000), Cycle(12_000), 3)
-            .wedge_transit(NodeId(1), Cycle(8_000))
-            .fail_node(NodeId(3), Cycle(20_000))
-    };
-    let run = |scheduler, workers| {
-        let mut m = Machine::new(cfg(scheduler, workers));
-        m.install_fault_plan(plan()).expect("fault plan validates");
-        m.run_jobs(&jobs())
-    };
-    let serial = run(SchedulerKind::Heap, 1);
-    assert_eq!(serial.fault.node_failures, 1, "the node death must land");
-    assert_eq!(serial.fault.transit_wedges, 1, "the wedge must land");
-    check_golden("mixed_faults", &serial.to_json());
-    for workers in [1, 2, 4] {
-        let par = run(SchedulerKind::ParallelHeap, workers);
-        assert_eq!(
-            par.to_json(),
-            serial.to_json(),
-            "ParallelHeap with {workers} workers diverged under the fault plan"
-        );
-        assert!(
-            par.parallel_fallback
-                .count(prism::machine::ParallelFallbackReason::LinkFaultWindowActive)
-                > 0,
-            "picks inside the open link window must serialize"
-        );
-    }
-}
-
-/// Epochs must *actually form* under an active fault plan, not just
-/// stay correct: space-shared single-node jobs give every node a
-/// disjoint group, and a bounded link window plus a slow-node episode
-/// plus a scheduled node death leave plenty of fault-free room. The
-/// hostile mix above proves byte-equality when faults and conflicts
-/// overlap; this one proves the gate is per-feature — parallelism
-/// resumes once the link window closes, and the death serializes only
-/// the groups whose footprints touch the dead node.
-#[test]
-fn parallel_epochs_form_under_bounded_faults() {
-    use prism::machine::ParallelFallbackReason;
-    let cfg = |scheduler: SchedulerKind, workers: usize| {
-        let mut cfg = MachineConfig::builder()
-            .nodes(4)
-            .procs_per_node(2)
-            .l1_bytes(1024)
-            .l2_bytes(4096)
-            .audit_interval(Some(50_000))
-            .build();
-        cfg.journal = JournalPolicy::Eager {
-            record_cycles: 4,
-            replay_cycles_per_line: 24,
-        };
-        cfg.scheduler = scheduler;
-        cfg.worker_threads = workers;
-        cfg
-    };
-    let jobs: Vec<_> = [AppId::Lu, AppId::WaterSpa, AppId::Radix, AppId::Fft]
-        .iter()
-        .map(|&a| app(a, Scale::Small).generate(2))
-        .collect();
-    let plan = || {
-        FaultPlan::new(0xFA117)
-            .link_fault_window(Cycle::ZERO, Cycle(2_000), 0.01, 0.002)
-            .slow_node(NodeId(1), Cycle(2_000), Cycle(6_000), 2)
-            .fail_node(NodeId(3), Cycle(10_000))
-    };
-    let run = |scheduler, workers| {
-        let mut m = Machine::new(cfg(scheduler, workers));
-        m.install_fault_plan(plan()).expect("fault plan validates");
-        m.run_jobs(&jobs)
-    };
-    let serial = run(SchedulerKind::Heap, 1);
-    assert_eq!(serial.fault.node_failures, 1, "the node death must land");
-    for workers in [1, 2, 4] {
-        let par = run(SchedulerKind::ParallelHeap, workers);
-        assert_eq!(
-            par.to_json(),
-            serial.to_json(),
-            "ParallelHeap with {workers} workers diverged under the fault plan"
-        );
-        assert!(
-            par.parallel_fallback.epochs > 0,
-            "epochs must form between the fault episodes \
-             ({workers} workers ran fully serial)"
-        );
-        assert!(
-            par.parallel_fallback
-                .count(ParallelFallbackReason::LinkFaultWindowActive)
-                > 0,
-            "picks inside the open link window must serialize"
-        );
-    }
-}
-
-/// Shared scaffolding for the newly epoch-eligible feature configs:
-/// one job spanning two nodes (it supplies the cross-node traffic the
-/// feature under test needs) plus two single-node jobs (they supply
-/// the disjoint groups epochs need). `min_epoch_span` is dropped to a
-/// few dozen cycles so thin epochs form even around the shared job's
-/// conflicts — byte-identity must hold at any knob value.
-fn feature_cfg(scheduler: SchedulerKind, workers: usize) -> MachineConfig {
+fn golden_mixed_faults() {
     let mut cfg = MachineConfig::builder()
         .nodes(4)
         .procs_per_node(2)
         .l1_bytes(1024)
         .l2_bytes(4096)
-        .min_epoch_span(64)
+        .audit_interval(Some(50_000))
         .build();
-    cfg.scheduler = scheduler;
-    cfg.worker_threads = workers;
-    cfg
-}
-
-fn feature_jobs() -> Vec<prism::mem::trace::Trace> {
-    vec![
-        app(AppId::Ocean, Scale::Small).generate(4),
-        app(AppId::Radix, Scale::Small).generate(2),
-        app(AppId::Fft, Scale::Small).generate(2),
-    ]
-}
-
-/// Runs one newly eligible feature config on the serial heap and on
-/// `ParallelHeap` at 1/2/4 workers, asserting byte-identical reports,
-/// that real epochs formed, that the structural gate never fired, and
-/// that the persistent window cursors actually served scans.
-fn check_feature_epochs(label: &str, tweak: impl Fn(&mut MachineConfig)) -> RunReport {
-    use prism::machine::ParallelFallbackReason;
-    let run = |scheduler, workers| {
-        let mut cfg = feature_cfg(scheduler, workers);
-        tweak(&mut cfg);
-        Machine::new(cfg).run_jobs(&feature_jobs())
-    };
-    let serial = run(SchedulerKind::Heap, 1);
-    for workers in [1, 2, 4] {
-        let par = run(SchedulerKind::ParallelHeap, workers);
-        assert_eq!(
-            par.to_json(),
-            serial.to_json(),
-            "ParallelHeap with {workers} workers diverged from the serial heap on {label}"
-        );
-        assert!(
-            par.parallel_fallback.epochs > 0,
-            "no epochs formed on {label} with {workers} workers"
-        );
-        assert_eq!(
-            par.parallel_fallback
-                .count(ParallelFallbackReason::IneligibleConfig),
-            0,
-            "{label} must not trip the structural eligibility gate"
-        );
-        assert!(
-            par.parallel_fallback.cursor_hits > 0,
-            "persistent cursors served no scans on {label} with {workers} workers"
-        );
-    }
-    serial
-}
-
-/// Migration-enabled runs now form real epochs: the footprint closes
-/// over the traffic ledger's prospective migration targets, so a page
-/// re-mastered inside an epoch stays a group-local event. The serial
-/// report proves migrations actually happened.
-#[test]
-fn parallel_epochs_match_serial_heap_with_migration() {
-    let serial = check_feature_epochs("migration", |cfg| {
-        cfg.migration = Some(MigrationPolicy {
-            check_interval: 16,
-            min_traffic: 32,
-            dominance: 0.55,
-        });
-    });
-    assert!(
-        serial.migrations > 0,
-        "the migration policy must actually re-master pages"
-    );
-}
-
-/// Page-cache-capped runs now form real epochs: the node fill closure
-/// covers eviction victims' homes, so a client page-out inside an
-/// epoch flushes within the group's own footprint. The serial report
-/// proves evictions actually happened.
-#[test]
-fn parallel_epochs_match_serial_heap_with_page_cache_cap() {
-    let serial = check_feature_epochs("page-cache cap", |cfg| {
-        cfg.page_cache_capacity = Some(1);
-    });
-    assert!(
-        serial.page_outs > 0,
-        "the page-cache cap must actually force client page-outs"
-    );
-}
-
-/// LA-NUMA runs now form real epochs: the node fill closure covers
-/// imaginary-frame write-back owners, so an L2 eviction posting a
-/// dirty line to a remote home stays inside the group's footprint. The
-/// serial report proves remote write-backs actually happened.
-#[test]
-fn parallel_epochs_match_serial_heap_with_lanuma() {
-    let serial = check_feature_epochs("LA-NUMA", |cfg| {
-        cfg.policy = PagePolicy::Lanuma;
-    });
-    assert!(
-        serial.remote_writebacks > 0,
-        "the LA-NUMA policy must actually post remote write-backs"
-    );
-}
-
-/// The debug report must name every fallback reason —
-/// `ParallelFallbackReason::ALL` is compile-time-checked for
-/// exhaustiveness, and this locks the emission side: a new variant
-/// cannot silently vanish from `to_json_debug`. Also pins the cursor
-/// and epoch-histogram fields the perf-smoke CI job parses.
-#[test]
-fn debug_report_names_every_fallback_reason() {
-    use prism::machine::ParallelFallbackReason;
-    let mut cfg = feature_cfg(SchedulerKind::ParallelHeap, 2);
-    cfg.migration = Some(MigrationPolicy {
-        check_interval: 16,
-        min_traffic: 32,
-        dominance: 0.55,
-    });
-    let json = Machine::new(cfg).run_jobs(&feature_jobs()).to_json_debug();
-    for reason in ParallelFallbackReason::ALL {
-        assert!(
-            json.contains(&format!("\"{}\":", reason.name())),
-            "to_json_debug lost fallback reason `{}`",
-            reason.name()
-        );
-    }
-    for field in [
-        "\"policy\":",
-        "\"epoch_groups\":",
-        "\"cursor_hits\":",
-        "\"cursor_misses\":",
-        "\"cursor_invalidations\":",
-    ] {
-        assert!(json.contains(field), "to_json_debug lost field {field}");
-    }
-}
-
-/// Every page mode × every scheduler in the grid: the log-replicated
-/// directory backend must reproduce the full-map backend's `RunReport`
-/// byte for byte. The job mix spans two-node sharing plus single-node
-/// jobs, and the tight page-cache cap forces client page-outs so the
-/// eviction/write-back directory paths are exercised under all six
-/// policies.
-#[test]
-fn log_replicated_directory_matches_full_map_everywhere() {
-    let schedules = [
-        (SchedulerKind::Heap, 1),
-        (SchedulerKind::LinearScan, 1),
-        (SchedulerKind::ParallelHeap, 1),
-        (SchedulerKind::ParallelHeap, 2),
-        (SchedulerKind::ParallelHeap, 4),
-    ];
-    let policies = [
-        PagePolicy::Scoma,
-        PagePolicy::Lanuma,
-        PagePolicy::DynFcfs,
-        PagePolicy::DynUtil,
-        PagePolicy::DynLru,
-        PagePolicy::DynBoth,
-    ];
-    for policy in policies {
-        for (scheduler, workers) in schedules {
-            let run = |directory| {
-                let mut cfg = feature_cfg(scheduler, workers);
-                cfg.policy = policy;
-                cfg.page_cache_capacity = Some(2);
-                cfg.directory = directory;
-                Machine::new(cfg).run_jobs(&feature_jobs()).to_json()
-            };
-            assert_eq!(
-                run(DirectoryKind::FullMap),
-                run(DirectoryKind::LogReplicated),
-                "directory backends diverged under {policy:?} / {scheduler:?} x{workers}"
-            );
-        }
-    }
-}
-
-/// The log backend must also track the full map through faults,
-/// migration re-mastering, journaling, watchdog recovery, and home
-/// failover — the paths that detach, scrub, and re-adopt directory
-/// state. Byte-equality is asserted across the whole scheduler grid.
-#[test]
-fn log_replicated_directory_matches_full_map_under_faults() {
-    let schedules = [
-        (SchedulerKind::Heap, 1),
-        (SchedulerKind::LinearScan, 1),
-        (SchedulerKind::ParallelHeap, 1),
-        (SchedulerKind::ParallelHeap, 2),
-        (SchedulerKind::ParallelHeap, 4),
-    ];
-    for (scheduler, workers) in schedules {
-        let run = |directory| {
-            let mut cfg = base_config();
-            cfg.scheduler = scheduler;
-            cfg.worker_threads = workers;
-            cfg.directory = directory;
-            cfg.migration = Some(MigrationPolicy {
-                check_interval: 16,
-                min_traffic: 32,
-                dominance: 0.55,
-            });
-            cfg.journal = JournalPolicy::Eager {
-                record_cycles: 4,
-                replay_cycles_per_line: 24,
-            };
-            let trace = app(AppId::Ocean, Scale::Small).generate(8);
-            let plan = FaultPlan::new(0xFA117)
-                .link_faults(0.002, 0.0004)
-                .wedge_transit(NodeId(3), Cycle(60_000))
-                .fail_node(NodeId(2), Cycle(120_000));
-            let mut m = Machine::new(cfg);
-            m.install_fault_plan(plan).expect("fault plan validates");
-            m.run(&trace).to_json()
-        };
-        assert_eq!(
-            run(DirectoryKind::FullMap),
-            run(DirectoryKind::LogReplicated),
-            "directory backends diverged under faults on {scheduler:?} x{workers}"
-        );
-    }
-}
-
-/// Goldens for the log backend: it must reproduce the *same* fixtures
-/// the full map is held to (`lu_audit`, `ocean_faults`), which pins the
-/// new backend against recorded history, not just against today's full
-/// map. Re-bless (after an intentional behavior change only) with
-/// `GOLDEN_BLESS=1 cargo test --test determinism` — the fixtures are
-/// shared, so a re-bless re-validates both backends.
-#[test]
-fn golden_fixtures_hold_under_log_replicated_directory() {
-    let mut cfg = base_config();
-    cfg.directory = DirectoryKind::LogReplicated;
-    let trace = app(AppId::Lu, Scale::Small).generate(8);
-    check_golden("lu_audit", &Machine::new(cfg).run(&trace).to_json());
-
-    let mut cfg = base_config();
-    cfg.directory = DirectoryKind::LogReplicated;
-    cfg.migration = Some(MigrationPolicy {
-        check_interval: 16,
-        min_traffic: 32,
-        dominance: 0.55,
-    });
     cfg.journal = JournalPolicy::Eager {
         record_cycles: 4,
         replay_cycles_per_line: 24,
     };
-    let trace = app(AppId::Ocean, Scale::Small).generate(8);
+    let jobs = vec![
+        app(AppId::Ocean, Scale::Small).generate(4),
+        app(AppId::Radix, Scale::Small).generate(2),
+        app(AppId::Fft, Scale::Small).generate(2),
+    ];
     let plan = FaultPlan::new(0xFA117)
-        .link_faults(0.002, 0.0004)
-        .wedge_transit(NodeId(3), Cycle(60_000))
-        .fail_node(NodeId(2), Cycle(120_000));
+        .link_fault_window(Cycle::ZERO, Cycle(4_000), 0.01, 0.002)
+        .slow_node(NodeId(0), Cycle(4_000), Cycle(12_000), 3)
+        .wedge_transit(NodeId(1), Cycle(8_000))
+        .fail_node(NodeId(3), Cycle(20_000));
     let mut m = Machine::new(cfg);
     m.install_fault_plan(plan).expect("fault plan validates");
-    check_golden("ocean_faults", &m.run(&trace).to_json());
+    let report = m.run_jobs(&jobs);
+    assert_eq!(report.fault.node_failures, 1, "the node death must land");
+    assert_eq!(report.fault.transit_wedges, 1, "the wedge must land");
+    check_golden("mixed_faults", &report.to_json());
 }
 
-/// Locks the report contract the differential wall relies on: the plain
-/// `to_json` is backend-invariant (the log backend's counters live only
-/// in the debug variant), `to_json_debug` strictly extends the plain
-/// report, and the debug `dir_counters` block carries the named `Ctr`
-/// entries — zero log activity under `FullMap`, nonzero under
-/// `LogReplicated`.
+/// `to_json_debug` strictly extends the plain report with the
+/// machine-wide `dir_counters` block, which the plain report leaves out;
+/// its directory-cache totals are the per-node figures summed.
 #[test]
 fn dir_counters_live_only_in_debug_report() {
     let ctr = |json: &str, name: &str| -> u64 {
@@ -639,60 +146,27 @@ fn dir_counters_live_only_in_debug_report() {
             .parse()
             .expect("counter value")
     };
-    let run = |directory| {
-        let mut cfg = base_config();
-        cfg.directory = directory;
-        let trace = app(AppId::Lu, Scale::Small).generate(8);
-        let r = Machine::new(cfg).run(&trace);
-        (r.to_json(), r.to_json_debug())
-    };
-    let (full_plain, full_debug) = run(DirectoryKind::FullMap);
-    let (log_plain, log_debug) = run(DirectoryKind::LogReplicated);
-    assert_eq!(
-        full_plain, log_plain,
-        "plain to_json must be backend-invariant"
-    );
-    for (plain, debug) in [(&full_plain, &full_debug), (&log_plain, &log_debug)] {
-        assert!(
-            !plain.contains("dir_counters"),
-            "plain report leaked dir_counters"
-        );
-        assert!(
-            debug.starts_with(&plain[..plain.len() - 1]),
-            "to_json_debug must extend to_json"
-        );
-    }
-    for name in [
-        "dir-cache-hits",
-        "dir-cache-misses",
-        "dir-log-appends",
-        "dir-log-combined-appends",
-        "dir-log-replays",
-        "dir-log-compactions",
-    ] {
-        assert!(
-            full_debug.contains(&format!("\"{name}\":")),
-            "debug report lost counter {name}"
-        );
-    }
-    assert_eq!(
-        ctr(&full_debug, "dir-log-appends"),
-        0,
-        "full map never appends"
+    let trace = app(AppId::Lu, Scale::Small).generate(8);
+    let r = Machine::new(base_config()).run(&trace);
+    let (plain, debug) = (r.to_json(), r.to_json_debug());
+    assert!(
+        !plain.contains("dir_counters"),
+        "plain report leaked dir_counters"
     );
     assert!(
-        ctr(&log_debug, "dir-log-appends") > 0,
-        "log backend must append"
+        debug.starts_with(&plain[..plain.len() - 1]),
+        "to_json_debug must extend to_json"
     );
-    assert!(
-        ctr(&log_debug, "dir-log-replays") > 0,
-        "replicas must replay"
-    );
-    assert_eq!(
-        ctr(&full_debug, "dir-cache-hits") + ctr(&full_debug, "dir-cache-misses"),
-        ctr(&log_debug, "dir-cache-hits") + ctr(&log_debug, "dir-cache-misses"),
-        "directory-cache probes are backend-invariant"
-    );
+    assert!(debug.ends_with(&format!(
+        ",\"dir_counters\":{{\"dir-cache-hits\":{},\"dir-cache-misses\":{}}}}}",
+        ctr(&debug, "dir-cache-hits"),
+        ctr(&debug, "dir-cache-misses")
+    )));
+    let hits: u64 = r.per_node.iter().map(|n| n.dir_cache_hits).sum();
+    let misses: u64 = r.per_node.iter().map(|n| n.dir_cache_misses).sum();
+    assert!(hits + misses > 0, "the run must probe directory caches");
+    assert_eq!(ctr(&debug, "dir-cache-hits"), hits);
+    assert_eq!(ctr(&debug, "dir-cache-misses"), misses);
 }
 
 /// Sampled and incremental audit sweeps must themselves be
