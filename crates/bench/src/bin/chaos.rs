@@ -96,10 +96,6 @@ fn main() -> ExitCode {
     for (policy, count) in &outcome.policy_coverage {
         println!("  {policy:<10} {count} cases");
     }
-    println!("completed runs per scheduler:");
-    for (sched, count) in &outcome.scheduler_runs {
-        println!("  {sched:<14} {count}");
-    }
 
     write_bench_json(JSON_FILE, &outcome.to_json(cfg.seed));
 

@@ -24,6 +24,7 @@ use prism_core::machine::machine::Machine;
 use prism_core::machine::{FaultPlan, JournalPolicy, RetryPolicy};
 use prism_core::mem::addr::{NodeId, VirtAddr};
 use prism_core::mem::trace::{Op, SegmentSpec, Trace, SHARED_BASE};
+use prism_core::sim::json::Json;
 use prism_core::sim::Cycle;
 use prism_core::{MachineConfig, RunReport};
 use prism_workloads::{app, AppId, Scale};
@@ -152,8 +153,7 @@ fn main() {
     // ── Recovery cost: journaling, failover, and the watchdog ───────
     let recovery = recovery_section(&trace);
 
-    let json = render_json(&cells, &recovery);
-    prism_bench::write_bench_json(JSON_FILE, &json);
+    prism_bench::write_bench_json(JSON_FILE, &render_json(&cells, &recovery));
 
     println!(
         "\nWith one attempt every perturbed message is fatal; already the first\n\
@@ -213,51 +213,37 @@ fn recovery_section(app_trace: &Trace) -> Vec<RecoveryCounts> {
     rows
 }
 
-/// Hand-rolled JSON (the workspace is dependency-free by design). All
-/// values are integers or exact short floats, so no escaping is needed.
-fn render_json(cells: &[SweepCell], recovery: &[RecoveryCounts]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"fault_sweep\",\n");
-    out.push_str(&format!(
-        "  \"workload\": \"ocean/small\",\n  \"seed\": {SEED},\n  \"link_sweep\": [\n"
-    ));
-    for (i, c) in cells.iter().enumerate() {
-        let slowdown = match c.slowdown_pct {
-            Some(s) => format!("{s:.3}"),
-            None => "null".into(),
-        };
-        out.push_str(&format!(
-            "    {{\"drop_rate\": {}, \"retry_budget\": {}, \"dead_procs\": {}, \
-             \"retries\": {}, \"comparable\": {}, \"slowdown_pct\": {}, \
-             \"cycles_per_ref\": {:.4}}}{}\n",
-            c.drop_rate,
-            c.budget,
-            c.dead_procs,
-            c.retries,
-            c.dead_procs == 0,
-            slowdown,
-            c.cycles_per_ref,
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"recovery\": [\n");
-    for (i, r) in recovery.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"recovered_lines\": {}, \"stranded_lines\": {}, \
-             \"abandoned\": {}, \"journal_replay_cycles\": {}, \"journal_records\": {}, \
-             \"dead_procs\": {}, \"audit_findings\": {}}}{}\n",
-            r.scenario,
-            r.recovered,
-            r.stranded,
-            r.abandoned,
-            r.replay_cycles,
-            r.journal_records,
-            r.dead_procs,
-            r.audit_findings,
-            if i + 1 < recovery.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+fn render_json(cells: &[SweepCell], recovery: &[RecoveryCounts]) -> Json {
+    let link_sweep = cells.iter().map(|c| {
+        Json::obj([
+            ("drop_rate", c.drop_rate.into()),
+            ("retry_budget", u64::from(c.budget).into()),
+            ("dead_procs", c.dead_procs.into()),
+            ("retries", c.retries.into()),
+            ("comparable", (c.dead_procs == 0).into()),
+            ("slowdown_pct", c.slowdown_pct.into()),
+            ("cycles_per_ref", c.cycles_per_ref.into()),
+        ])
+    });
+    let recovery = recovery.iter().map(|r| {
+        Json::obj([
+            ("scenario", r.scenario.into()),
+            ("recovered_lines", r.recovered.into()),
+            ("stranded_lines", r.stranded.into()),
+            ("abandoned", r.abandoned.into()),
+            ("journal_replay_cycles", r.replay_cycles.into()),
+            ("journal_records", r.journal_records.into()),
+            ("dead_procs", r.dead_procs.into()),
+            ("audit_findings", r.audit_findings.into()),
+        ])
+    });
+    Json::obj([
+        ("bench", "fault_sweep".into()),
+        ("workload", "ocean/small".into()),
+        ("seed", SEED.into()),
+        ("link_sweep", Json::Arr(link_sweep.collect())),
+        ("recovery", Json::Arr(recovery.collect())),
+    ])
 }
 
 /// One shared page (static home: node 0). Node 2's writes pull the

@@ -9,6 +9,7 @@
 
 use std::time::Instant;
 
+use prism_core::sim::json::Json;
 use prism_core::{MachineConfig, PolicyKind, Simulation};
 use prism_workloads::{app, AppId, Scale};
 
@@ -91,23 +92,20 @@ fn main() {
     prism_bench::write_bench_json(JSON_FILE, &render_json(id, &rows));
 }
 
-fn render_json(id: AppId, rows: &[SizeRow]) -> String {
-    let mut o = String::from("{\n");
-    o.push_str(&format!("  \"workload\": \"{id}\",\n"));
-    o.push_str("  \"procs_per_node\": 4,\n  \"sizes\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        o.push_str(&format!(
-            "    {{\"nodes\": {}, \"procs\": {}, \"scoma_cycles\": {}, \"lanuma_cycles\": {}, \
-             \"scoma_wall_ms\": {:.3}, \"lanuma_wall_ms\": {:.3}}}{}\n",
-            r.nodes,
-            r.nodes * 4,
-            r.scoma_cycles,
-            r.lanuma_cycles,
-            r.scoma_wall_ms,
-            r.lanuma_wall_ms,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    o.push_str("  ]\n}");
-    o
+fn render_json(id: AppId, rows: &[SizeRow]) -> Json {
+    let sizes = rows.iter().map(|r| {
+        Json::obj([
+            ("nodes", r.nodes.into()),
+            ("procs", (r.nodes * 4).into()),
+            ("scoma_cycles", r.scoma_cycles.into()),
+            ("lanuma_cycles", r.lanuma_cycles.into()),
+            ("scoma_wall_ms", r.scoma_wall_ms.into()),
+            ("lanuma_wall_ms", r.lanuma_wall_ms.into()),
+        ])
+    });
+    Json::obj([
+        ("workload", id.to_string().into()),
+        ("procs_per_node", 4u64.into()),
+        ("sizes", Json::Arr(sizes.collect())),
+    ])
 }

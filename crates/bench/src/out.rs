@@ -8,6 +8,8 @@
 
 use std::path::{Path, PathBuf};
 
+use prism_core::sim::json::Json;
+
 /// Resolves the output path for a bench artifact: `$PRISM_BENCH_OUT_DIR/file`
 /// when the variable is set (the directory is created if missing),
 /// otherwise `file` in the current directory.
@@ -24,12 +26,13 @@ pub fn bench_out(file: &str) -> PathBuf {
     }
 }
 
-/// Writes a bench JSON artifact to [`bench_out`]`(file)` and reports the
-/// final path on stdout. Write failures are reported, not fatal — the
-/// human-readable tables on stdout are the primary output.
-pub fn write_bench_json(file: &str, json: &str) {
+/// Writes a bench JSON artifact to [`bench_out`]`(file)`, rendered
+/// compactly by [`prism_core::sim::json`] with a final newline, and
+/// reports the final path on stdout. Write failures are reported, not
+/// fatal — the human-readable tables on stdout are the primary output.
+pub fn write_bench_json(file: &str, json: &Json) {
     let path = bench_out(file);
-    match std::fs::write(&path, json) {
+    match std::fs::write(&path, format!("{json}\n")) {
         Ok(()) => println!("\nwrote {}", path.display()),
         Err(e) => println!("\ncould not write {}: {e}", path.display()),
     }

@@ -16,14 +16,14 @@
 
 use prism_kernel::migration::MigrationPolicy;
 use prism_kernel::policy::PagePolicy;
-use prism_machine::config::{AuditMode, MachineConfig};
+use prism_machine::config::MachineConfig;
 use prism_machine::faults::{FaultPlan, JournalPolicy, RetryPolicy};
 use prism_mem::addr::NodeId;
 use prism_mem::trace::Trace;
 use prism_sim::{Cycle, SimRng};
 use prism_workloads::{Synthetic, Workload};
 
-use crate::json::{quote, Json};
+use prism_sim::json::Json;
 
 /// The six page modes a campaign must span, in round-robin order.
 pub const ALL_POLICIES: [PagePolicy; 6] = [
@@ -113,27 +113,6 @@ impl WorkloadSpec {
             }
         };
         w.with_seed(self.seed).generate(procs)
-    }
-}
-
-/// The auditor scope knob, as plain serializable data.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum AuditModeSpec {
-    /// Exhaustive sweep.
-    Full,
-    /// Pseudo-random subset per sweep.
-    Sampled(f64),
-    /// Dirty pages only.
-    Incremental,
-}
-
-impl AuditModeSpec {
-    fn to_audit_mode(self) -> AuditMode {
-        match self {
-            AuditModeSpec::Full => AuditMode::Full,
-            AuditModeSpec::Sampled(fraction) => AuditMode::Sampled { fraction },
-            AuditModeSpec::Incremental => AuditMode::Incremental,
-        }
     }
 }
 
@@ -298,8 +277,6 @@ pub struct CaseSpec {
     pub check_coherence: bool,
     /// Online auditor sweep interval (None = end-of-run only).
     pub audit_interval: Option<u64>,
-    /// Auditor per-sweep scope.
-    pub audit_mode: AuditModeSpec,
     /// Message retry policy.
     pub retry: RetryPolicy,
     /// Eager write-back journaling on/off.
@@ -359,7 +336,6 @@ impl CaseSpec {
             .migration(migration)
             .check_coherence(self.check_coherence)
             .audit_interval(self.audit_interval)
-            .audit_mode(self.audit_mode.to_audit_mode())
             .retry(self.retry)
             .journal(if self.journal_eager {
                 JournalPolicy::eager()
@@ -395,11 +371,6 @@ impl CaseSpec {
             Some(1_000 + rng.gen_range(0..20_000))
         } else {
             None
-        };
-        let audit_mode = match rng.gen_index(5) {
-            0 => AuditModeSpec::Incremental,
-            1 => AuditModeSpec::Sampled(0.25 + 0.25 * rng.gen_index(3) as f64),
-            _ => AuditModeSpec::Full,
         };
         let retry = RetryPolicy {
             max_attempts: 1 + rng.gen_index(8) as u32,
@@ -482,7 +453,6 @@ impl CaseSpec {
             migration,
             check_coherence,
             audit_interval,
-            audit_mode,
             retry,
             journal_eager,
             watchdog_deadline,
@@ -495,109 +465,72 @@ impl CaseSpec {
     }
 
     /// Serializes the spec as a JSON object.
-    pub fn to_json(&self) -> String {
-        let mut o = String::from("{");
-        let mut field = |key: &str, val: String| {
-            o.push_str(&format!("{}:{},", quote(key), val));
-        };
-        field("campaign_seed", self.campaign_seed.to_string());
-        field("index", self.index.to_string());
-        field("nodes", self.nodes.to_string());
-        field("procs_per_node", self.procs_per_node.to_string());
-        field("policy", quote(policy_name(self.policy)));
-        field("l1_bytes", self.l1_bytes.to_string());
-        field("l2_bytes", self.l2_bytes.to_string());
-        field(
-            "page_cache_capacity",
-            match self.page_cache_capacity {
-                Some(n) => n.to_string(),
-                None => "null".into(),
-            },
-        );
-        field("migration", self.migration.to_string());
-        field("check_coherence", self.check_coherence.to_string());
-        field(
-            "audit_interval",
-            match self.audit_interval {
-                Some(n) => n.to_string(),
-                None => "null".into(),
-            },
-        );
-        let (mode, fraction) = match self.audit_mode {
-            AuditModeSpec::Full => ("full", 0.0),
-            AuditModeSpec::Sampled(f) => ("sampled", f),
-            AuditModeSpec::Incremental => ("incremental", 0.0),
-        };
-        field("audit_mode", quote(mode));
-        field("audit_fraction", format!("{fraction}"));
-        field(
-            "retry",
-            format!(
-                "{{\"max_attempts\":{},\"timeout_cycles\":{},\"backoff\":{}}}",
-                self.retry.max_attempts, self.retry.timeout_cycles, self.retry.backoff
+    pub fn to_json(&self) -> Json {
+        let windows = self.faults.link_windows.iter().map(|w| {
+            Json::obj([
+                ("from", w.from.into()),
+                ("until", w.until.into()),
+                ("drop_prob", w.drop_prob.into()),
+                ("corrupt_prob", w.corrupt_prob.into()),
+            ])
+        });
+        let slows = self.faults.slow_episodes.iter().map(|s| {
+            Json::obj([
+                ("node", u64::from(s.node).into()),
+                ("from", s.from.into()),
+                ("until", s.until.into()),
+                ("factor", s.factor.into()),
+            ])
+        });
+        let events = self.faults.events.iter().map(|e| {
+            Json::obj([
+                ("kind", e.kind.name().into()),
+                ("node", u64::from(e.node).into()),
+                ("at", e.at.into()),
+            ])
+        });
+        Json::obj([
+            ("campaign_seed", self.campaign_seed.into()),
+            ("index", self.index.into()),
+            ("nodes", self.nodes.into()),
+            ("procs_per_node", self.procs_per_node.into()),
+            ("policy", policy_name(self.policy).into()),
+            ("l1_bytes", self.l1_bytes.into()),
+            ("l2_bytes", self.l2_bytes.into()),
+            ("page_cache_capacity", self.page_cache_capacity.into()),
+            ("migration", self.migration.into()),
+            ("check_coherence", self.check_coherence.into()),
+            ("audit_interval", self.audit_interval.into()),
+            (
+                "retry",
+                Json::obj([
+                    ("max_attempts", u64::from(self.retry.max_attempts).into()),
+                    ("timeout_cycles", self.retry.timeout_cycles.into()),
+                    ("backoff", self.retry.backoff.into()),
+                ]),
             ),
-        );
-        field("journal_eager", self.journal_eager.to_string());
-        field("watchdog_deadline", self.watchdog_deadline.to_string());
-        field("jobs", self.jobs.to_string());
-        field(
-            "workload",
-            format!(
-                "{{\"kind\":{},\"bytes\":{},\"refs_per_proc\":{},\"seed\":{}}}",
-                quote(self.workload.kind.name()),
-                self.workload.bytes,
-                self.workload.refs_per_proc,
-                self.workload.seed
+            ("journal_eager", self.journal_eager.into()),
+            ("watchdog_deadline", self.watchdog_deadline.into()),
+            ("jobs", self.jobs.into()),
+            (
+                "workload",
+                Json::obj([
+                    ("kind", self.workload.kind.name().into()),
+                    ("bytes", self.workload.bytes.into()),
+                    ("refs_per_proc", self.workload.refs_per_proc.into()),
+                    ("seed", self.workload.seed.into()),
+                ]),
             ),
-        );
-        let windows: Vec<String> = self
-            .faults
-            .link_windows
-            .iter()
-            .map(|w| {
-                format!(
-                    "{{\"from\":{},\"until\":{},\"drop_prob\":{},\"corrupt_prob\":{}}}",
-                    w.from, w.until, w.drop_prob, w.corrupt_prob
-                )
-            })
-            .collect();
-        let slows: Vec<String> = self
-            .faults
-            .slow_episodes
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"node\":{},\"from\":{},\"until\":{},\"factor\":{}}}",
-                    s.node, s.from, s.until, s.factor
-                )
-            })
-            .collect();
-        let events: Vec<String> = self
-            .faults
-            .events
-            .iter()
-            .map(|e| {
-                format!(
-                    "{{\"kind\":{},\"node\":{},\"at\":{}}}",
-                    quote(e.kind.name()),
-                    e.node,
-                    e.at
-                )
-            })
-            .collect();
-        field(
-            "faults",
-            format!(
-                "{{\"seed\":{},\"link_windows\":[{}],\"slow_episodes\":[{}],\"events\":[{}]}}",
-                self.faults.seed,
-                windows.join(","),
-                slows.join(","),
-                events.join(",")
+            (
+                "faults",
+                Json::obj([
+                    ("seed", self.faults.seed.into()),
+                    ("link_windows", Json::Arr(windows.collect())),
+                    ("slow_episodes", Json::Arr(slows.collect())),
+                    ("events", Json::Arr(events.collect())),
+                ]),
             ),
-        );
-        o.pop();
-        o.push('}');
-        o
+        ])
     }
 
     /// Rebuilds a spec from a parsed JSON object.
@@ -625,16 +558,6 @@ impl CaseSpec {
             }
         }
 
-        let audit_mode = match req(v, "audit_mode")?.as_str() {
-            Some("full") => AuditModeSpec::Full,
-            Some("incremental") => AuditModeSpec::Incremental,
-            Some("sampled") => AuditModeSpec::Sampled(
-                req(v, "audit_fraction")?
-                    .as_f64()
-                    .ok_or("audit_fraction is not a number")?,
-            ),
-            other => return Err(format!("bad audit_mode {other:?}")),
-        };
         let retry = req(v, "retry")?;
         let workload = req(v, "workload")?;
         let faults = req(v, "faults")?;
@@ -685,7 +608,6 @@ impl CaseSpec {
             migration: boolean(v, "migration")?,
             check_coherence: boolean(v, "check_coherence")?,
             audit_interval: opt_num(v, "audit_interval")?,
-            audit_mode,
             retry: RetryPolicy {
                 max_attempts: num(retry, "max_attempts")? as u32,
                 timeout_cycles: num(retry, "timeout_cycles")?,
@@ -762,7 +684,7 @@ mod tests {
     fn spec_json_round_trips_exactly() {
         for index in 0..48 {
             let spec = CaseSpec::generate(0xBEEF, index);
-            let doc = spec.to_json();
+            let doc = spec.to_json().to_string();
             let back = CaseSpec::from_json(&Json::parse(&doc).unwrap()).unwrap();
             assert_eq!(spec, back, "case {index} mutated in the round trip");
         }

@@ -36,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod gen;
-pub mod json;
 pub mod oracle;
 pub mod repro;
 pub mod run;
@@ -45,6 +44,8 @@ pub mod shrink;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
+
+use prism_sim::json::Json;
 
 pub use gen::CaseSpec;
 pub use oracle::{Oracle, Violation};
@@ -104,9 +105,6 @@ pub struct CampaignOutcome {
     pub violations: Vec<CampaignViolation>,
     /// Cases per page-policy name (coverage accounting).
     pub policy_coverage: BTreeMap<String, u64>,
-    /// Completed runs per scheduler name (every run uses the `heap`
-    /// tournament-tree loop).
-    pub scheduler_runs: BTreeMap<String, u64>,
     /// Runs that ended in a panic or hang (also surface as liveness
     /// violations when the liveness oracle is armed).
     pub failed_runs: u64,
@@ -115,45 +113,33 @@ pub struct CampaignOutcome {
 }
 
 impl CampaignOutcome {
-    /// Serializes campaign statistics as a JSON object (the
-    /// `BENCH_chaos.json` payload).
-    pub fn to_json(&self, seed: u64) -> String {
-        let map_json = |m: &BTreeMap<String, u64>| {
-            let fields: Vec<String> = m
-                .iter()
-                .map(|(k, v)| format!("{}:{}", json::quote(k), v))
-                .collect();
-            format!("{{{}}}", fields.join(","))
-        };
-        let violations: Vec<String> = self
-            .violations
+    /// Campaign statistics as a JSON object (the `BENCH_chaos.json`
+    /// payload).
+    pub fn to_json(&self, seed: u64) -> Json {
+        let violations = self.violations.iter().map(|v| {
+            Json::obj([
+                ("index", v.index.into()),
+                ("oracle", v.repro.oracle.as_str().into()),
+                ("detail", v.repro.detail.as_str().into()),
+                ("shrink_attempts", v.repro.shrink_attempts.into()),
+                ("shrink_accepted", v.repro.shrink_accepted.into()),
+            ])
+        });
+        let coverage = self
+            .policy_coverage
             .iter()
-            .map(|v| {
-                format!(
-                    "{{\"index\":{},\"oracle\":{},\"detail\":{},\"shrink_attempts\":{},\
-                     \"shrink_accepted\":{}}}",
-                    v.index,
-                    json::quote(&v.repro.oracle),
-                    json::quote(&v.repro.detail),
-                    v.repro.shrink_attempts,
-                    v.repro.shrink_accepted
-                )
-            })
-            .collect();
-        let violations = format!("[{}]", violations.join(","));
-        format!(
-            "{{\"bench\":\"chaos\",\"seed\":{seed},\"cases\":{},\"runs\":{},\
-             \"failed_runs\":{},\"violations\":{},\"violation_count\":{},\
-             \"policy_coverage\":{},\"scheduler_runs\":{},\"wall_ms\":{}}}",
-            self.cases,
-            self.runs,
-            self.failed_runs,
-            violations,
-            self.violations.len(),
-            map_json(&self.policy_coverage),
-            map_json(&self.scheduler_runs),
-            self.wall.as_millis(),
-        )
+            .map(|(policy, &n)| (policy.as_str(), n.into()));
+        Json::obj([
+            ("bench", "chaos".into()),
+            ("seed", seed.into()),
+            ("cases", self.cases.into()),
+            ("runs", self.runs.into()),
+            ("failed_runs", self.failed_runs.into()),
+            ("violations", Json::Arr(violations.collect())),
+            ("violation_count", self.violations.len().into()),
+            ("policy_coverage", Json::obj(coverage)),
+            ("wall_ms", (self.wall.as_millis() as u64).into()),
+        ])
     }
 }
 
@@ -175,9 +161,8 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignOutcome {
         let case_outcome = run_case(&case, cfg.deadline);
         outcome.cases += 1;
         outcome.runs += 1;
-        match &case_outcome.result {
-            Ok(_) => *outcome.scheduler_runs.entry("heap".into()).or_insert(0) += 1,
-            Err(_) => outcome.failed_runs += 1,
+        if case_outcome.result.is_err() {
+            outcome.failed_runs += 1;
         }
         let Some(violation) = oracle::check_all(&cfg.oracles, &case, &case_outcome) else {
             continue;
@@ -223,8 +208,8 @@ mod tests {
         let out = run_campaign(&cfg);
         assert_eq!(out.cases, 2);
         assert_eq!(out.runs, 2);
-        let doc = out.to_json(cfg.seed);
-        let v = json::Json::parse(&doc).unwrap();
+        let doc = out.to_json(cfg.seed).to_string();
+        let v = Json::parse(&doc).unwrap();
         assert_eq!(v.get("cases").unwrap().as_u64(), Some(2));
         assert_eq!(v.get("runs").unwrap().as_u64(), Some(2));
         assert!(v.get("policy_coverage").is_some());

@@ -4,7 +4,7 @@
 //! minimized it, the result is serialized as one JSON document holding
 //! everything a future session needs: the full shrunk [`CaseSpec`],
 //! which oracle fired and with what detail, and the shrunk case's
-//! `RunReport::to_json_debug` text (its *baseline*). [`replay`]
+//! `RunReport::to_json` text (its *baseline*). [`replay`]
 //! re-executes the case from the spec alone and demands *byte*
 //! determinism: the same oracle fires with the identical detail string,
 //! and the baseline report text matches the artifact byte for byte.
@@ -12,16 +12,20 @@
 use std::time::Duration;
 
 use crate::gen::CaseSpec;
-use crate::json::{quote, Json};
+use prism_sim::json::Json;
+
 use crate::oracle::Oracle;
 use crate::run::run_case;
 use crate::shrink::ShrinkStats;
 
 /// Artifact format version (bump on any incompatible change). Version 1
 /// artifacts carry directory-backend and epoch-pacing case fields and
-/// baseline counters this harness no longer produces, so they are
-/// rejected rather than replayed into a baseline mismatch.
-pub const REPRO_VERSION: u64 = 2;
+/// baseline counters this harness no longer produces. Version 2
+/// artifacts carry the audit-scope case fields and a baseline ending in
+/// the debug report's directory-cache counter block, neither of which
+/// exists any more. Both are rejected rather than replayed into a
+/// baseline mismatch.
+pub const REPRO_VERSION: u64 = 3;
 
 /// A serialized violation: the shrunk case plus everything needed to
 /// verify a replay reproduced it exactly.
@@ -39,7 +43,7 @@ pub struct Repro {
     pub shrink_attempts: u64,
     /// Shrink acceptances.
     pub shrink_accepted: u64,
-    /// The shrunk case's `to_json_debug` text; empty when the run itself
+    /// The shrunk case's `to_json` text; empty when the run itself
     /// failed (e.g. a liveness violation).
     pub baseline: String,
 }
@@ -57,7 +61,7 @@ impl Repro {
         let violation = oracle.check(&case, &outcome)?;
         let baseline = outcome
             .output()
-            .map(|out| out.report.to_json_debug())
+            .map(|out| out.report.to_json())
             .unwrap_or_default();
         Some(Repro {
             version: REPRO_VERSION,
@@ -72,17 +76,16 @@ impl Repro {
 
     /// Serializes the artifact.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"version\":{},\"oracle\":{},\"detail\":{},\"shrink_attempts\":{},\
-             \"shrink_accepted\":{},\"case\":{},\"baseline\":{}}}",
-            self.version,
-            quote(&self.oracle),
-            quote(&self.detail),
-            self.shrink_attempts,
-            self.shrink_accepted,
-            self.case.to_json(),
-            quote(&self.baseline),
-        )
+        Json::obj([
+            ("version", self.version.into()),
+            ("oracle", self.oracle.as_str().into()),
+            ("detail", self.detail.as_str().into()),
+            ("shrink_attempts", self.shrink_attempts.into()),
+            ("shrink_accepted", self.shrink_accepted.into()),
+            ("case", self.case.to_json()),
+            ("baseline", self.baseline.as_str().into()),
+        ])
+        .to_string()
     }
 
     /// Parses an artifact.
@@ -161,7 +164,7 @@ pub fn replay(repro: &Repro, deadline: Duration) -> ReplayOutcome {
     let violation = oracle.check(&repro.case, &outcome);
     let baseline = outcome
         .output()
-        .map(|out| out.report.to_json_debug())
+        .map(|out| out.report.to_json())
         .unwrap_or_default();
     let violation_reproduced = violation.is_some();
     let detail_identical = violation.as_ref().is_some_and(|v| v.detail == repro.detail);

@@ -148,7 +148,7 @@ mod tests {
         let a = run_case(&case, deadline);
         let b = run_case(&case, deadline);
         let (oa, ob) = (a.output().unwrap(), b.output().unwrap());
-        assert_eq!(oa.report.to_json_debug(), ob.report.to_json_debug());
+        assert_eq!(oa.report.to_json(), ob.report.to_json());
         assert_eq!(oa.events, ob.events);
     }
 

@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use prism_machine::faults::RetryPolicy;
 
-use crate::gen::{AuditModeSpec, CaseSpec};
+use crate::gen::CaseSpec;
 use crate::oracle::Oracle;
 use crate::run::run_case;
 
@@ -144,11 +144,6 @@ fn candidates(case: &CaseSpec) -> Vec<CaseSpec> {
         c.audit_interval = None;
         push(c);
     }
-    if case.audit_mode != AuditModeSpec::Full {
-        let mut c = case.clone();
-        c.audit_mode = AuditModeSpec::Full;
-        push(c);
-    }
     if case.page_cache_capacity.is_some() {
         let mut c = case.clone();
         c.page_cache_capacity = None;
@@ -184,7 +179,6 @@ mod tests {
                 || (case.check_coherence && !c.check_coherence)
                 || (case.journal_eager && !c.journal_eager)
                 || (case.audit_interval.is_some() && c.audit_interval.is_none())
-                || (case.audit_mode != AuditModeSpec::Full && c.audit_mode == AuditModeSpec::Full)
                 || (case.page_cache_capacity.is_some() && c.page_cache_capacity.is_none())
                 || (case.retry != RetryPolicy::default() && c.retry == RetryPolicy::default());
             assert!(smaller, "candidate did not simplify: {c:?}");

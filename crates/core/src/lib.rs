@@ -45,7 +45,7 @@ pub use simulation::{SimError, Simulation};
 
 pub use prism_kernel as kernel;
 pub use prism_machine as machine;
-pub use prism_machine::config::{AuditMode, MachineConfig};
+pub use prism_machine::config::MachineConfig;
 pub use prism_machine::report::{NodeReport, RunReport};
 pub use prism_mem as mem;
 pub use prism_protocol as protocol;
@@ -56,7 +56,7 @@ pub mod prelude {
     pub use crate::experiment::{derive_scoma70_capacity, sweep, SweepResult};
     pub use crate::policy::PolicyKind;
     pub use crate::simulation::{SimError, Simulation};
-    pub use prism_machine::config::{AuditMode, MachineConfig};
+    pub use prism_machine::config::MachineConfig;
     pub use prism_machine::report::RunReport;
     pub use prism_workloads::{app, suite, AppId, Scale, Synthetic, Workload};
 }

@@ -1,4 +1,10 @@
 //! Machine configuration.
+//!
+//! [`MachineConfig`] holds the machine's shape, its protocol options and
+//! its reliability knobs. The online coherence auditor has one knob, its
+//! cadence ([`MachineConfig::audit_interval`]): every sweep checks every
+//! directory page and every PIT entry, so there is no per-sweep scope to
+//! choose.
 
 use prism_kernel::migration::MigrationPolicy;
 use prism_kernel::policy::PagePolicy;
@@ -6,31 +12,6 @@ use prism_mem::addr::Geometry;
 use prism_protocol::latency::LatencyModel;
 
 use crate::faults::{JournalPolicy, RetryPolicy};
-
-/// Scope of an online coherence audit sweep.
-///
-/// `Full` is the exhaustive sweep the auditor has always run. The other
-/// modes trade coverage per sweep for sweep cost, while staying
-/// deterministic: sampling draws from a dedicated `SimRng` stream, and
-/// incremental sweeps consume the dirty-page ring fed by the
-/// observability layer. Transit-tag staleness is always checked in
-/// full — a wedged line is exactly the state a sampled sweep must not
-/// miss.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub enum AuditMode {
-    /// Audit every directory page and every PIT entry per sweep.
-    #[default]
-    Full,
-    /// Audit a deterministic pseudo-random subset per sweep.
-    Sampled {
-        /// Probability that any given page/entry is audited this sweep.
-        fraction: f64,
-    },
-    /// Audit only pages dirtied since the previous sweep (fed from the
-    /// observability event ring; falls back to a full sweep when the
-    /// ring overflowed).
-    Incremental,
-}
 
 /// Static configuration of a simulated PRISM machine.
 ///
@@ -107,9 +88,6 @@ pub struct MachineConfig {
     /// Run the online coherence auditor every this many cycles
     /// (`None` = only the end-of-run sweep when auditing is needed).
     pub audit_interval: Option<u64>,
-    /// Run the online auditor in this scope per sweep (a host-cost /
-    /// coverage knob; `Full` reproduces historical behavior).
-    pub audit_mode: AuditMode,
 }
 
 impl MachineConfig {
@@ -158,12 +136,6 @@ impl MachineConfig {
         if let Some(n) = self.audit_interval {
             assert!(n >= 1, "audit interval must be at least one cycle");
         }
-        if let AuditMode::Sampled { fraction } = self.audit_mode {
-            assert!(
-                (0.0..=1.0).contains(&fraction),
-                "audit sampling fraction must be within [0, 1]"
-            );
-        }
     }
 }
 
@@ -193,7 +165,6 @@ impl Default for MachineConfig {
             journal: JournalPolicy::Off,
             watchdog_deadline: 16_384,
             audit_interval: None,
-            audit_mode: AuditMode::Full,
         }
     }
 }
@@ -261,8 +232,6 @@ impl MachineConfigBuilder {
         watchdog_deadline: u64);
     setter!(/// Runs the online coherence auditor every `v` cycles.
         audit_interval: Option<u64>);
-    setter!(/// Selects the auditor's per-sweep scope.
-        audit_mode: AuditMode);
 
     /// Finishes the configuration.
     ///

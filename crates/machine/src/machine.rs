@@ -23,7 +23,6 @@ use prism_sim::sync::{BarrierSet, LockSet};
 use prism_sim::{Cycle, FastMap, FastSet};
 
 use prism_kernel::policy::PagePolicy;
-use prism_sim::SimRng;
 
 use crate::config::MachineConfig;
 use crate::faults::{FaultPlan, FaultPlanError, FaultReport, FaultState, Journal};
@@ -33,10 +32,6 @@ use crate::obs::{EventBus, ObsEvent};
 use crate::report::RunReport;
 use crate::sched::Sched;
 use crate::shadow::Shadow;
-
-/// Seed for the auditor's dedicated sampling RNG stream: sampled sweeps
-/// must draw identically across reruns.
-pub(crate) const AUDIT_RNG_SEED: u64 = 0x000A_0D17_5EED_0001;
 
 /// Why a run could not complete.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -122,8 +117,6 @@ pub struct Machine {
     /// distinguish lazy-migration staleness from corruption.
     pub(crate) former_homes: FastMap<GlobalPage, NodeSet>,
     pub(crate) workload_name: String,
-    /// Deterministic RNG stream for sampled audit sweeps.
-    pub(crate) audit_rng: SimRng,
     /// True once the user suggested page/region modes (translations may
     /// then change mode mid-run, which disables `fast_xlat`).
     pub(crate) mode_prefs_set: bool,
@@ -175,7 +168,6 @@ impl Machine {
             next_audit,
             former_homes: FastMap::default(),
             workload_name: String::new(),
-            audit_rng: SimRng::new(AUDIT_RNG_SEED),
             mode_prefs_set: false,
             ingest: IngestIndex::default(),
             fast_xlat: false,
@@ -434,14 +426,6 @@ impl Machine {
         self.homes.place_segment(gsid, first_node, node_count);
         for node in &mut self.nodes {
             node.kernel.place_segment(gsid, first_node, node_count);
-        }
-    }
-
-    /// Feeds the incremental auditor's dirty-page ring (a no-op in any
-    /// other audit mode, so the hot path pays one predictable branch).
-    pub(crate) fn touch_page(&mut self, gpage: GlobalPage) {
-        if self.cfg.audit_mode == crate::config::AuditMode::Incremental {
-            self.obs.note_touched(gpage);
         }
     }
 

@@ -7,8 +7,10 @@
 //! three with a single spine built on [`prism_sim::event`]:
 //!
 //! * **Counters** ([`Ctr`]) — high-frequency protocol events (references,
-//!   misses, invalidations). Hot-path updates are a dense-index add into
-//!   a [`CounterRegistry`]; no hashing, no branching.
+//!   misses, invalidations). Hot-path updates are an add into a plain
+//!   `[u64; N]` indexed by the counter; no hashing, no branching. The
+//!   counters carry no names: [`crate::report`] reads each into its own
+//!   `RunReport` field.
 //! * **Fault accounting** — the [`FaultReport`] the recovery machinery
 //!   writes through [`crate::machine::Machine::freport`] (gated on an
 //!   installed fault plan, exactly as before).
@@ -17,14 +19,18 @@
 //! * **Event ring** — *structural* events (node failures, migrations,
 //!   failovers, watchdog recoveries, audit sweeps) retained in a bounded
 //!   [`EventRing`] for post-mortem inspection via
-//!   [`crate::machine::Machine::recent_events`].
+//!   [`crate::machine::Machine::recent_events`]. The watchdog emits one
+//!   [`ObsEvent::WatchdogRecovery`] per line it resends or re-masters.
+//!
+//! The bus keeps no dirty-page record: every audit sweep is a full
+//! sweep, so nothing on the access path reports pages to the auditor.
 //!
 //! The contract: counters for events that happen millions of times, the
 //! ring for events that reshape the machine. [`crate::report`] is the
 //! one subscriber that snapshots everything into a `RunReport`.
 
 use prism_mem::addr::{GlobalPage, NodeId};
-use prism_sim::event::{CounterRegistry, EventRing};
+use prism_sim::event::EventRing;
 use prism_sim::stats::Histogram;
 use prism_sim::Cycle;
 
@@ -33,11 +39,6 @@ use crate::shadow::AuditFinding;
 
 /// How many structural events the bus retains.
 const RING_CAPACITY: usize = 1024;
-
-/// How many dirtied-page records the bus retains for incremental audit
-/// sweeps. An overflow between sweeps (detected by the total-pushed
-/// watermark) downgrades that sweep to a full one.
-const TOUCHED_CAPACITY: usize = 4096;
 
 /// Dense counter indices for high-frequency protocol events.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -72,37 +73,11 @@ pub(crate) enum Ctr {
     /// Translations served from the per-processor run memo instead of a
     /// fresh TLB/kernel lookup (trace-ingest batching hit-rate).
     BatchedLookups,
-    /// Directory-cache hits, summed over nodes at finalize.
-    DirCacheHits,
-    /// Directory-cache misses, summed over nodes at finalize.
-    DirCacheMisses,
 }
 
-impl Ctr {
-    const NAMES: [(Ctr, &'static str); 16] = [
-        (Ctr::TotalRefs, "total-refs"),
-        (Ctr::RemoteMisses, "remote-misses"),
-        (Ctr::RemoteUpgrades, "remote-upgrades"),
-        (Ctr::LocalFills, "local-fills"),
-        (Ctr::SiblingFills, "sibling-fills"),
-        (Ctr::PageOutLines, "page-out-lines"),
-        (Ctr::HomePageOuts, "home-page-outs"),
-        (Ctr::Invalidations, "invalidations"),
-        (Ctr::RemoteWritebacks, "remote-writebacks"),
-        (Ctr::Migrations, "migrations"),
-        (Ctr::Forwards, "forwards"),
-        (Ctr::FirewallRejections, "firewall-rejections"),
-        (Ctr::DeadProcs, "dead-procs"),
-        (Ctr::BatchedLookups, "batched-lookups"),
-        (Ctr::DirCacheHits, "dir-cache-hits"),
-        (Ctr::DirCacheMisses, "dir-cache-misses"),
-    ];
-
-    /// The counter's stable report name.
-    pub(crate) fn name(self) -> &'static str {
-        Ctr::NAMES[self as usize].1
-    }
-}
+/// Number of [`Ctr`] variants (`BatchedLookups` is the last): the
+/// length of the bus's counter array.
+const CTRS: usize = Ctr::BatchedLookups as usize + 1;
 
 /// A structural event retained on the bus's ring.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -162,7 +137,7 @@ pub enum ObsEvent {
 /// The machine-wide observability bus (see module docs).
 #[derive(Clone, Debug)]
 pub(crate) struct EventBus {
-    counters: CounterRegistry,
+    counters: [u64; CTRS],
     ring: EventRing<(Cycle, ObsEvent)>,
     /// Latency distribution of misses filled locally.
     pub(crate) local_fill_latency: Histogram,
@@ -178,24 +153,12 @@ pub(crate) struct EventBus {
     pub(crate) findings: Vec<AuditFinding>,
     /// Completed auditor sweeps.
     pub(crate) sweeps: u64,
-    /// Pages whose coherence-relevant state changed (fault commits,
-    /// remote transactions, page-outs) — the feed for incremental audit
-    /// sweeps.
-    touched: EventRing<GlobalPage>,
-    /// Total-pushed watermark of `touched` at the last sweep; if more
-    /// events than the ring holds arrived since, some were lost.
-    touched_seen: u64,
 }
 
 impl EventBus {
     pub(crate) fn new() -> EventBus {
-        let mut counters = CounterRegistry::new();
-        for (c, name) in Ctr::NAMES {
-            let idx = counters.register(name);
-            debug_assert_eq!(idx, c as usize, "Ctr indices must stay dense");
-        }
         EventBus {
-            counters,
+            counters: [0; CTRS],
             ring: EventRing::new(RING_CAPACITY),
             local_fill_latency: Histogram::new("local-fill"),
             remote_fetch_latency: Histogram::new("remote-fetch"),
@@ -203,27 +166,25 @@ impl EventBus {
             fault: FaultReport::default(),
             findings: Vec::new(),
             sweeps: 0,
-            touched: EventRing::new(TOUCHED_CAPACITY),
-            touched_seen: 0,
         }
     }
 
     /// Increments a counter by one.
     #[inline]
     pub(crate) fn incr(&mut self, c: Ctr) {
-        self.counters.add(c as usize, 1);
+        self.counters[c as usize] += 1;
     }
 
     /// Adds `n` to a counter.
     #[inline]
     pub(crate) fn add(&mut self, c: Ctr, n: u64) {
-        self.counters.add(c as usize, n);
+        self.counters[c as usize] += n;
     }
 
     /// Current counter value.
     #[inline]
     pub(crate) fn get(&self, c: Ctr) -> u64 {
-        self.counters.get(c as usize)
+        self.counters[c as usize]
     }
 
     /// Publishes a structural event to the ring.
@@ -235,28 +196,6 @@ impl EventBus {
     pub(crate) fn recent(&self) -> Vec<(Cycle, ObsEvent)> {
         self.ring.iter().copied().collect()
     }
-
-    /// Records that `gpage`'s coherence-relevant state changed, for the
-    /// next incremental audit sweep.
-    #[inline]
-    pub(crate) fn note_touched(&mut self, gpage: GlobalPage) {
-        self.touched.push(gpage);
-    }
-
-    /// Drains the dirtied-page set accumulated since the previous drain:
-    /// a sorted, deduplicated page list, plus whether the ring
-    /// overflowed in between (in which case the list is incomplete and
-    /// the caller must fall back to a full sweep).
-    pub(crate) fn drain_touched(&mut self) -> (Vec<GlobalPage>, bool) {
-        let pushed = self.touched.total_pushed();
-        let overflowed = pushed - self.touched_seen > self.touched.len() as u64;
-        self.touched_seen = pushed;
-        let mut pages: Vec<GlobalPage> = self.touched.iter().copied().collect();
-        self.touched.clear();
-        pages.sort_by_key(|g| (g.gsid.0, g.page));
-        pages.dedup();
-        (pages, overflowed)
-    }
 }
 
 #[cfg(test)]
@@ -264,7 +203,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_are_dense_and_named() {
+    fn counters_add_by_index() {
         let mut bus = EventBus::new();
         bus.incr(Ctr::RemoteMisses);
         bus.add(Ctr::RemoteMisses, 2);

@@ -44,7 +44,6 @@ impl Machine {
             FaultClass::SharedHome => {
                 t += Cycle(lat.uncontended_fault_local());
                 let gp = plan.gpage.expect("shared fault has a page");
-                self.touch_page(gp);
                 let (frame, newly) = self.nodes[n].kernel.ensure_home_resident(gp);
                 if newly {
                     self.init_home_page(n, gp, frame);
@@ -53,7 +52,6 @@ impl Machine {
             }
             FaultClass::SharedClient => {
                 let gp = plan.gpage.expect("shared fault has a page");
-                self.touch_page(gp);
                 if let Some(evict) = plan.evict {
                     t = self.page_out_client(n, evict, t);
                 }
@@ -192,7 +190,6 @@ impl Machine {
     pub fn home_page_out(&mut self, gpage: GlobalPage, t: Cycle) -> Option<Cycle> {
         let home = self.resolve_dyn_home(gpage).0 as usize;
         self.nodes[home].kernel.home_frame_of(gpage)?;
-        self.touch_page(gpage);
         let lat = self.cfg.latency;
         let mut t = t + Cycle(lat.pageout_kernel);
 
@@ -321,7 +318,6 @@ impl Machine {
     pub(crate) fn page_out_client(&mut self, n: usize, evict: EvictOrder, t: Cycle) -> Cycle {
         let lat = self.cfg.latency;
         let gp = evict.gpage;
-        self.touch_page(gp);
         let frame = evict.frame;
         let home = self.resolve_dyn_home(gp).0 as usize;
         let lpp = self.cfg.geometry.lines_per_page();

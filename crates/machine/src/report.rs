@@ -5,12 +5,18 @@
 //! counters, latency histograms, fault accounting, and audit findings
 //! all come off the bus; per-node detail comes from the nodes and their
 //! kernels (aggregated through [`KernelStats::absorb`]).
+//!
+//! A report has one serialized form, [`RunReport::to_json`]: a
+//! [`Json`] value rendered by [`prism_sim::json`], the workspace's one
+//! JSON writer. The golden fixtures, chaos repro baselines and the
+//! benchmark's digests all hold or hash exactly that text.
 
 use std::fmt;
 
 use prism_kernel::kernel::KernelStats;
 use prism_mem::frames::PoolStats;
 use prism_protocol::msg::TrafficLedger;
+use prism_sim::json::Json;
 use prism_sim::stats::Histogram;
 use prism_sim::Cycle;
 
@@ -137,15 +143,7 @@ pub struct RunReport {
     pub audit: Vec<AuditFinding>,
     /// Auditor sweeps completed (periodic plus the end-of-run sweep).
     pub audit_sweeps: u64,
-    /// Machine-wide directory-cache hits and misses as named [`Ctr`]
-    /// entries. Excluded from [`RunReport::to_json`]: the per-node
-    /// figures there already carry them, and the golden artifact's
-    /// format predates this block.
-    pub dir_counters: Vec<(String, u64)>,
 }
-
-/// The counters surfaced in the debug report's `dir_counters` block.
-const DIR_CTRS: [Ctr; 2] = [Ctr::DirCacheHits, Ctr::DirCacheMisses];
 
 impl Machine {
     /// Snapshots the event bus and per-node state into a [`RunReport`].
@@ -170,18 +168,6 @@ impl Machine {
         // are checked.
         if self.cfg.audit_interval.is_some() {
             self.audit_sweep(exec);
-        }
-        // Fold per-node directory-cache counters onto the bus. The adds
-        // are delta-based so a second finalize of the same machine does
-        // not double-count.
-        let (mut dch, mut dcm) = (0u64, 0u64);
-        for node in &self.nodes {
-            dch += node.controller.dir_cache.hits();
-            dcm += node.controller.dir_cache.misses();
-        }
-        for (c, total) in [(Ctr::DirCacheHits, dch), (Ctr::DirCacheMisses, dcm)] {
-            let seen = self.obs.get(c);
-            self.obs.add(c, total.saturating_sub(seen));
         }
         let mut per_node = Vec::with_capacity(self.nodes.len());
         let (mut frames, mut util_num) = (0u64, 0.0f64);
@@ -252,10 +238,6 @@ impl Machine {
             fault: self.fault_report(),
             audit: self.obs.findings.clone(),
             audit_sweeps: self.obs.sweeps,
-            dir_counters: DIR_CTRS
-                .iter()
-                .map(|&c| (c.name().to_string(), self.obs.get(c)))
-                .collect(),
         }
     }
 }
@@ -271,272 +253,169 @@ impl RunReport {
         self.faults.0 + self.faults.1 + self.faults.2
     }
 
-    /// Serializes the full report as deterministic JSON: fixed key
-    /// order, no whitespace variation, shortest-round-trip floats. Two
-    /// runs that produced identical reports serialize to identical
-    /// bytes, which is what the golden determinism test locks.
+    /// Serializes the full report as deterministic JSON through
+    /// [`prism_sim::json`]: fixed key order, no whitespace,
+    /// shortest-round-trip floats. Two runs that produced identical
+    /// reports serialize to identical bytes, which is what the golden
+    /// determinism test locks.
     pub fn to_json(&self) -> String {
-        self.json_impl(false)
-    }
-
-    /// [`RunReport::to_json`] plus diagnostics the golden artifact
-    /// deliberately omits: the machine-wide `dir_counters` block.
-    /// Chaos repro artifacts record this form.
-    pub fn to_json_debug(&self) -> String {
-        self.json_impl(true)
-    }
-
-    fn json_impl(&self, debug: bool) -> String {
-        let mut o = String::with_capacity(8 * 1024);
-        o.push('{');
-        field_str(&mut o, "workload", &self.workload);
-        field_u64(&mut o, "exec_cycles", self.exec_cycles.as_u64());
-        field_u64(&mut o, "total_refs", self.total_refs);
-        field_u64(&mut o, "batched_lookups", self.batched_lookups);
-        field_u64(&mut o, "l1_hits", self.l1_hits);
-        field_u64(&mut o, "l1_misses", self.l1_misses);
-        field_u64(&mut o, "l2_hits", self.l2_hits);
-        field_u64(&mut o, "l2_misses", self.l2_misses);
-        field_u64(&mut o, "remote_misses", self.remote_misses);
-        field_u64(&mut o, "remote_upgrades", self.remote_upgrades);
-        field_u64(&mut o, "local_fills", self.local_fills);
-        field_u64(&mut o, "sibling_fills", self.sibling_fills);
-        field_u64(&mut o, "page_outs", self.page_outs);
-        field_u64(&mut o, "page_out_lines", self.page_out_lines);
-        field_u64(&mut o, "home_page_outs", self.home_page_outs);
-        field_u64(&mut o, "conversions_to_lanuma", self.conversions_to_lanuma);
-        field_u64(&mut o, "conversions_to_scoma", self.conversions_to_scoma);
-        field_raw(
-            &mut o,
-            "faults",
-            &format!("[{},{},{}]", self.faults.0, self.faults.1, self.faults.2),
-        );
-        field_u64(
-            &mut o,
-            "faults_contacting_home",
-            self.faults_contacting_home,
-        );
-        field_u64(&mut o, "invalidations", self.invalidations);
-        field_u64(&mut o, "remote_writebacks", self.remote_writebacks);
-        field_u64(&mut o, "migrations", self.migrations);
-        field_u64(&mut o, "forwards", self.forwards);
-        field_u64(&mut o, "firewall_rejections", self.firewall_rejections);
-        field_u64(&mut o, "dead_procs", self.dead_procs);
-        field_u64(&mut o, "barrier_episodes", self.barrier_episodes);
-        field_raw(
-            &mut o,
-            "lock_acquisitions",
-            &format!(
-                "[{},{}]",
-                self.lock_acquisitions.0, self.lock_acquisitions.1
+        let (f, l) = (self.faults, self.lock_acquisitions);
+        Json::obj([
+            ("workload", self.workload.as_str().into()),
+            ("exec_cycles", self.exec_cycles.as_u64().into()),
+            ("total_refs", self.total_refs.into()),
+            ("batched_lookups", self.batched_lookups.into()),
+            ("l1_hits", self.l1_hits.into()),
+            ("l1_misses", self.l1_misses.into()),
+            ("l2_hits", self.l2_hits.into()),
+            ("l2_misses", self.l2_misses.into()),
+            ("remote_misses", self.remote_misses.into()),
+            ("remote_upgrades", self.remote_upgrades.into()),
+            ("local_fills", self.local_fills.into()),
+            ("sibling_fills", self.sibling_fills.into()),
+            ("page_outs", self.page_outs.into()),
+            ("page_out_lines", self.page_out_lines.into()),
+            ("home_page_outs", self.home_page_outs.into()),
+            ("conversions_to_lanuma", self.conversions_to_lanuma.into()),
+            ("conversions_to_scoma", self.conversions_to_scoma.into()),
+            ("faults", vec![f.0, f.1, f.2].into()),
+            ("faults_contacting_home", self.faults_contacting_home.into()),
+            ("invalidations", self.invalidations.into()),
+            ("remote_writebacks", self.remote_writebacks.into()),
+            ("migrations", self.migrations.into()),
+            ("forwards", self.forwards.into()),
+            ("firewall_rejections", self.firewall_rejections.into()),
+            ("dead_procs", self.dead_procs.into()),
+            ("barrier_episodes", self.barrier_episodes.into()),
+            ("lock_acquisitions", vec![l.0, l.1].into()),
+            ("frames_allocated", self.frames_allocated.into()),
+            ("avg_utilization", self.avg_utilization.into()),
+            ("ledger", ledger_json(&self.ledger)),
+            (
+                "local_fill_latency",
+                histogram_json(&self.local_fill_latency),
             ),
-        );
-        field_u64(&mut o, "frames_allocated", self.frames_allocated);
-        field_f64(&mut o, "avg_utilization", self.avg_utilization);
-        field_raw(&mut o, "ledger", &ledger_json(&self.ledger));
-        field_raw(
-            &mut o,
-            "local_fill_latency",
-            &histogram_json(&self.local_fill_latency),
-        );
-        field_raw(
-            &mut o,
-            "remote_fetch_latency",
-            &histogram_json(&self.remote_fetch_latency),
-        );
-        field_raw(
-            &mut o,
-            "fault_latency",
-            &histogram_json(&self.fault_latency),
-        );
-        let nodes: Vec<String> = self.per_node.iter().map(node_json).collect();
-        field_raw(&mut o, "per_node", &format!("[{}]", nodes.join(",")));
-        field_u64(&mut o, "reads_checked", self.reads_checked);
-        field_raw(&mut o, "fault", &fault_json(&self.fault));
-        let audits: Vec<String> = self.audit.iter().map(audit_json).collect();
-        field_raw(&mut o, "audit", &format!("[{}]", audits.join(",")));
-        field_u64(&mut o, "audit_sweeps", self.audit_sweeps);
-        if debug {
-            let mut d = String::from("{");
-            for (name, v) in &self.dir_counters {
-                field_u64(&mut d, name, *v);
-            }
-            d.pop();
-            d.push('}');
-            field_raw(&mut o, "dir_counters", &d);
-        }
-        o.pop(); // trailing comma
-        o.push('}');
-        o
+            (
+                "remote_fetch_latency",
+                histogram_json(&self.remote_fetch_latency),
+            ),
+            ("fault_latency", histogram_json(&self.fault_latency)),
+            (
+                "per_node",
+                Json::Arr(self.per_node.iter().map(node_json).collect()),
+            ),
+            ("reads_checked", self.reads_checked.into()),
+            ("fault", fault_json(&self.fault)),
+            (
+                "audit",
+                Json::Arr(self.audit.iter().map(audit_json).collect()),
+            ),
+            ("audit_sweeps", self.audit_sweeps.into()),
+        ])
+        .to_string()
     }
 }
 
-fn field_raw(o: &mut String, key: &str, val: &str) {
-    o.push('"');
-    o.push_str(key);
-    o.push_str("\":");
-    o.push_str(val);
-    o.push(',');
-}
-
-fn field_u64(o: &mut String, key: &str, val: u64) {
-    field_raw(o, key, &val.to_string());
-}
-
-fn field_f64(o: &mut String, key: &str, val: f64) {
-    // Rust's shortest-round-trip float formatting is deterministic and
-    // yields valid JSON numbers for all finite values.
-    field_raw(o, key, &format!("{val}"));
-}
-
-fn field_str(o: &mut String, key: &str, val: &str) {
-    field_raw(o, key, &json_string(val));
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn ledger_json(l: &TrafficLedger) -> String {
-    let mut o = String::from("{");
-    for kind in prism_protocol::msg::MsgKind::ALL {
-        let n = l.count(kind);
-        if n > 0 {
-            field_u64(&mut o, &kind.to_string(), n);
-        }
-    }
-    field_u64(&mut o, "total", l.total());
-    o.pop();
-    o.push('}');
-    o
-}
-
-fn histogram_json(h: &Histogram) -> String {
-    let mut o = String::from("{");
-    field_str(&mut o, "name", h.name());
-    field_u64(&mut o, "count", h.count());
-    field_u64(&mut o, "sum", h.sum());
-    field_raw(
-        &mut o,
-        "min",
-        &h.min().map_or_else(|| "null".into(), |v| v.to_string()),
-    );
-    field_raw(
-        &mut o,
-        "max",
-        &h.max().map_or_else(|| "null".into(), |v| v.to_string()),
-    );
-    // Sparse bucket encoding: [bucket-index, count] pairs.
-    let pairs: Vec<String> = (0..64)
-        .filter(|&i| h.bucket(i) > 0)
-        .map(|i| format!("[{},{}]", i, h.bucket(i)))
+fn ledger_json(l: &TrafficLedger) -> Json {
+    let mut fields: Vec<(String, Json)> = prism_protocol::msg::MsgKind::ALL
+        .into_iter()
+        .filter(|&kind| l.count(kind) > 0)
+        .map(|kind| (kind.to_string(), l.count(kind).into()))
         .collect();
-    field_raw(&mut o, "buckets", &format!("[{}]", pairs.join(",")));
-    o.pop();
-    o.push('}');
-    o
+    fields.push(("total".into(), l.total().into()));
+    Json::Obj(fields)
 }
 
-fn node_json(n: &NodeReport) -> String {
-    let mut o = String::from("{");
-    field_raw(
-        &mut o,
-        "pool",
-        &format!(
-            "{{\"local\":{},\"scoma_home\":{},\"scoma_client\":{},\"la_numa\":{},\"command\":{}}}",
-            n.pool.local, n.pool.scoma_home, n.pool.scoma_client, n.pool.la_numa, n.pool.command
+fn histogram_json(h: &Histogram) -> Json {
+    // Sparse bucket encoding: [bucket-index, count] pairs.
+    let buckets: Vec<Json> = (0..64)
+        .filter(|&i| h.bucket(i) > 0)
+        .map(|i| vec![i as u64, h.bucket(i)].into())
+        .collect();
+    Json::obj([
+        ("name", h.name().into()),
+        ("count", h.count().into()),
+        ("sum", h.sum().into()),
+        ("min", h.min().into()),
+        ("max", h.max().into()),
+        ("buckets", Json::Arr(buckets)),
+    ])
+}
+
+fn node_json(n: &NodeReport) -> Json {
+    let (p, k) = (&n.pool, &n.kernel);
+    Json::obj([
+        (
+            "pool",
+            Json::obj([
+                ("local", p.local.into()),
+                ("scoma_home", p.scoma_home.into()),
+                ("scoma_client", p.scoma_client.into()),
+                ("la_numa", p.la_numa.into()),
+                ("command", p.command.into()),
+            ]),
         ),
-    );
-    field_raw(
-        &mut o,
-        "kernel",
-        &format!(
-            "{{\"faults_private\":{},\"faults_home\":{},\"faults_client\":{},\
-             \"faults_contacting_home\":{},\"page_outs\":{},\
-             \"conversions_to_lanuma\":{},\"conversions_to_scoma\":{}}}",
-            n.kernel.faults_private,
-            n.kernel.faults_home,
-            n.kernel.faults_client,
-            n.kernel.faults_contacting_home,
-            n.kernel.page_outs,
-            n.kernel.conversions_to_lanuma,
-            n.kernel.conversions_to_scoma
+        (
+            "kernel",
+            Json::obj([
+                ("faults_private", k.faults_private.into()),
+                ("faults_home", k.faults_home.into()),
+                ("faults_client", k.faults_client.into()),
+                ("faults_contacting_home", k.faults_contacting_home.into()),
+                ("page_outs", k.page_outs.into()),
+                ("conversions_to_lanuma", k.conversions_to_lanuma.into()),
+                ("conversions_to_scoma", k.conversions_to_scoma.into()),
+            ]),
         ),
-    );
-    field_u64(&mut o, "frame_instances", n.frame_instances);
-    field_f64(&mut o, "utilization", n.utilization);
-    field_u64(&mut o, "pit_guess_hits", n.pit_guess_hits);
-    field_u64(&mut o, "pit_hash_lookups", n.pit_hash_lookups);
-    field_u64(&mut o, "dir_cache_hits", n.dir_cache_hits);
-    field_u64(&mut o, "dir_cache_misses", n.dir_cache_misses);
-    field_u64(&mut o, "bus_busy", n.bus_busy);
-    field_u64(&mut o, "ni_busy", n.ni_busy);
-    field_u64(&mut o, "bus_wait", n.bus_wait);
-    field_u64(&mut o, "ni_wait", n.ni_wait);
-    field_u64(&mut o, "engine_wait", n.engine_wait);
-    field_u64(&mut o, "memory_wait", n.memory_wait);
-    o.pop();
-    o.push('}');
-    o
+        ("frame_instances", n.frame_instances.into()),
+        ("utilization", n.utilization.into()),
+        ("pit_guess_hits", n.pit_guess_hits.into()),
+        ("pit_hash_lookups", n.pit_hash_lookups.into()),
+        ("dir_cache_hits", n.dir_cache_hits.into()),
+        ("dir_cache_misses", n.dir_cache_misses.into()),
+        ("bus_busy", n.bus_busy.into()),
+        ("ni_busy", n.ni_busy.into()),
+        ("bus_wait", n.bus_wait.into()),
+        ("ni_wait", n.ni_wait.into()),
+        ("engine_wait", n.engine_wait.into()),
+        ("memory_wait", n.memory_wait.into()),
+    ])
 }
 
-fn fault_json(f: &FaultReport) -> String {
-    let mut o = String::from("{");
-    field_u64(&mut o, "dropped_messages", f.dropped_messages);
-    field_u64(&mut o, "corrupted_messages", f.corrupted_messages);
-    field_u64(&mut o, "nacks", f.nacks);
-    field_u64(&mut o, "retries", f.retries);
-    field_u64(&mut o, "timeouts", f.timeouts);
-    field_u64(&mut o, "backoff_cycles", f.backoff_cycles);
-    field_u64(&mut o, "failovers", f.failovers);
-    field_u64(&mut o, "pit_corruptions", f.pit_corruptions);
-    field_u64(&mut o, "node_failures", f.node_failures);
-    field_u64(&mut o, "contained_faults", f.contained_faults);
-    field_u64(&mut o, "fatal_faults", f.fatal_faults);
-    field_u64(&mut o, "journal_records", f.journal_records);
-    field_u64(&mut o, "journal_replay_cycles", f.journal_replay_cycles);
-    field_u64(&mut o, "journal_lag_cycles", f.journal_lag_cycles);
-    field_u64(&mut o, "lines_recovered", f.lines_recovered);
-    field_u64(&mut o, "lines_lost", f.lines_lost);
-    field_u64(&mut o, "failover_refusals", f.failover_refusals);
-    field_u64(&mut o, "transit_wedges", f.transit_wedges);
-    field_u64(&mut o, "watchdog_resends", f.watchdog_resends);
-    field_u64(&mut o, "watchdog_remasters", f.watchdog_remasters);
-    field_u64(&mut o, "watchdog_kills", f.watchdog_kills);
-    o.pop();
-    o.push('}');
-    o
+fn fault_json(f: &FaultReport) -> Json {
+    Json::obj([
+        ("dropped_messages", f.dropped_messages.into()),
+        ("corrupted_messages", f.corrupted_messages.into()),
+        ("nacks", f.nacks.into()),
+        ("retries", f.retries.into()),
+        ("timeouts", f.timeouts.into()),
+        ("backoff_cycles", f.backoff_cycles.into()),
+        ("failovers", f.failovers.into()),
+        ("pit_corruptions", f.pit_corruptions.into()),
+        ("node_failures", f.node_failures.into()),
+        ("contained_faults", f.contained_faults.into()),
+        ("fatal_faults", f.fatal_faults.into()),
+        ("journal_records", f.journal_records.into()),
+        ("journal_replay_cycles", f.journal_replay_cycles.into()),
+        ("journal_lag_cycles", f.journal_lag_cycles.into()),
+        ("lines_recovered", f.lines_recovered.into()),
+        ("lines_lost", f.lines_lost.into()),
+        ("failover_refusals", f.failover_refusals.into()),
+        ("transit_wedges", f.transit_wedges.into()),
+        ("watchdog_resends", f.watchdog_resends.into()),
+        ("watchdog_remasters", f.watchdog_remasters.into()),
+        ("watchdog_kills", f.watchdog_kills.into()),
+    ])
 }
 
-fn audit_json(a: &AuditFinding) -> String {
-    let mut o = String::from("{");
-    field_u64(&mut o, "at", a.at.as_u64());
-    field_u64(&mut o, "node", u64::from(a.node.0));
-    field_raw(
-        &mut o,
-        "gpage",
-        &a.gpage
-            .map_or_else(|| "null".into(), |g| json_string(&g.to_string())),
-    );
-    field_str(&mut o, "kind", &a.kind.to_string());
-    field_str(&mut o, "detail", &a.detail);
-    o.pop();
-    o.push('}');
-    o
+fn audit_json(a: &AuditFinding) -> Json {
+    Json::obj([
+        ("at", a.at.as_u64().into()),
+        ("node", u64::from(a.node.0).into()),
+        ("gpage", a.gpage.map(|g| g.to_string()).into()),
+        ("kind", a.kind.to_string().into()),
+        ("detail", a.detail.as_str().into()),
+    ])
 }
 
 impl fmt::Display for RunReport {

@@ -18,19 +18,20 @@
 //! ([`Machine::audit_sweep`]): a periodic structural sweep that
 //! cross-checks the directory, the fine-grain TESI tags, the PIT, and
 //! the write-back journal against each other, reporting
-//! [`AuditFinding`]s in the run report instead of panicking. The shadow
-//! checks *data versions* on the access path; the auditor checks
-//! *metadata structure* between accesses — together they cover both
-//! halves of the coherence state.
+//! [`AuditFinding`]s in the run report instead of panicking. Every sweep
+//! is a full sweep over every page, PIT entry and Transit line of every
+//! live node; [`crate::config::MachineConfig::audit_interval`] sets how
+//! often one runs. The shadow checks *data versions* on the access path;
+//! the auditor checks *metadata structure* between accesses — together
+//! they cover both halves of the coherence state.
 
 use std::fmt;
 
 use prism_mem::addr::{FrameNo, GlobalPage, LineIdx, NodeId};
 use prism_mem::directory::LineDir;
 use prism_mem::tags::LineTag;
-use prism_sim::{Cycle, FastMap, SimRng};
+use prism_sim::{Cycle, FastMap};
 
-use crate::config::AuditMode;
 use crate::machine::Machine;
 use crate::obs::ObsEvent;
 
@@ -337,34 +338,6 @@ impl fmt::Display for AuditFinding {
     }
 }
 
-/// What one audit sweep actually inspects, resolved from
-/// [`AuditMode`] at the start of the sweep.
-enum AuditScope {
-    /// Every page and every PIT entry.
-    Full,
-    /// Each page/entry independently with this probability, drawn from
-    /// the machine's dedicated audit RNG stream over the sweep's sorted
-    /// iteration order — deterministic across reruns and schedulers.
-    Sampled(f64),
-    /// Only pages touched since the previous sweep (sorted, deduplicated
-    /// drain of the event bus's dirty-page ring).
-    Touched(Vec<GlobalPage>),
-}
-
-impl AuditScope {
-    /// Whether this sweep inspects `gp`. Sampling consumes one RNG draw
-    /// per query, so callers must query in a deterministic order.
-    fn covers(&self, rng: &mut SimRng, gp: GlobalPage) -> bool {
-        match self {
-            AuditScope::Full => true,
-            AuditScope::Sampled(fraction) => rng.gen_bool(*fraction),
-            AuditScope::Touched(pages) => pages
-                .binary_search_by_key(&(gp.gsid.0, gp.page), |g| (g.gsid.0, g.page))
-                .is_ok(),
-        }
-    }
-}
-
 impl Machine {
     /// One pass of the online coherence auditor: cross-checks, on every
     /// live node, the directory against the PIT, the fine-grain tags,
@@ -373,37 +346,19 @@ impl Machine {
     /// the auditor observes and reports; it never panics and never
     /// repairs.
     ///
-    /// [`AuditMode`] scopes the page-granular checks: `Sampled` audits a
-    /// deterministic random fraction of pages and PIT entries per sweep,
-    /// `Incremental` audits only pages dirtied since the last sweep
-    /// (falling back to a full pass when the dirty-page ring overflowed).
-    /// The transit check always runs in full — an untracked `T` line
-    /// will never recover, so it must not hide behind sampling.
+    /// Every sweep is a full sweep: it inspects every directory page,
+    /// every PIT entry and every Transit line of every live node.
     pub(crate) fn audit_sweep(&mut self, now: Cycle) {
         self.obs.sweeps += 1;
-        let scope = match self.cfg.audit_mode {
-            AuditMode::Full => AuditScope::Full,
-            AuditMode::Sampled { fraction } => AuditScope::Sampled(fraction),
-            AuditMode::Incremental => {
-                let (pages, overflowed) = self.obs.drain_touched();
-                if overflowed {
-                    AuditScope::Full
-                } else {
-                    AuditScope::Touched(pages)
-                }
-            }
-        };
-        let mut rng = self.audit_rng.clone();
         let mut found: Vec<(NodeId, Option<GlobalPage>, AuditKind, String)> = Vec::new();
         for n in 0..self.cfg.nodes {
             if self.nodes[n].failed {
                 continue;
             }
-            self.audit_home_side(n, &scope, &mut rng, &mut found);
-            self.audit_client_side(n, &scope, &mut rng, &mut found);
+            self.audit_home_side(n, &mut found);
+            self.audit_client_side(n, &mut found);
             self.audit_transit(n, &mut found);
         }
-        self.audit_rng = rng;
         let mut fresh = 0u64;
         for (node, gpage, kind, detail) in found {
             let dup = self.obs.findings.iter().any(|f| {
@@ -427,8 +382,6 @@ impl Machine {
     fn audit_home_side(
         &self,
         n: usize,
-        scope: &AuditScope,
-        rng: &mut SimRng,
         found: &mut Vec<(NodeId, Option<GlobalPage>, AuditKind, String)>,
     ) {
         let me = NodeId(n as u16);
@@ -436,9 +389,6 @@ impl Machine {
         let mut pages: Vec<GlobalPage> = ctl.dir.iter().map(|(gp, _)| *gp).collect();
         pages.sort_unstable();
         for gp in pages {
-            if !scope.covers(rng, gp) {
-                continue;
-            }
             let pd = ctl.dir.page(gp).expect("page just listed");
             let frame = pd.home_frame;
             // PIT binding backs the directory's frame.
@@ -567,8 +517,6 @@ impl Machine {
     fn audit_client_side(
         &self,
         n: usize,
-        scope: &AuditScope,
-        rng: &mut SimRng,
         found: &mut Vec<(NodeId, Option<GlobalPage>, AuditKind, String)>,
     ) {
         let me = NodeId(n as u16);
@@ -577,9 +525,6 @@ impl Machine {
         entries.sort_unstable_by_key(|(f, _)| f.0);
         for (frame, e) in entries {
             let gp = e.gpage;
-            if !scope.covers(rng, gp) {
-                continue;
-            }
             let stat = self.homes.static_home(gp);
             if e.static_home != stat {
                 found.push((

@@ -15,6 +15,11 @@
 //! 3. **Kill** — the page is unrecoverable: invalidate the line and
 //!    kill only the processor(s) still holding it, keeping the failure
 //!    contained to the owning application.
+//!
+//! Each line recovered by step 1 or 2 publishes one
+//! [`ObsEvent::WatchdogRecovery`] on the event ring, with `remastered`
+//! telling the two apart; a kill publishes the `ProcKilled` events of
+//! its victims instead.
 
 use prism_mem::addr::{FrameNo, LineIdx, NodeId};
 use prism_mem::directory::LineDir;
@@ -23,6 +28,7 @@ use prism_protocol::msg::MsgKind;
 use prism_sim::Cycle;
 
 use crate::machine::Machine;
+use crate::obs::ObsEvent;
 
 impl Machine {
     /// Scans every live node for lines wedged in Transit past the
@@ -145,6 +151,13 @@ impl Machine {
                 r.contained_faults += 1;
             }
         });
+        self.obs.emit(
+            t,
+            ObsEvent::WatchdogRecovery {
+                node: me,
+                remastered,
+            },
+        );
         t
     }
 

@@ -9,7 +9,7 @@
 use prism_kernel::migration::MigrationPolicy;
 use prism_machine::config::MachineConfig;
 use prism_machine::machine::Machine;
-use prism_machine::{AuditKind, FaultPlan, JournalPolicy};
+use prism_machine::{AuditKind, FaultPlan, JournalPolicy, ObsEvent};
 use prism_mem::addr::{GlobalPage, Gsid, NodeId, VirtAddr};
 use prism_mem::trace::{Op, OpLane, SegmentSpec, Trace, SHARED_BASE};
 use prism_sim::Cycle;
@@ -452,6 +452,74 @@ fn watchdog_recovers_wedged_transit_line_by_resend() {
     // The repaired tag agrees with the directory; no Transit line is
     // left without a deadline clock.
     assert!(report.audit.is_empty(), "{:?}", report.audit);
+    assert_eq!(
+        watchdog_recoveries(&m),
+        vec![(NodeId(1), false)],
+        "one ring event per watchdog resend or re-master"
+    );
+}
+
+/// The `(node, remastered)` of every `WatchdogRecovery` on the ring.
+fn watchdog_recoveries(m: &Machine) -> Vec<(NodeId, bool)> {
+    m.recent_events()
+        .into_iter()
+        .filter_map(|(_, ev)| match ev {
+            ObsEvent::WatchdogRecovery { node, remastered } => Some((node, remastered)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// A line wedged at a client whose dynamic home then dies is recovered
+/// by the second escalation step: the watchdog re-masters the page at
+/// its static home and repairs the tag from there, and publishes that
+/// recovery on the event ring.
+#[test]
+fn watchdog_remasters_a_wedged_line_whose_home_died() {
+    let mut cfg = config();
+    cfg.migration = Some(MigrationPolicy::default());
+    // Split the compute pad into short ops, so the faults and the
+    // watchdog fire inside it instead of at the pick that ends it.
+    let mut trace = failover_trace();
+    for lane in &mut trace.lanes {
+        let ops: Vec<Op> = lane
+            .iter()
+            .flat_map(|op| match *op {
+                Op::Compute(c) => vec![Op::Compute(1_000); (c / 1_000) as usize],
+                op => vec![op],
+            })
+            .collect();
+        *lane = ops.into();
+    }
+    let clean = Machine::new(cfg.clone()).run(&trace);
+    let quarter = clean.exec_cycles.as_u64() / 4;
+
+    // Inside the compute pad, node 1 holds the page through the
+    // migrated home at node 2. Its line wedges first, and node 2 dies
+    // before the deadline expires and before anyone else touches the
+    // page (which would fail it over first).
+    let mut m = Machine::new(cfg);
+    m.install_fault_plan(
+        FaultPlan::new(3)
+            .wedge_transit(NodeId(1), Cycle(quarter))
+            .fail_node(NodeId(2), Cycle(quarter + 100)),
+    )
+    .expect("fault plan validates");
+    let report = m.run(&trace);
+
+    assert_eq!(report.fault.transit_wedges, 1);
+    assert_eq!(report.fault.node_failures, 1);
+    assert_eq!(report.fault.watchdog_resends, 0);
+    assert_eq!(
+        report.fault.watchdog_remasters, 1,
+        "the dead home forces the second rung"
+    );
+    assert_eq!(report.fault.watchdog_kills, 0);
+    assert_eq!(
+        watchdog_recoveries(&m),
+        vec![(NodeId(1), true)],
+        "one ring event per watchdog resend or re-master"
+    );
 }
 
 /// The full recovery machinery — journaling, watchdog, failover, audit

@@ -13,8 +13,10 @@
 //! * [`FastMap`] / [`FastSet`] — hash tables over the fixed [`FastHasher`],
 //!   the map type every simulator table uses.
 //! * [`stats`] — counters and log₂-bucketed latency histograms.
-//! * [`event`] — a bounded event ring and a named counter registry, the
-//!   storage layer for the machine's observability bus.
+//! * [`event`] — a bounded event ring, the storage layer for the
+//!   machine's observability bus.
+//! * [`json`] — the one JSON value type, writer and reader: run reports,
+//!   repro artifacts and bench files all render through it.
 //! * [`sync`] — barrier and queued-lock bookkeeping used to model the
 //!   synchronization operations emitted by workloads.
 //!
@@ -44,6 +46,7 @@
 mod cycle;
 pub mod event;
 mod hash;
+pub mod json;
 mod resource;
 mod rng;
 pub mod stats;

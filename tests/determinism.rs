@@ -18,6 +18,7 @@ use prism::machine::machine::Machine;
 use prism::machine::{FaultPlan, JournalPolicy};
 use prism::mem::addr::NodeId;
 use prism::prelude::*;
+use prism::sim::json::Json;
 use prism::sim::Cycle;
 
 fn base_config() -> MachineConfig {
@@ -131,56 +132,27 @@ fn golden_mixed_faults() {
     check_golden("mixed_faults", &report.to_json());
 }
 
-/// `to_json_debug` strictly extends the plain report with the
-/// machine-wide `dir_counters` block, which the plain report leaves out;
-/// its directory-cache totals are the per-node figures summed.
+/// Every golden fixture is a fixed point of the one JSON layer: parsing
+/// it and rendering it again gives the same bytes. So the report writer
+/// and `prism_sim::json` agree on key order, number tokens and escaping.
 #[test]
-fn dir_counters_live_only_in_debug_report() {
-    let ctr = |json: &str, name: &str| -> u64 {
-        let key = format!("\"{name}\":");
-        let at = json.find(&key).unwrap_or_else(|| panic!("missing {key}"));
-        json[at + key.len()..]
-            .chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect::<String>()
-            .parse()
-            .expect("counter value")
-    };
-    let trace = app(AppId::Lu, Scale::Small).generate(8);
-    let r = Machine::new(base_config()).run(&trace);
-    let (plain, debug) = (r.to_json(), r.to_json_debug());
-    assert!(
-        !plain.contains("dir_counters"),
-        "plain report leaked dir_counters"
-    );
-    assert!(
-        debug.starts_with(&plain[..plain.len() - 1]),
-        "to_json_debug must extend to_json"
-    );
-    assert!(debug.ends_with(&format!(
-        ",\"dir_counters\":{{\"dir-cache-hits\":{},\"dir-cache-misses\":{}}}}}",
-        ctr(&debug, "dir-cache-hits"),
-        ctr(&debug, "dir-cache-misses")
-    )));
-    let hits: u64 = r.per_node.iter().map(|n| n.dir_cache_hits).sum();
-    let misses: u64 = r.per_node.iter().map(|n| n.dir_cache_misses).sum();
-    assert!(hits + misses > 0, "the run must probe directory caches");
-    assert_eq!(ctr(&debug, "dir-cache-hits"), hits);
-    assert_eq!(ctr(&debug, "dir-cache-misses"), misses);
-}
-
-/// Sampled and incremental audit sweeps must themselves be
-/// deterministic: same configuration, same findings and sweep count,
-/// run after run.
-#[test]
-fn audit_modes_are_deterministic() {
-    for mode in [AuditMode::Sampled { fraction: 0.5 }, AuditMode::Incremental] {
-        let run = || {
-            let mut cfg = base_config();
-            cfg.audit_mode = mode;
-            let trace = app(AppId::Ocean, Scale::Small).generate(8);
-            Machine::new(cfg).run(&trace).to_json()
-        };
-        assert_eq!(run(), run(), "audit mode {mode:?} is not deterministic");
+fn goldens_reparse_and_render_byte_for_byte() {
+    let dir = format!("{}/tests/golden", env!("CARGO_MANIFEST_DIR"));
+    let mut seen = 0;
+    for entry in std::fs::read_dir(&dir).expect("golden directory") {
+        let path = entry.expect("golden entry").path();
+        if path.extension().is_none_or(|e| e != "json") {
+            continue;
+        }
+        let golden = std::fs::read_to_string(&path).expect("read golden");
+        let parsed = Json::parse(&golden)
+            .unwrap_or_else(|e| panic!("{} does not parse: {e}", path.display()));
+        assert!(
+            parsed.to_string() == golden,
+            "{} does not render back byte for byte",
+            path.display()
+        );
+        seen += 1;
     }
+    assert_eq!(seen, 4, "the four golden fixtures");
 }
