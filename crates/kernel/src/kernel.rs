@@ -244,6 +244,29 @@ impl Kernel {
         self.page_table.lookup(vpage)
     }
 
+    /// The mode a mapping of `frame` carries, read from the frame's class
+    /// rather than from the page table: local frames map `Local`, home
+    /// and client S-COMA frames `Scoma`, imaginary frames `LaNuma`. Every
+    /// page-table entry of this kernel satisfies
+    /// `pte.mode == mode_of(pte.frame)`, so a TLB hit, which yields only
+    /// the frame, needs no page-table lookup.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame` is a real frame that is not allocated.
+    #[inline]
+    pub fn mode_of(&self, frame: FrameNo) -> FrameMode {
+        if frame.is_imaginary() {
+            return FrameMode::LaNuma;
+        }
+        match self.pool.class_of(frame) {
+            Some(FrameClass::Local) => FrameMode::Local,
+            Some(FrameClass::ScomaHome | FrameClass::ScomaClient) => FrameMode::Scoma,
+            Some(FrameClass::Command) => FrameMode::Command,
+            Some(FrameClass::LaNuma) | None => panic!("{frame} is not a live real frame"),
+        }
+    }
+
     /// Reverse of [`Kernel::resolve`]: the virtual page at which a global
     /// page is attached (identical across nodes, paper §3.3).
     pub fn shared_vpage(&self, gpage: GlobalPage, geom: &Geometry) -> Option<u64> {
@@ -502,12 +525,13 @@ impl Kernel {
     }
 
     /// Per-access bookkeeping: frame-utilization tracking and page-cache
-    /// recency. Called by the machine for every memory reference.
-    pub fn on_access(&mut self, frame: FrameNo, line: LineIdx, gpage: Option<GlobalPage>) {
+    /// recency. Called by the machine for every memory reference; both are
+    /// dense per-frame arrays, and a no-op where the frame has no usage
+    /// instance or client page.
+    #[inline]
+    pub fn on_access(&mut self, frame: FrameNo, line: LineIdx) {
         self.usage.touch(frame, line.0 as usize);
-        if let Some(gp) = gpage {
-            self.page_cache.note_use(gp);
-        }
+        self.page_cache.note_use(frame);
     }
 
     /// Counts a remote refetch of an LA-NUMA page. Returns `true` when
@@ -604,10 +628,10 @@ impl Kernel {
         self.stats
     }
 
-    /// Closes utilization accounting and returns
-    /// `(real frame instances, average utilization)`.
-    pub fn finalize_usage(&mut self) -> (u64, f64) {
-        self.usage.finalize()
+    /// `(real frame instances, average utilization)` so far, counting
+    /// live frames as they stand (see [`UsageTracker::snapshot`]).
+    pub fn usage_snapshot(&self) -> (u64, f64) {
+        self.usage.snapshot()
     }
 }
 
@@ -849,16 +873,52 @@ mod tests {
     }
 
     #[test]
-    fn usage_finalizes_with_allocated_frames() {
+    fn usage_snapshot_counts_allocated_frames() {
         let mut k = mk_kernel(PagePolicy::Scoma, None);
         k.commit_private_fault(1);
         let gp = gp_of(&k, 1);
         let f = k.commit_client_fault(11, gp, FrameMode::Scoma, true);
-        k.on_access(f, LineIdx(0), Some(gp));
-        k.on_access(f, LineIdx(1), Some(gp));
-        let (instances, util) = k.finalize_usage();
+        k.on_access(f, LineIdx(0));
+        k.on_access(f, LineIdx(1));
+        let (instances, util) = k.usage_snapshot();
         assert_eq!(instances, 2);
         // 2 touched lines out of 2 frames x 64 lines.
         assert!((util - 2.0 / 128.0).abs() < 1e-12);
+        // The snapshot leaves the instances open: a later touch counts.
+        k.on_access(f, LineIdx(2));
+        assert_eq!(k.usage_snapshot(), (2, 3.0 / 128.0));
+    }
+
+    #[test]
+    fn mode_of_agrees_with_every_mapping() {
+        let mut k = mk_kernel(PagePolicy::DynLru, Some(1));
+        k.commit_private_fault(1);
+        let home = gp_of(&k, 0);
+        let (hf, _) = k.ensure_home_resident(home);
+        k.commit_home_fault(2, home, hf);
+        k.commit_client_fault(3, gp_of(&k, 1), FrameMode::Scoma, true);
+        k.commit_client_fault(4, gp_of(&k, 2), FrameMode::LaNuma, true);
+        for vpage in 1..=4 {
+            let pte = k.lookup(vpage).unwrap();
+            assert_eq!(k.mode_of(pte.frame), pte.mode, "vpage {vpage}");
+        }
+        assert_eq!(k.mode_of(k.command_frame()), FrameMode::Command);
+    }
+
+    #[test]
+    fn on_access_refreshes_only_client_pages() {
+        let mut k = mk_kernel(PagePolicy::Scoma, Some(2));
+        let (a, b) = (gp_of(&k, 1), gp_of(&k, 2));
+        let fa = k.commit_client_fault(11, a, FrameMode::Scoma, true);
+        k.commit_client_fault(12, b, FrameMode::Scoma, true);
+        let (hf, _) = k.ensure_home_resident(gp_of(&k, 3));
+        // Home and imaginary frames leave the LRU order alone.
+        k.on_access(hf, LineIdx(0));
+        k.on_access(FrameNo::imaginary(0), LineIdx(0));
+        let plan = k.plan_fault(13, Some(gp_of(&k, 4)), NodeId(0), &NoQuery);
+        assert_eq!(plan.evict.unwrap().gpage, a);
+        k.on_access(fa, LineIdx(0));
+        let plan = k.plan_fault(13, Some(gp_of(&k, 4)), NodeId(0), &NoQuery);
+        assert_eq!(plan.evict.unwrap().gpage, b);
     }
 }

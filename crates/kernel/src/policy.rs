@@ -241,7 +241,7 @@ mod tests {
     #[test]
     fn scoma_full_evicts_lru_without_conversion() {
         let mut pc = full_cache();
-        pc.note_use(g(0)); // g(1) becomes LRU
+        pc.note_use(FrameNo(10)); // g(1) becomes LRU
         let d = decide_client_mode(PagePolicy::Scoma, &pc, &empty_query());
         assert_eq!(d.mode, FrameMode::Scoma);
         assert_eq!(
@@ -303,7 +303,7 @@ mod tests {
     #[test]
     fn dyn_lru_converts_its_victim() {
         let mut pc = full_cache();
-        pc.note_use(g(1)); // g(0) is LRU
+        pc.note_use(FrameNo(11)); // g(0) is LRU
         let d = decide_client_mode(PagePolicy::DynLru, &pc, &empty_query());
         assert_eq!(
             d.evict,
@@ -339,7 +339,7 @@ mod tests {
     #[test]
     fn dyn_both_overflow_behaves_like_dyn_lru() {
         let mut pc = full_cache();
-        pc.note_use(g(1));
+        pc.note_use(FrameNo(11));
         let a = decide_client_mode(PagePolicy::DynLru, &pc, &empty_query());
         let b = decide_client_mode(PagePolicy::DynBoth, &pc, &empty_query());
         assert_eq!(a, b);

@@ -1,5 +1,13 @@
-//! Thin driver for the memory-access path: TLB → page table → L1 → L2
-//! → node-level (mode-dispatched) → possibly the inter-node protocol.
+//! Thin driver for the memory-access path: TLB (page table on a miss)
+//! → L1 → L2 → node-level (mode-dispatched) → possibly the inter-node
+//! protocol.
+//!
+//! A reference that hits in the TLB and L1 touches only array-indexed
+//! state: the TLB's hinted slot, the kernel's dense per-frame class,
+//! usage-mask and page-cache-stamp arrays, and the flat cache sets. The
+//! page table is walked only on a TLB miss, and the PIT translates the
+//! frame to its global page only where one is used (journaling writes
+//! and the node-level dispatch after an L2 miss).
 //!
 //! The driver classifies each reference and dispatches to the
 //! transaction layer: intra-node fills live in [`crate::txn::local`],
@@ -8,6 +16,7 @@
 use prism_mem::addr::{FrameNo, GlobalPage, LineIdx, VirtAddr};
 use prism_mem::cache::LineState;
 use prism_mem::mode::FrameMode;
+use prism_mem::page_table::Pte;
 use prism_protocol::dirproto::{tag_action, TagAction};
 use prism_protocol::msg::MsgKind;
 use prism_sim::Cycle;
@@ -31,8 +40,8 @@ impl Machine {
         // Trace-ingest batching: a run continuation can reuse the
         // memoized translation when the configuration guarantees it is
         // still valid. The skipped work — a TLB re-touch of the entry
-        // that is already most-recently-used and two pure kernel
-        // lookups — is idempotent, so timing and statistics are
+        // that is already most-recently-used and a read of the frame's
+        // class — is idempotent, so timing and statistics are
         // unchanged; only host cycles are saved.
         let pc = self.nodes[n].procs[pi].pc;
         let memo = self.nodes[n].procs[pi].xlat_memo;
@@ -44,26 +53,37 @@ impl Machine {
                 (frame, mode)
             }
             _ => {
-                // TLB and page table; a miss on an unmapped page is a
-                // page fault.
-                if self.nodes[n].procs[pi].tlb.lookup(vpage).is_none() {
-                    t += Cycle(lat.tlb_miss);
-                    if self.nodes[n].kernel.lookup(vpage).is_none() {
-                        t = self.handle_fault(n, pi, vpage, va, t);
-                        if self.nodes[n].procs[pi].state == ProcState::Dead {
-                            return;
-                        }
+                let (frame, mode) = match self.nodes[n].procs[pi].tlb.lookup(vpage) {
+                    // A TLB hit gives the frame, and the frame's class
+                    // gives the mode: no page-table walk. Every unmap
+                    // shoots down the node's TLBs, so a cached frame is
+                    // always the one the page table holds.
+                    Some(frame) => {
+                        let kernel = &self.nodes[n].kernel;
+                        let mode = kernel.mode_of(frame);
+                        debug_assert_eq!(kernel.lookup(vpage), Some(Pte { frame, mode }));
+                        (frame, mode)
                     }
-                    let frame = self.nodes[n]
-                        .kernel
-                        .lookup(vpage)
-                        .expect("fault handler mapped the page")
-                        .frame;
-                    self.nodes[n].procs[pi].tlb.insert(vpage, frame);
-                }
-                let pte = self.nodes[n].kernel.lookup(vpage).expect("page is mapped");
-                self.nodes[n].procs[pi].xlat_memo = Some((vpage, pte.frame, pte.mode));
-                (pte.frame, pte.mode)
+                    // A TLB miss walks the page table; a miss on an
+                    // unmapped page is a page fault.
+                    None => {
+                        t += Cycle(lat.tlb_miss);
+                        if self.nodes[n].kernel.lookup(vpage).is_none() {
+                            t = self.handle_fault(n, pi, vpage, va, t);
+                            if self.nodes[n].procs[pi].state == ProcState::Dead {
+                                return;
+                            }
+                        }
+                        let pte = self.nodes[n]
+                            .kernel
+                            .lookup(vpage)
+                            .expect("fault handler mapped the page");
+                        self.nodes[n].procs[pi].tlb.insert(vpage, pte.frame);
+                        (pte.frame, pte.mode)
+                    }
+                };
+                self.nodes[n].procs[pi].xlat_memo = Some((vpage, frame, mode));
+                (frame, mode)
             }
         };
         let line = geom.line_in_page(va.0);
@@ -72,16 +92,7 @@ impl Machine {
 
         // Per-access bookkeeping (frame utilization, page-cache LRU,
         // shadow line identity).
-        let gpage = if mode.is_shared() {
-            self.nodes[n]
-                .controller
-                .pit
-                .translate(frame)
-                .map(|e| e.gpage)
-        } else {
-            None
-        };
-        self.nodes[n].kernel.on_access(frame, line, gpage);
+        self.nodes[n].kernel.on_access(frame, line);
         if let Some(sh) = self.shadow.as_mut() {
             sh.note_lid(n as u16, key, lid);
         }
@@ -92,7 +103,7 @@ impl Machine {
         // a *migrated* home are journaled — data at the static home is
         // already on its own durable memory.
         if write && mode == FrameMode::Scoma && self.journal.is_some() {
-            if let Some(gp) = gpage {
+            if let Some(gp) = self.gpage_of(n, frame) {
                 let dyn_home = self.resolve_dyn_home(gp);
                 let stat = self.homes.static_home(gp);
                 if dyn_home.0 as usize == n && stat != dyn_home {
@@ -158,6 +169,13 @@ impl Machine {
         let has_shared_copy = matches!(l2_state, Some(LineState::Shared));
 
         // Node-level action, dispatched on the frame mode (paper Fig. 4).
+        // Only shared frames have a global page, translated by the PIT
+        // here, past the cache hits that never need it.
+        let gpage = if mode.is_shared() {
+            self.gpage_of(n, frame)
+        } else {
+            None
+        };
         t = self.node_level(
             n,
             pi,
@@ -174,6 +192,15 @@ impl Machine {
         if self.nodes[n].procs[pi].state != ProcState::Dead {
             self.nodes[n].procs[pi].clock = t;
         }
+    }
+
+    /// The global page node `n`'s PIT binds `frame` to, if any.
+    fn gpage_of(&self, n: usize, frame: FrameNo) -> Option<GlobalPage> {
+        self.nodes[n]
+            .controller
+            .pit
+            .translate(frame)
+            .map(|e| e.gpage)
     }
 
     /// The controller's mode-dispatched handling of an L2 miss (or

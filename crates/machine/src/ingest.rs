@@ -1,8 +1,9 @@
 //! Trace-ingest batching: same-page run detection at trace-load time.
 //!
 //! Memory traces are bursty — SPLASH kernels touch a page many times in
-//! a row before moving on — yet the access path used to re-walk the TLB
-//! and kernel page tables for every single reference. This module scans
+//! a row before moving on — yet the access path translates every single
+//! reference: a TLB lookup, then the frame's class for its mode (the
+//! page table is walked only on a TLB miss). This module scans
 //! each lane once at load time and groups consecutive references to the
 //! same virtual page into *run-length records*: a run starts at the
 //! first reference to a page and extends across every following
@@ -16,11 +17,13 @@
 //! not a binary search over records. During execution, a reference
 //! marked as a run continuation may reuse the processor's memoized
 //! translation ([`crate::node::Processor::xlat_memo`]) instead of
-//! re-walking the TLB and page tables — the skipped lookups are idempotent on a run
-//! continuation (the TLB entry is already most-recently-used and the
-//! kernel lookup is pure), so timing and statistics are byte-identical;
-//! only host work is saved. The hit-rate is reported through
-//! [`crate::obs::Ctr::BatchedLookups`].
+//! repeating the TLB lookup and the frame-class read — both are
+//! idempotent on a run continuation (the TLB entry is already
+//! most-recently-used and the class read is pure), so timing and
+//! statistics are byte-identical; only host work is saved. The hit-rate
+//! is reported through [`crate::obs::Ctr::BatchedLookups`]. With the
+//! dense per-reference path the memo saves little; EXPERIMENTS.md
+//! ("Dense per-reference path") has the measurement.
 
 use prism_mem::addr::Geometry;
 use prism_mem::trace::{Op, Trace};

@@ -127,6 +127,9 @@ pub struct Machine {
     /// for the whole run, letting run continuations reuse the
     /// per-processor translation memo.
     pub(crate) fast_xlat: bool,
+    /// `(node, processor)` of every flat processor id (see
+    /// [`Machine::split_flat`]).
+    flat_split: Box<[(u32, u32)]>,
 }
 
 impl Machine {
@@ -148,6 +151,9 @@ impl Machine {
             })
             .collect();
         let total = cfg.total_procs();
+        let flat_split = (0..cfg.nodes as u32)
+            .flat_map(|n| (0..cfg.procs_per_node as u32).map(move |pi| (n, pi)))
+            .collect();
         let shadow = cfg.check_coherence.then(Shadow::new);
         let journal = cfg.journal.enabled().then(Journal::default);
         let next_audit = cfg.audit_interval.unwrap_or(u64::MAX);
@@ -171,6 +177,7 @@ impl Machine {
             mode_prefs_set: false,
             ingest: IngestIndex::default(),
             fast_xlat: false,
+            flat_split,
         }
     }
 
@@ -338,8 +345,13 @@ impl Machine {
         self.cfg.procs_per_node
     }
 
+    /// `(node, processor)` of flat processor id `flat`, read from a
+    /// table, so the run loop, which splits ids several times per op,
+    /// divides by no run-time `procs_per_node`.
+    #[inline]
     pub(crate) fn split_flat(&self, flat: usize) -> (usize, usize) {
-        (flat / self.ppn(), flat % self.ppn())
+        let (n, pi) = self.flat_split[flat];
+        (n as usize, pi as usize)
     }
 
     pub(crate) fn flat(&self, node: usize, proc: usize) -> usize {

@@ -44,9 +44,9 @@ pub struct Processor {
     pub tlb: Tlb,
     /// Last translation of the current same-page run, as
     /// `(vpage, frame, mode)` — trace-ingest batching lets subsequent
-    /// references in the run reuse it instead of re-walking the TLB and
-    /// kernel page tables (the lookups it skips are idempotent, so
-    /// timing and statistics are unchanged).
+    /// references in the run reuse it instead of repeating the TLB
+    /// lookup and the frame-class read (both idempotent, so timing and
+    /// statistics are unchanged).
     pub xlat_memo: Option<(u64, FrameNo, FrameMode)>,
 }
 

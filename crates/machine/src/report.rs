@@ -172,8 +172,8 @@ impl Machine {
         let mut per_node = Vec::with_capacity(self.nodes.len());
         let (mut frames, mut util_num) = (0u64, 0.0f64);
         let mut agg = KernelStats::default();
-        for node in &mut self.nodes {
-            let (instances, utilization) = node.kernel.finalize_usage();
+        for node in &self.nodes {
+            let (instances, utilization) = node.kernel.usage_snapshot();
             let ks = node.kernel.stats();
             agg.absorb(&ks);
             frames += instances;

@@ -174,6 +174,7 @@ impl Sched {
 
     /// The earliest scheduled control event's due cycle (`u64::MAX`
     /// when none is queued).
+    #[inline]
     fn peek_control(&self) -> u64 {
         self.control.peek().map_or(u64::MAX, |&Reverse((at, _))| at)
     }
@@ -189,6 +190,7 @@ impl Sched {
     /// Pops every control event due at or before `now`, reporting which
     /// classes came due (each class executes once per pick, exactly like
     /// the original per-pick checks).
+    #[inline]
     fn drain_control(&mut self, now: u64) -> (bool, bool, bool) {
         let (mut fault, mut watchdog, mut audit) = (false, false, false);
         while let Some(&Reverse((at, kind))) = self.control.peek() {

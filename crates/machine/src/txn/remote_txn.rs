@@ -320,7 +320,7 @@ impl RemoteTxn {
                 .page(self.gpage)
                 .expect("checked above")
                 .home_frame;
-            m.nodes[home].kernel.on_access(hf, self.line, None);
+            m.nodes[home].kernel.on_access(hf, self.line);
         }
 
         // Directory cache and state.

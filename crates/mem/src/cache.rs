@@ -4,6 +4,13 @@
 //! states; Invalid lines are simply absent. Timing is not modeled here —
 //! the machine charges latencies — only state, LRU replacement, and
 //! statistics.
+//!
+//! The sets live in one flat array of ways with an `assoc` stride, so a
+//! lookup is a mask, a multiply and a scan of `assoc` adjacent ways; an
+//! empty way is marked by an impossible line address. Replacement is
+//! true LRU by per-access stamps: the victim is the minimum stamp of a
+//! full set, found by a scan on the (rare) eviction rather than by
+//! re-ordering a list on every access.
 
 use std::fmt;
 
@@ -52,16 +59,29 @@ pub struct CacheStats {
     pub writebacks: u64,
 }
 
-#[derive(Clone, Debug)]
+/// One way of a set. An empty way holds [`EMPTY`] with stamp 0, so the
+/// minimum-stamp victim search picks it before any resident line.
+#[derive(Clone, Copy, Debug)]
 struct Way {
     line: u64,
     state: LineState,
     stamp: u64,
 }
 
+/// The line address of an empty way. Real line addresses stay below it.
+const EMPTY: u64 = u64::MAX;
+
+const EMPTY_WAY: Way = Way {
+    line: EMPTY,
+    state: LineState::Shared,
+    stamp: 0,
+};
+
 /// A set-associative, write-back, write-allocate cache.
 ///
-/// Lines are identified by *line address* (`physical address >> line_log2`).
+/// Lines are identified by *line address* (`physical address >> line_log2`),
+/// which must be below `u64::MAX`. Set `s` holds ways
+/// `[s * assoc, (s + 1) * assoc)` of one flat array (see the module docs).
 ///
 /// # Example
 ///
@@ -79,7 +99,7 @@ struct Way {
 #[derive(Clone, Debug)]
 pub struct Cache {
     name: &'static str,
-    sets: Vec<Vec<Way>>,
+    ways: Vec<Way>,
     assoc: usize,
     set_mask: u64,
     tick: u64,
@@ -110,7 +130,7 @@ impl Cache {
         );
         Cache {
             name,
-            sets: (0..set_count).map(|_| Vec::with_capacity(assoc)).collect(),
+            ways: vec![EMPTY_WAY; set_count as usize * assoc],
             assoc,
             set_mask: set_count - 1,
             tick: 0,
@@ -118,9 +138,24 @@ impl Cache {
         }
     }
 
+    /// The ways of the set `line` maps to.
     #[inline]
-    fn set_of(&self, line: u64) -> usize {
-        (line & self.set_mask) as usize
+    fn set(&self, line: u64) -> &[Way] {
+        let base = (line & self.set_mask) as usize * self.assoc;
+        &self.ways[base..base + self.assoc]
+    }
+
+    #[inline]
+    fn set_mut(&mut self, line: u64) -> &mut [Way] {
+        let base = (line & self.set_mask) as usize * self.assoc;
+        &mut self.ways[base..base + self.assoc]
+    }
+
+    /// The way holding `line`, if present.
+    #[inline]
+    fn way_mut(&mut self, line: u64) -> Option<&mut Way> {
+        debug_assert_ne!(line, EMPTY, "line address u64::MAX");
+        self.set_mut(line).iter_mut().find(|w| w.line == line)
     }
 
     /// The cache's diagnostic name.
@@ -130,12 +165,12 @@ impl Cache {
 
     /// Total lines the cache can hold.
     pub fn capacity_lines(&self) -> usize {
-        self.sets.len() * self.assoc
+        self.ways.len()
     }
 
     /// Lines currently present.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.iter().count()
     }
 
     /// True when no line is present.
@@ -150,22 +185,25 @@ impl Cache {
 
     /// Looks up a line without updating replacement state or statistics.
     pub fn probe(&self, line: u64) -> Option<LineState> {
-        let set = &self.sets[self.set_of(line)];
-        set.iter().find(|w| w.line == line).map(|w| w.state)
+        debug_assert_ne!(line, EMPTY, "line address u64::MAX");
+        self.set(line)
+            .iter()
+            .find(|w| w.line == line)
+            .map(|w| w.state)
     }
 
     /// Accesses a line: on a hit, refreshes LRU state and returns the
     /// current state; on a miss returns `None`. Hit/miss statistics are
     /// updated.
+    #[inline]
     pub fn touch(&mut self, line: u64) -> Option<LineState> {
         self.tick += 1;
         let tick = self.tick;
-        let set_idx = self.set_of(line);
-        let set = &mut self.sets[set_idx];
-        if let Some(w) = set.iter_mut().find(|w| w.line == line) {
+        if let Some(w) = self.way_mut(line) {
             w.stamp = tick;
+            let state = w.state;
             self.stats.hits += 1;
-            Some(w.state)
+            Some(state)
         } else {
             self.stats.misses += 1;
             None
@@ -178,11 +216,10 @@ impl Cache {
     ///
     /// Panics if the line is absent.
     pub fn set_state(&mut self, line: u64, state: LineState) {
-        let set_idx = self.set_of(line);
-        let w = self.sets[set_idx]
-            .iter_mut()
-            .find(|w| w.line == line)
-            .unwrap_or_else(|| panic!("{}: set_state on absent line {line:#x}", self.name));
+        let name = self.name;
+        let w = self
+            .way_mut(line)
+            .unwrap_or_else(|| panic!("{name}: set_state on absent line {line:#x}"));
         w.state = state;
     }
 
@@ -190,57 +227,60 @@ impl Cache {
     /// evicted and returned so the caller can process a writeback.
     ///
     /// Inserting a line that is already present just updates its state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line` is `u64::MAX`.
     pub fn insert(&mut self, line: u64, state: LineState) -> Option<Evicted> {
+        assert_ne!(line, EMPTY, "{}: line address u64::MAX", self.name);
         self.tick += 1;
         let tick = self.tick;
-        let assoc = self.assoc;
-        let set_idx = self.set_of(line);
-        let set = &mut self.sets[set_idx];
+        let set = self.set_mut(line);
         if let Some(w) = set.iter_mut().find(|w| w.line == line) {
             w.state = state;
             w.stamp = tick;
             return None;
         }
-        let evicted = if set.len() == assoc {
-            let (lru_idx, _) = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.stamp)
-                .expect("set is full, so nonempty");
-            let victim = set.swap_remove(lru_idx);
-            self.stats.evictions += 1;
-            if victim.state.is_dirty() {
-                self.stats.writebacks += 1;
-            }
-            Some(Evicted {
-                line: victim.line,
-                dirty: victim.state.is_dirty(),
-            })
-        } else {
-            None
-        };
-        set.push(Way {
-            line,
-            state,
-            stamp: tick,
-        });
-        evicted
+        // An empty way has stamp 0, so it wins over every resident line;
+        // in a full set the minimum stamp is the LRU line.
+        let victim = set
+            .iter_mut()
+            .min_by_key(|w| w.stamp)
+            .expect("sets have at least one way");
+        let old = std::mem::replace(
+            victim,
+            Way {
+                line,
+                state,
+                stamp: tick,
+            },
+        );
+        if old.line == EMPTY {
+            return None;
+        }
+        let dirty = old.state.is_dirty();
+        self.stats.evictions += 1;
+        if dirty {
+            self.stats.writebacks += 1;
+        }
+        Some(Evicted {
+            line: old.line,
+            dirty,
+        })
     }
 
     /// Removes a line; returns whether it was present and dirty.
     pub fn invalidate(&mut self, line: u64) -> Option<bool> {
-        let set_idx = self.set_of(line);
-        let set = &mut self.sets[set_idx];
-        let pos = set.iter().position(|w| w.line == line)?;
-        let w = set.swap_remove(pos);
-        Some(w.state.is_dirty())
+        let w = self.way_mut(line)?;
+        let dirty = w.state.is_dirty();
+        *w = EMPTY_WAY;
+        Some(dirty)
     }
 
     /// Downgrades a line to `Shared`; returns whether it was dirty
     /// (needing a writeback of the modified data) or `None` if absent.
     pub fn downgrade(&mut self, line: u64) -> Option<bool> {
-        let set_idx = self.set_of(line);
-        let w = self.sets[set_idx].iter_mut().find(|w| w.line == line)?;
+        let w = self.way_mut(line)?;
         let was_dirty = w.state.is_dirty();
         w.state = LineState::Shared;
         Some(was_dirty)
@@ -262,14 +302,15 @@ impl Cache {
     /// Iterates over all `(line, state)` pairs currently present
     /// (unspecified order). Intended for invariant checks in tests.
     pub fn iter(&self) -> impl Iterator<Item = (u64, LineState)> + '_ {
-        self.sets.iter().flatten().map(|w| (w.line, w.state))
+        self.ways
+            .iter()
+            .filter(|w| w.line != EMPTY)
+            .map(|w| (w.line, w.state))
     }
 
     /// Drops all contents and statistics.
     pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.ways.fill(EMPTY_WAY);
         self.tick = 0;
         self.stats = CacheStats::default();
     }

@@ -4,8 +4,16 @@
 //! "Page Mode Binding") and the evaluation reports how many frames each
 //! configuration allocates and what fraction of each frame's cache lines
 //! is actually touched (paper Table 3).
+//!
+//! Per-frame state is dense, like the controller's PIT: a real frame's
+//! class and its touched-line mask sit in arrays indexed by
+//! [`FrameNo::real_index`], grown on demand up to the highest frame
+//! handed out (frames come low-first from the free list). The access
+//! path reads them on every reference, so they are array loads, not
+//! hash lookups. Imaginary (LA-NUMA) frames consume no memory and are
+//! not tracked for utilization; the pool keeps them in a small set.
 
-use prism_sim::FastMap;
+use prism_sim::FastSet;
 
 use crate::addr::FrameNo;
 
@@ -76,7 +84,10 @@ pub struct FramePool {
     free: Vec<FrameNo>,
     total_real: usize,
     next_imaginary: u32,
-    active_class: FastMap<FrameNo, FrameClass>,
+    /// Class of each live real frame, by real index (`None` = free).
+    real_class: Vec<Option<FrameClass>>,
+    /// Live imaginary frames (all of class [`FrameClass::LaNuma`]).
+    imaginary: FastSet<FrameNo>,
     stats: PoolStats,
 }
 
@@ -88,7 +99,8 @@ impl FramePool {
             free: (0..real_frames as u32).rev().map(FrameNo).collect(),
             total_real: real_frames,
             next_imaginary: 0,
-            active_class: FastMap::default(),
+            real_class: Vec::new(),
+            imaginary: FastSet::default(),
             stats: PoolStats::default(),
         }
     }
@@ -98,10 +110,17 @@ impl FramePool {
     /// succeed (imaginary frames are just PIT names).
     pub fn alloc(&mut self, class: FrameClass) -> Option<FrameNo> {
         let frame = if class.is_real() {
-            self.free.pop()?
+            let frame = self.free.pop()?;
+            let i = frame.real_index();
+            if i >= self.real_class.len() {
+                self.real_class.resize(i + 1, None);
+            }
+            self.real_class[i] = Some(class);
+            frame
         } else {
             let f = FrameNo::imaginary(self.next_imaginary);
             self.next_imaginary += 1;
+            self.imaginary.insert(f);
             f
         };
         match class {
@@ -111,7 +130,6 @@ impl FramePool {
             FrameClass::LaNuma => self.stats.la_numa += 1,
             FrameClass::Command => self.stats.command += 1,
         }
-        self.active_class.insert(frame, class);
         Some(frame)
     }
 
@@ -121,19 +139,31 @@ impl FramePool {
     ///
     /// Panics if the frame is not currently allocated.
     pub fn free(&mut self, frame: FrameNo) {
-        let class = self
-            .active_class
-            .remove(&frame)
-            .unwrap_or_else(|| panic!("freeing unallocated frame {frame}"));
-        if class.is_real() {
-            debug_assert!(!frame.is_imaginary());
-            self.free.push(frame);
-        }
+        let live = if frame.is_imaginary() {
+            self.imaginary.remove(&frame)
+        } else {
+            let slot = self
+                .real_class
+                .get_mut(frame.real_index())
+                .and_then(Option::take);
+            if slot.is_some() {
+                self.free.push(frame);
+            }
+            slot.is_some()
+        };
+        assert!(live, "freeing unallocated frame {frame}");
     }
 
     /// The class a live frame was allocated with.
+    #[inline]
     pub fn class_of(&self, frame: FrameNo) -> Option<FrameClass> {
-        self.active_class.get(&frame).copied()
+        if frame.is_imaginary() {
+            self.imaginary
+                .contains(&frame)
+                .then_some(FrameClass::LaNuma)
+        } else {
+            self.real_class.get(frame.real_index()).copied().flatten()
+        }
     }
 
     /// Currently free real frames.
@@ -148,7 +178,14 @@ impl FramePool {
 
     /// Live frames of a given class.
     pub fn active_of(&self, class: FrameClass) -> usize {
-        self.active_class.values().filter(|&&c| c == class).count()
+        if class.is_real() {
+            self.real_class
+                .iter()
+                .filter(|&&c| c == Some(class))
+                .count()
+        } else {
+            self.imaginary.len()
+        }
     }
 
     /// Iterates the free list (unspecified order).
@@ -156,14 +193,9 @@ impl FramePool {
         self.free.iter().copied()
     }
 
-    /// Iterates live frames with their classes (unspecified order).
-    pub fn active_frames(&self) -> impl Iterator<Item = (FrameNo, FrameClass)> + '_ {
-        self.active_class.iter().map(|(&f, &c)| (f, c))
-    }
-
     /// Live real (memory-consuming) frames.
     pub fn active_real(&self) -> usize {
-        self.active_class.values().filter(|c| c.is_real()).count()
+        self.real_class.iter().filter(|c| c.is_some()).count()
     }
 
     /// Cumulative allocation statistics.
@@ -176,40 +208,33 @@ impl FramePool {
 /// compute the paper's page-frame utilization metric (Table 3): the
 /// fraction of cache lines within an allocated frame actually accessed,
 /// averaged over all allocation instances.
+///
+/// The masks of all frames share one flat array with a stride of
+/// `lines_per_page.div_ceil(64)` words; a frame's mask is cleared when it
+/// is allocated and folded into the finished totals when it is freed.
 #[derive(Clone, Debug, Default)]
 pub struct UsageTracker {
-    active: FastMap<FrameNo, LineMask>,
+    /// Whether each real frame has an open instance, by real index.
+    live: Vec<bool>,
+    masks: Vec<u64>,
+    stride: usize,
     finished_instances: u64,
     finished_touched: u64,
     lines_per_page: usize,
-}
-
-#[derive(Clone, Debug)]
-struct LineMask(Box<[u64]>);
-
-impl LineMask {
-    fn new(lines: usize) -> LineMask {
-        LineMask(vec![0u64; lines.div_ceil(64)].into_boxed_slice())
-    }
-
-    fn set(&mut self, line: usize) {
-        self.0[line / 64] |= 1 << (line % 64);
-    }
-
-    fn count(&self) -> u64 {
-        self.0.iter().map(|w| w.count_ones() as u64).sum()
-    }
 }
 
 impl UsageTracker {
     /// Creates a tracker for frames of `lines_per_page` lines.
     pub fn new(lines_per_page: usize) -> UsageTracker {
         UsageTracker {
-            active: FastMap::default(),
-            finished_instances: 0,
-            finished_touched: 0,
+            stride: lines_per_page.div_ceil(64),
             lines_per_page,
+            ..UsageTracker::default()
         }
+    }
+
+    fn mask(&self, i: usize) -> &[u64] {
+        &self.masks[i * self.stride..(i + 1) * self.stride]
     }
 
     /// Records that `frame` was (re)allocated — starts a fresh instance.
@@ -217,42 +242,63 @@ impl UsageTracker {
         if frame.is_imaginary() {
             return; // imaginary frames consume no memory: not tracked
         }
-        let prev = self
-            .active
-            .insert(frame, LineMask::new(self.lines_per_page));
-        debug_assert!(prev.is_none(), "frame {frame} allocated twice");
+        let i = frame.real_index();
+        if i >= self.live.len() {
+            self.live.resize(i + 1, false);
+            self.masks.resize((i + 1) * self.stride, 0);
+        }
+        debug_assert!(!self.live[i], "frame {frame} allocated twice");
+        self.live[i] = true;
+        self.masks[i * self.stride..(i + 1) * self.stride].fill(0);
     }
 
-    /// Records an access to `line` of `frame`.
+    /// Records an access to `line` of `frame`. A no-op on frames without
+    /// an open instance (imaginary or freed ones).
+    #[inline]
     pub fn touch(&mut self, frame: FrameNo, line: usize) {
-        if let Some(mask) = self.active.get_mut(&frame) {
-            mask.set(line);
+        if frame.is_imaginary() {
+            return;
+        }
+        let i = frame.real_index();
+        if self.live.get(i) == Some(&true) {
+            self.masks[i * self.stride + line / 64] |= 1 << (line % 64);
         }
     }
 
     /// Records that `frame` was freed — closes its instance.
     pub fn on_free(&mut self, frame: FrameNo) {
-        if let Some(mask) = self.active.remove(&frame) {
+        if frame.is_imaginary() {
+            return;
+        }
+        let i = frame.real_index();
+        if let Some(live) = self.live.get_mut(i).filter(|l| **l) {
+            *live = false;
             self.finished_instances += 1;
-            self.finished_touched += mask.count();
+            self.finished_touched += count_ones(self.mask(i));
         }
     }
 
-    /// Closes all live instances (end of simulation) and returns
-    /// `(instances, average_utilization)`.
-    pub fn finalize(&mut self) -> (u64, f64) {
-        let frames: Vec<FrameNo> = self.active.keys().copied().collect();
-        for f in frames {
-            self.on_free(f);
+    /// `(instances, average_utilization)` over every instance so far:
+    /// the finished ones and the still-open ones as they stand. Open
+    /// instances stay open, so lines touched later still count in the
+    /// next snapshot.
+    pub fn snapshot(&self) -> (u64, f64) {
+        let (mut instances, mut touched) = (self.finished_instances, self.finished_touched);
+        for (i, _) in self.live.iter().enumerate().filter(|&(_, &live)| live) {
+            instances += 1;
+            touched += count_ones(self.mask(i));
         }
-        let instances = self.finished_instances;
         let util = if instances == 0 {
             0.0
         } else {
-            self.finished_touched as f64 / (instances * self.lines_per_page as u64) as f64
+            touched as f64 / (instances * self.lines_per_page as u64) as f64
         };
         (instances, util)
     }
+}
+
+fn count_ones(words: &[u64]) -> u64 {
+    words.iter().map(|w| u64::from(w.count_ones())).sum()
 }
 
 #[cfg(test)]
@@ -322,7 +368,7 @@ mod tests {
         u.on_free(FrameNo(0));
         u.on_alloc(FrameNo(0)); // reallocation = fresh instance
         u.touch(FrameNo(0), 0);
-        let (instances, util) = u.finalize();
+        let (instances, util) = u.snapshot();
         assert_eq!(instances, 2);
         // (32/64 + 1/64) / 2
         assert!((util - (32.0 + 1.0) / 128.0).abs() < 1e-12, "util={util}");
@@ -334,7 +380,7 @@ mod tests {
         u.on_alloc(FrameNo(1));
         u.touch(FrameNo(1), 2);
         u.touch(FrameNo(1), 2);
-        let (n, util) = u.finalize();
+        let (n, util) = u.snapshot();
         assert_eq!(n, 1);
         assert!((util - 0.25).abs() < 1e-12);
     }
@@ -344,12 +390,12 @@ mod tests {
         let mut u = UsageTracker::new(4);
         u.on_alloc(FrameNo::imaginary(0));
         u.touch(FrameNo::imaginary(0), 1);
-        let (n, _) = u.finalize();
+        let (n, _) = u.snapshot();
         assert_eq!(n, 0);
     }
 
     #[test]
-    fn empty_tracker_finalizes_to_zero() {
-        assert_eq!(UsageTracker::new(8).finalize(), (0, 0.0));
+    fn empty_tracker_snapshots_to_zero() {
+        assert_eq!(UsageTracker::new(8).snapshot(), (0, 0.0));
     }
 }

@@ -5,6 +5,14 @@
 //! scalability arguments). The TLB here affects timing (30-cycle refill on
 //! a miss, per Table 1) and lets page-outs account their node-local
 //! shootdown work.
+//!
+//! Entries sit in a small array with true-LRU stamps; a full TLB evicts
+//! the minimum stamp. A direct-mapped *hint* table maps `vpage` bits to
+//! the slot that last held that page. A lookup checks the hinted slot's
+//! `vpage` first and scans the array only when the hint is wrong
+//! (a collision, or a slot that was since flushed, invalidated or
+//! re-used). Hints never decide a result, so hits, misses and the LRU
+//! order are exactly those of a plain scan.
 
 use crate::addr::FrameNo;
 
@@ -24,6 +32,9 @@ use crate::addr::FrameNo;
 #[derive(Clone, Debug)]
 pub struct Tlb {
     entries: Vec<TlbEntry>,
+    /// Slot index last holding each `vpage & hint_mask` (see module docs).
+    hint: Box<[u32]>,
+    hint_mask: u64,
     capacity: usize,
     tick: u64,
     hits: u64,
@@ -45,8 +56,13 @@ impl Tlb {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Tlb {
         assert!(capacity > 0, "TLB capacity must be positive");
+        // Four hint slots per entry keep collisions between the pages a
+        // full TLB holds rare.
+        let hints = (capacity * 4).next_power_of_two();
         Tlb {
             entries: Vec::with_capacity(capacity),
+            hint: vec![0; hints].into_boxed_slice(),
+            hint_mask: hints as u64 - 1,
             capacity,
             tick: 0,
             hits: 0,
@@ -54,11 +70,26 @@ impl Tlb {
         }
     }
 
+    /// The slot holding `vpage`, trying its hint before a full scan.
+    #[inline]
+    fn slot_of(&mut self, vpage: u64) -> Option<usize> {
+        let h = (vpage & self.hint_mask) as usize;
+        let hinted = self.hint[h] as usize;
+        if self.entries.get(hinted).is_some_and(|e| e.vpage == vpage) {
+            return Some(hinted);
+        }
+        let slot = self.entries.iter().position(|e| e.vpage == vpage)?;
+        self.hint[h] = slot as u32;
+        Some(slot)
+    }
+
     /// Looks up a virtual page, refreshing its LRU position on a hit.
+    #[inline]
     pub fn lookup(&mut self, vpage: u64) -> Option<FrameNo> {
         self.tick += 1;
         let tick = self.tick;
-        if let Some(e) = self.entries.iter_mut().find(|e| e.vpage == vpage) {
+        if let Some(slot) = self.slot_of(vpage) {
+            let e = &mut self.entries[slot];
             e.stamp = tick;
             self.hits += 1;
             Some(e.frame)
@@ -72,33 +103,37 @@ impl Tlb {
     /// full.
     pub fn insert(&mut self, vpage: u64, frame: FrameNo) {
         self.tick += 1;
-        let tick = self.tick;
-        if let Some(e) = self.entries.iter_mut().find(|e| e.vpage == vpage) {
-            e.frame = frame;
-            e.stamp = tick;
-            return;
-        }
-        if self.entries.len() == self.capacity {
-            let (idx, _) = self
+        let entry = TlbEntry {
+            vpage,
+            frame,
+            stamp: self.tick,
+        };
+        let slot = if let Some(slot) = self.slot_of(vpage) {
+            self.entries[slot] = entry;
+            slot
+        } else if self.entries.len() == self.capacity {
+            let (slot, _) = self
                 .entries
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, e)| e.stamp)
                 .expect("full TLB is nonempty");
-            self.entries.swap_remove(idx);
-        }
-        self.entries.push(TlbEntry {
-            vpage,
-            frame,
-            stamp: tick,
-        });
+            self.entries[slot] = entry;
+            slot
+        } else {
+            self.entries.push(entry);
+            self.entries.len() - 1
+        };
+        self.hint[(vpage & self.hint_mask) as usize] = slot as u32;
     }
 
     /// Drops the translation for `vpage`; returns whether it was present.
     pub fn invalidate(&mut self, vpage: u64) -> bool {
-        match self.entries.iter().position(|e| e.vpage == vpage) {
-            Some(idx) => {
-                self.entries.swap_remove(idx);
+        match self.slot_of(vpage) {
+            Some(slot) => {
+                // The last entry moves into `slot`; its hint goes stale
+                // and is repaired by its next lookup's scan.
+                self.entries.swap_remove(slot);
                 true
             }
             None => false,
@@ -177,6 +212,25 @@ mod tests {
         assert_eq!(t.len(), 1);
         t.flush();
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn stale_hints_fall_back_to_the_scan() {
+        let mut t = Tlb::new(4);
+        for v in 1..=4 {
+            t.insert(v, FrameNo(v as u32));
+        }
+        // Entry 4 moves from slot 3 into slot 1; its hint still says 3.
+        assert!(t.invalidate(2));
+        // Slot 3 is re-filled by another page, so the stale hint now
+        // names a live slot holding the wrong page.
+        t.insert(5, FrameNo(5));
+        assert_eq!(t.lookup(4), Some(FrameNo(4)));
+        assert_eq!(t.lookup(5), Some(FrameNo(5)));
+        assert_eq!(t.lookup(2), None);
+        t.flush();
+        assert_eq!(t.lookup(4), None, "hints outlive a flush harmlessly");
+        assert_eq!((t.hits(), t.misses()), (2, 2));
     }
 
     #[test]

@@ -10,6 +10,7 @@ use prism_mem::frames::{FrameClass, FramePool, UsageTracker};
 use prism_mem::mode::FrameMode;
 use prism_mem::page_table::SegmentTable;
 use prism_mem::pit::{Pit, PitEntry};
+use prism_mem::tlb::Tlb;
 use prism_mem::trace::{Op, OpLane, SegmentSpec, Trace, LANE_VA_LIMIT};
 use prism_mem::trace_io::{read_trace, write_trace};
 use prism_sim::{FastMap, SimRng};
@@ -201,9 +202,275 @@ fn utilization_is_a_fraction() {
         for _ in 0..touches {
             u.touch(FrameNo(rng.gen_range(0..8) as u32), rng.gen_index(64));
         }
-        let (n, util) = u.finalize();
+        let (n, util) = u.snapshot();
         assert_eq!(n, 8);
         assert!((0.0..=1.0).contains(&util));
+    }
+}
+
+/// True-LRU reference model of one cache: per set, the resident
+/// `(line, state)` pairs from least to most recently used.
+struct LruCacheModel {
+    sets: Vec<Vec<(u64, LineState)>>,
+    assoc: usize,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+    writebacks: u64,
+}
+
+impl LruCacheModel {
+    fn set(&mut self, line: u64) -> &mut Vec<(u64, LineState)> {
+        let n = self.sets.len() as u64;
+        &mut self.sets[(line % n) as usize]
+    }
+
+    fn pos(&mut self, line: u64) -> Option<usize> {
+        self.set(line).iter().position(|&(l, _)| l == line)
+    }
+
+    fn touch(&mut self, line: u64) -> Option<LineState> {
+        match self.pos(line) {
+            Some(i) => {
+                let way = self.set(line).remove(i);
+                self.set(line).push(way);
+                self.hits += 1;
+                Some(way.1)
+            }
+            None => {
+                self.misses += 1;
+                None
+            }
+        }
+    }
+
+    fn insert(&mut self, line: u64, state: LineState) -> Option<(u64, bool)> {
+        if let Some(i) = self.pos(line) {
+            self.set(line).remove(i);
+            self.set(line).push((line, state));
+            return None;
+        }
+        let assoc = self.assoc;
+        let set = self.set(line);
+        let evicted = (set.len() == assoc).then(|| set.remove(0));
+        set.push((line, state));
+        evicted.map(|(l, st)| {
+            self.evictions += 1;
+            if st.is_dirty() {
+                self.writebacks += 1;
+            }
+            (l, st.is_dirty())
+        })
+    }
+
+    fn invalidate(&mut self, line: u64) -> Option<bool> {
+        let i = self.pos(line)?;
+        Some(self.set(line).remove(i).1.is_dirty())
+    }
+
+    fn modify(&mut self, line: u64, f: impl FnOnce(&mut LineState)) -> Option<LineState> {
+        let i = self.pos(line)?;
+        let way = &mut self.set(line)[i];
+        let before = way.1;
+        f(&mut way.1);
+        Some(before)
+    }
+
+    fn probe(&mut self, line: u64) -> Option<LineState> {
+        let i = self.pos(line)?;
+        Some(self.set(line)[i].1)
+    }
+
+    fn len(&self) -> usize {
+        self.sets.iter().map(Vec::len).sum()
+    }
+}
+
+fn arb_state(rng: &mut SimRng) -> LineState {
+    [LineState::Modified, LineState::Exclusive, LineState::Shared][rng.gen_index(3)]
+}
+
+/// The flat-set cache agrees with a per-set true-LRU list model on every
+/// operation's result, on eviction victims and their dirtiness, and on
+/// occupancy and statistics, across associativities 1, 2, 4 and 8.
+#[test]
+fn cache_matches_true_lru_model() {
+    for seed in 0..CASES {
+        let mut rng = SimRng::new(seed);
+        let assoc = 1 << rng.gen_range(0..4);
+        let sets = 1 << rng.gen_range(0..4);
+        let mut c = Cache::new("prop", (sets * assoc * 64) as u64, assoc, 6);
+        let mut m = LruCacheModel {
+            sets: vec![Vec::new(); sets],
+            assoc,
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+            writebacks: 0,
+        };
+        // Enough distinct lines to overflow every set several times.
+        let span = (sets * assoc * 3) as u64;
+        for _ in 0..rng.gen_range(1..600) {
+            let line = rng.gen_range(0..span);
+            match rng.gen_range(0..7) {
+                0 | 1 => assert_eq!(c.touch(line), m.touch(line)),
+                2 | 3 => {
+                    let st = arb_state(&mut rng);
+                    let got = c.insert(line, st).map(|e| (e.line, e.dirty));
+                    assert_eq!(got, m.insert(line, st), "insert {line}");
+                }
+                4 => {
+                    if m.probe(line).is_some() {
+                        let st = arb_state(&mut rng);
+                        c.set_state(line, st);
+                        m.modify(line, |s| *s = st);
+                    }
+                    assert_eq!(c.invalidate(line), m.invalidate(line));
+                }
+                5 => {
+                    let want = m
+                        .modify(line, |s| *s = LineState::Shared)
+                        .map(|before| before.is_dirty());
+                    assert_eq!(c.downgrade(line), want);
+                }
+                _ => {
+                    let count = rng.gen_range(1..8);
+                    let want: Vec<(u64, bool)> = (line..line + count)
+                        .filter_map(|l| m.invalidate(l).map(|d| (l, d)))
+                        .collect();
+                    assert_eq!(c.invalidate_range(line, count), want);
+                }
+            }
+            let probe = rng.gen_range(0..span);
+            assert_eq!(c.probe(probe), m.probe(probe), "probe {probe}");
+            assert_eq!(c.len(), m.len());
+            let s = c.stats();
+            assert_eq!(
+                (s.hits, s.misses, s.evictions, s.writebacks),
+                (m.hits, m.misses, m.evictions, m.writebacks)
+            );
+        }
+        let mut got: Vec<_> = c.iter().collect();
+        let mut want: Vec<_> = m.sets.iter().flatten().copied().collect();
+        got.sort_unstable_by_key(|&(l, _)| l);
+        want.sort_unstable_by_key(|&(l, _)| l);
+        assert_eq!(got, want);
+    }
+}
+
+/// The hinted TLB agrees with an LRU list model, including lookups
+/// after an `invalidate` has moved an entry under a stale hint, after a
+/// `flush`, and at capacities 1, 4 and 64.
+#[test]
+fn tlb_matches_lru_model() {
+    for seed in 0..CASES {
+        let mut rng = SimRng::new(seed);
+        let capacity = [1, 4, 64][rng.gen_index(3)];
+        let mut tlb = Tlb::new(capacity);
+        // Least to most recently used.
+        let mut model: Vec<(u64, FrameNo)> = Vec::new();
+        let (mut hits, mut misses) = (0, 0);
+        // Spans past the hint table's size, so hints collide.
+        let span = rng.gen_range(2..(capacity as u64 * 16).max(8));
+        for _ in 0..rng.gen_range(1..800) {
+            let vpage = rng.gen_range(0..span);
+            let pos = model.iter().position(|&(v, _)| v == vpage);
+            match rng.gen_range(0..10) {
+                0..=4 => {
+                    let want = pos.map(|i| {
+                        let e = model.remove(i);
+                        model.push(e);
+                        e.1
+                    });
+                    if want.is_some() {
+                        hits += 1;
+                    } else {
+                        misses += 1;
+                    }
+                    assert_eq!(tlb.lookup(vpage), want, "lookup {vpage}");
+                }
+                5..=7 => {
+                    let frame = FrameNo(rng.next_u32() >> 1);
+                    tlb.insert(vpage, frame);
+                    if let Some(i) = pos {
+                        model.remove(i);
+                    } else if model.len() == capacity {
+                        model.remove(0);
+                    }
+                    model.push((vpage, frame));
+                }
+                8 => {
+                    assert_eq!(tlb.invalidate(vpage), pos.is_some());
+                    if let Some(i) = pos {
+                        model.remove(i);
+                    }
+                }
+                _ => {
+                    if rng.gen_bool(0.2) {
+                        tlb.flush();
+                        model.clear();
+                    }
+                }
+            }
+            assert_eq!(tlb.len(), model.len());
+            assert_eq!((tlb.hits(), tlb.misses()), (hits, misses));
+        }
+    }
+}
+
+/// The dense usage tracker agrees with a per-instance model: touches of
+/// imaginary or freed frames count nowhere, a re-allocated frame starts
+/// with an empty mask, and a snapshot counts open instances as they
+/// stand without closing them.
+#[test]
+fn usage_tracker_matches_instance_model() {
+    for seed in 0..CASES {
+        let mut rng = SimRng::new(seed);
+        let lpp = [4, 64, 128][rng.gen_index(3)];
+        let mut u = UsageTracker::new(lpp);
+        let mut live: FastMap<u32, Vec<bool>> = FastMap::default();
+        let (mut instances, mut touched) = (0u64, 0u64);
+        for _ in 0..rng.gen_range(1..400) {
+            let f = rng.gen_range(0..12) as u32;
+            match rng.gen_range(0..6) {
+                0 => {
+                    if let std::collections::hash_map::Entry::Vacant(e) = live.entry(f) {
+                        u.on_alloc(FrameNo(f));
+                        e.insert(vec![false; lpp]);
+                    }
+                }
+                1 => {
+                    u.on_free(FrameNo(f));
+                    if let Some(mask) = live.remove(&f) {
+                        instances += 1;
+                        touched += mask.iter().filter(|&&t| t).count() as u64;
+                    }
+                }
+                2 => {
+                    // Imaginary frames are never tracked.
+                    u.on_alloc(FrameNo::imaginary(f));
+                    u.touch(FrameNo::imaginary(f), rng.gen_index(lpp));
+                }
+                _ => {
+                    let line = rng.gen_index(lpp);
+                    u.touch(FrameNo(f), line);
+                    if let Some(mask) = live.get_mut(&f) {
+                        mask[line] = true;
+                    }
+                }
+            }
+            let open: u64 = live
+                .values()
+                .map(|m| m.iter().filter(|&&t| t).count() as u64)
+                .sum();
+            let n = instances + live.len() as u64;
+            let want = if n == 0 {
+                0.0
+            } else {
+                (touched + open) as f64 / (n * lpp as u64) as f64
+            };
+            assert_eq!(u.snapshot(), (n, want));
+        }
     }
 }
 

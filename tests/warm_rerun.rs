@@ -135,3 +135,36 @@ fn barriers_reset_between_runs() {
     // Fresh BarrierSet per run: episode counting restarts.
     assert_eq!(r2.barrier_episodes, 2);
 }
+
+/// Frame utilization counts lines touched in a later run on frames that
+/// stayed allocated: building a report leaves the live frames' usage
+/// instances open, so a warm rerun's report equals a cold run's that
+/// made the same references.
+#[test]
+fn warm_rerun_keeps_counting_frame_utilization() {
+    let config = || MachineConfig::builder().nodes(2).procs_per_node(1).build();
+    let lines = |range: std::ops::Range<u64>| Trace {
+        name: "lines".into(),
+        segments: vec![SegmentSpec {
+            name: "s".into(),
+            va_base: SHARED_BASE,
+            bytes: 4096,
+        }],
+        lanes: vec![
+            range
+                .map(|l| Op::Read(VirtAddr(SHARED_BASE + l * 64)))
+                .collect::<Vec<_>>()
+                .into(),
+            Default::default(),
+        ],
+    };
+    let cold = Machine::new(config()).run(&lines(0..64));
+    assert_eq!(cold.avg_utilization, 1.0);
+
+    let mut m = Machine::new(config());
+    let first = m.run(&lines(0..1));
+    assert_eq!(first.avg_utilization, 1.0 / 64.0);
+    let second = m.run(&lines(1..64));
+    assert_eq!(second.frames_allocated, cold.frames_allocated);
+    assert_eq!(second.avg_utilization, cold.avg_utilization);
+}
