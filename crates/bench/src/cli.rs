@@ -16,6 +16,7 @@ use std::fmt;
 use std::path::PathBuf;
 
 use prism_core::kernel::migration::MigrationPolicy;
+use prism_core::machine::config::MachineConfigBuilder;
 use prism_core::{derive_scoma70_capacity, MachineConfig, PolicyKind, Simulation};
 use prism_workloads::{app, AppId, Scale};
 
@@ -104,17 +105,8 @@ fn parse_app(s: &str) -> Result<AppId, CliError> {
 }
 
 fn parse_policy(s: &str) -> Result<PolicyKind, CliError> {
-    let all = [
-        PolicyKind::Scoma,
-        PolicyKind::Lanuma,
-        PolicyKind::Scoma70,
-        PolicyKind::DynFcfs,
-        PolicyKind::DynUtil,
-        PolicyKind::DynLru,
-        PolicyKind::DynBoth,
-    ];
-    all.into_iter()
-        .find(|p| p.to_string().eq_ignore_ascii_case(s))
+    let mut all = PolicyKind::ALL.into_iter().chain([PolicyKind::DynBoth]);
+    all.find(|p| p.to_string().eq_ignore_ascii_case(s))
         .ok_or_else(|| CliError(format!("unknown policy '{s}' (try `runner list`)")))
 }
 
@@ -129,6 +121,20 @@ fn parse_scale(s: &str) -> Result<Scale, CliError> {
 fn parse_num(flag: &str, s: &str) -> Result<usize, CliError> {
     s.parse()
         .map_err(|_| CliError(format!("{flag} expects a number, got '{s}'")))
+}
+
+/// The value after `flag`.
+fn value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<String, CliError> {
+    it.next()
+        .cloned()
+        .ok_or_else(|| CliError(format!("{flag} needs a value")))
+}
+
+/// Finishes a machine configuration, or reports the rule it breaks.
+fn machine(builder: MachineConfigBuilder) -> Result<MachineConfig, CliError> {
+    builder
+        .try_build()
+        .map_err(|e| CliError(format!("invalid machine: {e}")))
 }
 
 /// Parses a command line (without the program name).
@@ -153,23 +159,16 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 trace_in: None,
             };
             while let Some(flag) = it.next() {
-                let mut value = |name: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| CliError(format!("{name} needs a value")))
-                };
                 match flag.as_str() {
-                    "--app" => out.app = parse_app(&value("--app")?)?,
-                    "--policy" => out.policy = parse_policy(&value("--policy")?)?,
-                    "--scale" => out.scale = parse_scale(&value("--scale")?)?,
-                    "--nodes" => out.nodes = parse_num("--nodes", &value("--nodes")?)?,
-                    "--ppn" => out.ppn = parse_num("--ppn", &value("--ppn")?)?,
-                    "--capacity" => {
-                        out.capacity = Some(parse_num("--capacity", &value("--capacity")?)?)
-                    }
+                    "--app" => out.app = parse_app(&value(&mut it, flag)?)?,
+                    "--policy" => out.policy = parse_policy(&value(&mut it, flag)?)?,
+                    "--scale" => out.scale = parse_scale(&value(&mut it, flag)?)?,
+                    "--nodes" => out.nodes = parse_num(flag, &value(&mut it, flag)?)?,
+                    "--ppn" => out.ppn = parse_num(flag, &value(&mut it, flag)?)?,
+                    "--capacity" => out.capacity = Some(parse_num(flag, &value(&mut it, flag)?)?),
                     "--migration" => out.migration = true,
                     "--check" => out.check = true,
-                    "--trace-in" => out.trace_in = Some(PathBuf::from(value("--trace-in")?)),
+                    "--trace-in" => out.trace_in = Some(PathBuf::from(value(&mut it, flag)?)),
                     other => return Err(CliError(format!("unknown flag '{other}'"))),
                 }
             }
@@ -184,16 +183,11 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 csv: false,
             };
             while let Some(flag) = it.next() {
-                let mut value = |name: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| CliError(format!("{name} needs a value")))
-                };
                 match flag.as_str() {
-                    "--app" => out.app = parse_app(&value("--app")?)?,
-                    "--scale" => out.scale = parse_scale(&value("--scale")?)?,
-                    "--nodes" => out.nodes = parse_num("--nodes", &value("--nodes")?)?,
-                    "--ppn" => out.ppn = parse_num("--ppn", &value("--ppn")?)?,
+                    "--app" => out.app = parse_app(&value(&mut it, flag)?)?,
+                    "--scale" => out.scale = parse_scale(&value(&mut it, flag)?)?,
+                    "--nodes" => out.nodes = parse_num(flag, &value(&mut it, flag)?)?,
+                    "--ppn" => out.ppn = parse_num(flag, &value(&mut it, flag)?)?,
                     "--csv" => out.csv = true,
                     other => return Err(CliError(format!("unknown flag '{other}'"))),
                 }
@@ -206,18 +200,16 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let mut procs = 32usize;
             let mut scale = Scale::Paper;
             while let Some(flag) = it.next() {
-                let mut value = |name: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| CliError(format!("{name} needs a value")))
-                };
                 match flag.as_str() {
-                    "--app" => app_id = Some(parse_app(&value("--app")?)?),
-                    "--out" => out_path = Some(PathBuf::from(value("--out")?)),
-                    "--procs" => procs = parse_num("--procs", &value("--procs")?)?,
-                    "--scale" => scale = parse_scale(&value("--scale")?)?,
+                    "--app" => app_id = Some(parse_app(&value(&mut it, flag)?)?),
+                    "--out" => out_path = Some(PathBuf::from(value(&mut it, flag)?)),
+                    "--procs" => procs = parse_num(flag, &value(&mut it, flag)?)?,
+                    "--scale" => scale = parse_scale(&value(&mut it, flag)?)?,
                     other => return Err(CliError(format!("unknown flag '{other}'"))),
                 }
+            }
+            if procs == 0 {
+                return Err(CliError("--procs must be at least 1".into()));
             }
             Ok(Command::TraceGen(TraceGenArgs {
                 app: app_id.ok_or_else(|| CliError("tracegen requires --app".into()))?,
@@ -249,11 +241,12 @@ pub fn execute(cmd: Command) -> Result<(), CliError> {
             Ok(())
         }
         Command::Run(a) => {
-            let mut cfg = MachineConfig::builder()
-                .nodes(a.nodes)
-                .procs_per_node(a.ppn)
-                .check_coherence(a.check)
-                .build();
+            let mut cfg = machine(
+                MachineConfig::builder()
+                    .nodes(a.nodes)
+                    .procs_per_node(a.ppn)
+                    .check_coherence(a.check),
+            )?;
             if a.migration {
                 cfg.migration = Some(MigrationPolicy::default());
             }
@@ -289,10 +282,11 @@ per-node balance:
             Ok(())
         }
         Command::Sweep(a) => {
-            let cfg = MachineConfig::builder()
-                .nodes(a.nodes)
-                .procs_per_node(a.ppn)
-                .build();
+            let cfg = machine(
+                MachineConfig::builder()
+                    .nodes(a.nodes)
+                    .procs_per_node(a.ppn),
+            )?;
             let workload = app(a.app, a.scale);
             let result = prism_core::sweep(&cfg, workload.as_ref(), &PolicyKind::ALL)
                 .map_err(|e| CliError(e.to_string()))?;
@@ -427,6 +421,7 @@ mod tests {
         assert!(parse(&argv("run --policy nosuch")).is_err());
         assert!(parse(&argv("run --nodes abc")).is_err());
         assert!(parse(&argv("tracegen --app lu")).is_err(), "missing --out");
+        assert!(parse(&argv("tracegen --app lu --out x --procs 0")).is_err());
         assert!(parse(&[]).is_err());
     }
 

@@ -82,3 +82,26 @@ fn a_recursive_lock_exits_2_as_an_invalid_trace() {
         "runner: invalid trace: lane 0 acquires lock 3 while holding it"
     );
 }
+
+#[test]
+fn impossible_machines_and_empty_traces_exit_2_with_the_broken_rule() {
+    let out = std::env::temp_dir().join(format!("prism-runner-{}.prtr", std::process::id()));
+    let machine = |args: &str, rule| (args.to_string(), format!("invalid machine: {rule}"));
+    for (args, message) in [
+        machine("run --nodes 0", "need at least one node"),
+        machine("run --nodes 65", "NodeSet supports at most 64 nodes"),
+        machine("run --ppn 0", "need at least one processor per node"),
+        machine("sweep --nodes 0", "need at least one node"),
+        (
+            format!("tracegen --app LU --procs 0 --out {}", out.display()),
+            "--procs must be at least 1".into(),
+        ),
+    ] {
+        let mut runner = Command::new(env!("CARGO_BIN_EXE_runner"));
+        let run = runner.args(args.split_whitespace()).output().unwrap();
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "{args}: {stderr}");
+        assert_eq!(stderr.trim(), format!("runner: {message}"));
+    }
+    assert!(!out.exists());
+}

@@ -190,7 +190,11 @@ fn sweep_on(
 /// back in `items`' order however the threads interleave. A panic in
 /// `f` is re-raised on the calling thread with its own payload: the
 /// first in `items`' order.
-fn par_map<I: Sync, T: Send>(workers: usize, items: &[I], f: impl Fn(&I) -> T + Sync) -> Vec<T> {
+pub fn par_map<I: Sync, T: Send>(
+    workers: usize,
+    items: &[I],
+    f: impl Fn(&I) -> T + Sync,
+) -> Vec<T> {
     let next = AtomicUsize::new(0);
     let work = || {
         let mut done = Vec::new();

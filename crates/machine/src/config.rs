@@ -103,41 +103,67 @@ impl MachineConfig {
 
     /// Checks internal consistency.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on nonsensical configurations (zero nodes/processors,
-    /// caches smaller than a line, more than 64 nodes).
-    pub fn validate(&self) {
-        assert!(self.nodes > 0, "need at least one node");
-        assert!(self.nodes <= 64, "NodeSet supports at most 64 nodes");
-        assert!(
-            self.procs_per_node > 0,
-            "need at least one processor per node"
-        );
-        assert!(
-            self.l1_bytes >= self.geometry.line_bytes(),
-            "L1 smaller than a line"
-        );
-        assert!(self.l2_bytes >= self.l1_bytes, "L2 smaller than L1");
-        assert!(self.frames_per_node > 0, "nodes need memory");
-        assert!(self.tlb_entries > 0, "TLB needs entries");
-        assert!(
-            self.retry.max_attempts >= 1,
-            "retry policy needs at least one attempt"
-        );
-        assert!(
-            self.retry.backoff >= 1,
-            "retry backoff multiplier must be at least 1"
-        );
-        assert!(
-            self.watchdog_deadline >= 1,
-            "watchdog deadline must be at least one cycle"
-        );
-        if let Some(n) = self.audit_interval {
-            assert!(n >= 1, "audit interval must be at least one cycle");
-        }
+    /// Returns the first rule the configuration breaks (zero
+    /// nodes/processors, caches smaller than a line, more than 64
+    /// nodes, …).
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        use ConfigError as E;
+        let line = self.geometry.line_bytes();
+        let rules = [
+            (self.nodes > 0, E::NoNodes),
+            (self.nodes <= 64, E::TooManyNodes),
+            (self.procs_per_node > 0, E::NoProcessors),
+            (self.l1_bytes >= line, E::L1SmallerThanLine),
+            (self.l2_bytes >= self.l1_bytes, E::L2SmallerThanL1),
+            (self.frames_per_node > 0, E::NoMemory),
+            (self.tlb_entries > 0, E::NoTlbEntries),
+            (self.retry.max_attempts >= 1, E::NoRetryAttempts),
+            (self.retry.backoff >= 1, E::RetryBackoffBelowOne),
+            (self.watchdog_deadline >= 1, E::ZeroWatchdogDeadline),
+            (self.audit_interval != Some(0), E::ZeroAuditInterval),
+        ];
+        let broken = rules.into_iter().find(|(ok, _)| !ok);
+        broken.map_or(Ok(()), |(_, rule)| Err(rule))
     }
 }
+
+/// Declares [`ConfigError`], one variant per rule, each with its message.
+macro_rules! config_errors {
+    ($($variant:ident => $message:literal,)*) => {
+        /// A rule of [`MachineConfig::validate`] that a configuration
+        /// breaks; each variant's doc is its message.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum ConfigError {
+            $(#[doc = $message] $variant,)*
+        }
+
+        impl std::fmt::Display for ConfigError {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.write_str(match self {
+                    $(ConfigError::$variant => $message,)*
+                })
+            }
+        }
+    };
+}
+
+config_errors! {
+    NoNodes => "need at least one node",
+    TooManyNodes => "NodeSet supports at most 64 nodes",
+    NoProcessors => "need at least one processor per node",
+    L1SmallerThanLine => "L1 smaller than a line",
+    L2SmallerThanL1 => "L2 smaller than L1",
+    NoMemory => "nodes need memory",
+    NoTlbEntries => "TLB needs entries",
+    NoRetryAttempts => "retry policy needs at least one attempt",
+    RetryBackoffBelowOne => "retry backoff multiplier must be at least 1",
+    ZeroWatchdogDeadline => "watchdog deadline must be at least one cycle",
+    ZeroAuditInterval => "audit interval must be at least one cycle",
+}
+
+impl std::error::Error for ConfigError {}
 
 impl Default for MachineConfig {
     fn default() -> MachineConfig {
@@ -237,11 +263,20 @@ impl MachineConfigBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is inconsistent (see
-    /// [`MachineConfig::validate`]).
+    /// Panics with the broken rule's message if the configuration is
+    /// inconsistent (see [`MachineConfig::validate`]).
     pub fn build(self) -> MachineConfig {
-        self.cfg.validate();
-        self.cfg
+        self.try_build().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Finishes the configuration, or names the rule it breaks.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MachineConfig::validate`]'s error.
+    pub fn try_build(self) -> Result<MachineConfig, ConfigError> {
+        self.cfg.validate()?;
+        Ok(self.cfg)
     }
 }
 
@@ -258,7 +293,7 @@ mod tests {
         assert_eq!(cfg.l1_bytes, 8 * 1024);
         assert_eq!(cfg.l2_bytes, 32 * 1024);
         assert_eq!(cfg.dir_cache_entries, 8192);
-        cfg.validate();
+        assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]
@@ -270,6 +305,39 @@ mod tests {
             .build();
         assert_eq!(cfg.total_procs(), 2);
         assert!(cfg.check_coherence);
+    }
+
+    #[test]
+    fn validate_names_the_first_broken_rule() {
+        type Breaker = fn(&mut MachineConfig);
+        let cases: [(Breaker, ConfigError); 12] = [
+            (|c| c.nodes = 0, ConfigError::NoNodes),
+            (|c| c.nodes = 65, ConfigError::TooManyNodes),
+            (|c| c.procs_per_node = 0, ConfigError::NoProcessors),
+            (|c| c.l1_bytes = 32, ConfigError::L1SmallerThanLine),
+            (|c| c.l2_bytes = 4096, ConfigError::L2SmallerThanL1),
+            (|c| c.frames_per_node = 0, ConfigError::NoMemory),
+            (|c| c.tlb_entries = 0, ConfigError::NoTlbEntries),
+            (|c| c.retry.max_attempts = 0, ConfigError::NoRetryAttempts),
+            (|c| c.retry.backoff = 0, ConfigError::RetryBackoffBelowOne),
+            (
+                |c| c.watchdog_deadline = 0,
+                ConfigError::ZeroWatchdogDeadline,
+            ),
+            (
+                |c| c.audit_interval = Some(0),
+                ConfigError::ZeroAuditInterval,
+            ),
+            // Several broken rules: the first is named.
+            (|c| (c.nodes, c.tlb_entries) = (0, 0), ConfigError::NoNodes),
+        ];
+        for (break_rule, want) in cases {
+            let mut cfg = MachineConfig::default();
+            break_rule(&mut cfg);
+            assert_eq!(cfg.validate(), Err(want));
+        }
+        let builder = MachineConfig::builder().procs_per_node(0);
+        assert_eq!(builder.try_build().unwrap_err(), ConfigError::NoProcessors);
     }
 
     #[test]

@@ -94,7 +94,7 @@ pub mod shadow;
 pub mod txn;
 mod watchdog;
 
-pub use config::MachineConfig;
+pub use config::{ConfigError, MachineConfig};
 pub use failure::NoPitBinding;
 pub use faults::{FaultPlan, FaultPlanError, FaultReport, JournalPolicy, RetryPolicy};
 pub use machine::{Machine, RunError};

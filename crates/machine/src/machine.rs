@@ -134,8 +134,15 @@ pub struct Machine {
 
 impl Machine {
     /// Assembles an idle machine.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the broken rule's message if `cfg` is inconsistent
+    /// (see [`MachineConfig::validate`]).
     pub fn new(cfg: MachineConfig) -> Machine {
-        cfg.validate();
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
         let homes = HomeMap::new(cfg.nodes as u16);
         let nodes = (0..cfg.nodes)
             .map(|n| {

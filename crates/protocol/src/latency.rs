@@ -24,7 +24,7 @@
 
 /// Which memory technology implements the Page Information Table
 /// (paper §4.3 studies SRAM vs DRAM).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PitTechnology {
     /// 2-cycle lookups (the paper's default).
     #[default]

@@ -57,7 +57,7 @@ impl std::fmt::Display for AppId {
             AppId::WaterNsq => "Water-Nsq",
             AppId::WaterSpa => "Water-Spa",
         };
-        f.write_str(s)
+        f.pad(s)
     }
 }
 
