@@ -15,6 +15,9 @@
 //! and abandoned lines; journal replay cycles) can be tracked run over
 //! run by machines, not just eyeballs.
 //!
+//! The sweep ends with the claims its numbers support, and exits with
+//! status 1 when one of them does not hold.
+//!
 //! ```text
 //! cargo run --release -p prism-bench --bin fault_sweep
 //! ```
@@ -22,12 +25,12 @@
 use prism_core::kernel::migration::MigrationPolicy;
 use prism_core::machine::machine::Machine;
 use prism_core::machine::{FaultPlan, JournalPolicy, RetryPolicy};
-use prism_core::mem::addr::{NodeId, VirtAddr};
-use prism_core::mem::trace::{Op, SegmentSpec, Trace, SHARED_BASE};
+use prism_core::mem::addr::NodeId;
+use prism_core::mem::trace::Trace;
 use prism_core::sim::json::Json;
 use prism_core::sim::Cycle;
 use prism_core::{MachineConfig, RunReport};
-use prism_workloads::{app, AppId, Scale};
+use prism_workloads::{app, failover_trace, AppId, Scale};
 
 const DROP_RATES: [f64; 5] = [0.001, 0.005, 0.01, 0.02, 0.05];
 const BUDGETS: [u32; 5] = [1, 2, 3, 5, 8];
@@ -161,6 +164,53 @@ fn main() {
          is backoff time. The retry budget buys survival, not speed — and the\n\
          journal buys back the dirty lines that fail-stop used to strand."
     );
+
+    let claims = claims(&cells, &recovery);
+    println!("\nClaims:");
+    for (claim, holds) in &claims {
+        println!("  {} {claim}", if *holds { "holds:" } else { "FAILS:" });
+    }
+    if claims.iter().any(|(_, holds)| !holds) {
+        eprintln!("fault_sweep: a claim does not hold");
+        std::process::exit(1);
+    }
+}
+
+/// The claims the sweep's closing paragraph makes, each paired with
+/// whether this run's numbers bear it out.
+fn claims(cells: &[SweepCell], recovery: &[RecoveryCounts]) -> Vec<(String, bool)> {
+    let row = |scenario: &str| {
+        recovery
+            .iter()
+            .find(|r| r.scenario == scenario)
+            .expect("every recovery scenario ran")
+    };
+    let refused = row("dirty_failover_no_journal");
+    let replayed = row("dirty_failover_eager_journal");
+    let wedged = row("transit_wedge_watchdog");
+    vec![
+        (
+            "every retry budget of 2 or more leaves 0 dead processors at every drop rate".into(),
+            cells
+                .iter()
+                .filter(|c| c.budget >= 2)
+                .all(|c| c.dead_procs == 0),
+        ),
+        (
+            format!(
+                "the eager journal recovers exactly the {} lines the no-journal run strands, \
+                 and strands 0",
+                refused.stranded
+            ),
+            refused.stranded > 0
+                && replayed.recovered == refused.stranded
+                && replayed.stranded == 0,
+        ),
+        (
+            "the watchdog abandons nothing and kills no processor".into(),
+            wedged.abandoned == 0 && wedged.dead_procs == 0,
+        ),
+    ]
 }
 
 /// Run the three recovery scenarios and print their cost sheet:
@@ -170,7 +220,7 @@ fn main() {
 fn recovery_section(app_trace: &Trace) -> Vec<RecoveryCounts> {
     let mut cfg = config(RetryPolicy::default().max_attempts);
     cfg.migration = Some(MigrationPolicy::default());
-    let dirty = dirty_failover_trace();
+    let dirty = failover_trace(true);
     let healthy = Machine::new(cfg.clone()).run(&dirty);
     let half = Cycle(healthy.exec_cycles.as_u64() / 2);
 
@@ -244,50 +294,4 @@ fn render_json(cells: &[SweepCell], recovery: &[RecoveryCounts]) -> Json {
         ("link_sweep", Json::Arr(link_sweep.collect())),
         ("recovery", Json::Arr(recovery.collect())),
     ])
-}
-
-/// One shared page (static home: node 0). Node 2's writes pull the
-/// dynamic home to node 2 via lazy migration; a final write phase
-/// leaves all 64 lines Modified in node 2's caches when it dies.
-fn dirty_failover_trace() -> Trace {
-    const LINES: u64 = 64; // 4 KiB page / 64 B lines
-    let read_all = |lane: &mut Vec<Op>| {
-        for l in 0..LINES {
-            lane.push(Op::Read(VirtAddr(SHARED_BASE + l * 64)));
-        }
-    };
-    let write_all = |lane: &mut Vec<Op>| {
-        for l in 0..LINES {
-            lane.push(Op::Write(VirtAddr(SHARED_BASE + l * 64)));
-        }
-    };
-    let barrier = |lanes: &mut Vec<Vec<Op>>, id: u32| {
-        for lane in lanes.iter_mut() {
-            lane.push(Op::Barrier(id));
-        }
-    };
-    let mut lanes: Vec<Vec<Op>> = (0..8).map(|_| Vec::new()).collect();
-    write_all(&mut lanes[4]); // node 2 faults the page in
-    barrier(&mut lanes, 0);
-    read_all(&mut lanes[2]); // node 1 downgrades node 2's dirty copies
-    barrier(&mut lanes, 1);
-    write_all(&mut lanes[4]); // node 2 re-upgrades; migration fires here
-    barrier(&mut lanes, 2);
-    write_all(&mut lanes[4]); // node 2, now home, dirties every line
-    barrier(&mut lanes, 3);
-    for lane in lanes.iter_mut() {
-        lane.push(Op::Compute(2_000_000)); // the failure lands in here
-    }
-    barrier(&mut lanes, 4);
-    read_all(&mut lanes[6]); // node 3 reads through the dead home
-
-    Trace {
-        name: "dirty-failover".into(),
-        segments: vec![SegmentSpec {
-            name: "page".into(),
-            va_base: SHARED_BASE,
-            bytes: 4096,
-        }],
-        lanes: lanes.into_iter().map(Into::into).collect(),
-    }
 }

@@ -210,15 +210,27 @@ impl Kernel {
         self.policy
     }
 
-    /// Attaches the workload's shared segments; global segment ids are
-    /// assigned by position (the machine registers the same order with
-    /// the IPC server on every node — identical virtual addresses, paper
-    /// §3.3).
+    /// Attaches the workload's shared segments. This is the globalized
+    /// `shmget`/`shmat` (paper §3.4): every node's kernel attaches
+    /// segment `i` as `Gsid(i)` at identical virtual addresses, so no
+    /// global registry is needed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if segment `i` was attached before with another size (the
+    /// real `shmget` would return `EINVAL`), or if a base address is
+    /// attached again with another size or segment.
     pub fn attach_segments(&mut self, specs: &[SegmentSpec]) {
         for (i, spec) in specs.iter().enumerate() {
             let len = spec.bytes.next_multiple_of(self.geom.page_bytes());
             // Idempotent for warm re-runs: an identical attachment is
             // kept; anything conflicting is a caller bug caught below.
+            if let Some(existing) = self.segments.iter().find(|a| a.gsid == Gsid(i as u32)) {
+                assert_eq!(
+                    existing.bytes, len,
+                    "segment {i} registered again with another size"
+                );
+            }
             if let Some(existing) = self.segments.iter().find(|a| a.va_base == spec.va_base) {
                 assert_eq!(
                     (existing.bytes, existing.gsid),

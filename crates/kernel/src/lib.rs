@@ -4,8 +4,10 @@
 //! one per node, each managing only its local resources (paper §3.3).
 //! This crate models that OS layer:
 //!
-//! * [`ipc`] — the global IPC server (globalized System V `shmget`/
-//!   `shmat`) and round-robin static home assignment.
+//! * [`ipc`] — round-robin static home assignment ([`ipc::HomeMap`]).
+//!   The globalized System V `shmget`/`shmat` (paper §3.4) needs no
+//!   server: every kernel attaches segment `i` as `Gsid(i)` at identical
+//!   virtual addresses ([`kernel::Kernel::attach_segments`]).
 //! * [`kernel`] — the per-node [`kernel::Kernel`]: node-private page
 //!   table, segment attachments, per-mode frame pools, fault planning
 //!   and commit, client page-outs, and the home-page-status flag
@@ -29,7 +31,7 @@ pub mod migration;
 pub mod page_cache;
 pub mod policy;
 
-pub use ipc::{GlobalIpc, HomeMap};
+pub use ipc::HomeMap;
 pub use kernel::{FaultClass, FaultPlan, Kernel, KernelConfig, KernelStats};
 pub use migration::{MigrationPolicy, PageTraffic};
 pub use policy::{ControllerQuery, PagePolicy};

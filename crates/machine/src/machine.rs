@@ -14,7 +14,7 @@
 //!   and audit findings flow through; [`crate::report`] snapshots it
 //!   into a [`RunReport`].
 
-use prism_kernel::ipc::{GlobalIpc, HomeMap};
+use prism_kernel::ipc::HomeMap;
 use prism_kernel::kernel::{Kernel, KernelConfig};
 use prism_mem::addr::{GlobalPage, NodeId, NodeSet};
 use prism_mem::trace::Trace;
@@ -96,7 +96,6 @@ pub struct Machine {
     pub(crate) barrier_groups: Vec<(std::ops::Range<usize>, BarrierSet)>,
     pub(crate) locks: LockSet,
     pub(crate) dyn_homes: FastMap<GlobalPage, NodeId>,
-    pub(crate) ipc: GlobalIpc,
     pub(crate) homes: HomeMap,
     pub(crate) ledger: TrafficLedger,
     /// The observability bus: counters, latency histograms, fault
@@ -170,7 +169,6 @@ impl Machine {
             barrier_groups: vec![(0..total, BarrierSet::new(total))],
             locks: LockSet::new(),
             dyn_homes: FastMap::default(),
-            ipc: GlobalIpc::new(),
             homes,
             ledger: TrafficLedger::new(),
             obs: EventBus::new(),
@@ -474,8 +472,8 @@ impl Machine {
         frame.0 as u64 * self.cfg.geometry.lines_per_page() as u64 + line.0 as u64
     }
 
-    /// Loads a trace: registers segments with the IPC server and attaches
-    /// them on every kernel (identical virtual addresses on every node).
+    /// Loads a trace: attaches its segments on every kernel (segment `i`
+    /// as `Gsid(i)`, identical virtual addresses on every node).
     pub(crate) fn load(&mut self, trace: &Trace) {
         assert_eq!(
             trace.lanes.len(),
@@ -511,13 +509,6 @@ impl Machine {
             && self.cfg.page_cache_capacity.is_none()
             && self.cfg.policy == PagePolicy::Scoma
             && !self.mode_prefs_set;
-        for (i, seg) in trace.segments.iter().enumerate() {
-            let pages = self.cfg.geometry.pages_for(seg.bytes) as u32;
-            let gsid = self.ipc.shmget(i as u64, pages);
-            for _ in 0..self.cfg.total_procs() {
-                self.ipc.shmat(gsid);
-            }
-        }
         for node in &mut self.nodes {
             node.kernel.attach_segments(&trace.segments);
         }

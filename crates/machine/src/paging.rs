@@ -156,22 +156,11 @@ impl Machine {
     /// directory state (paper §3.3: "initializes the page's fine-grain
     /// tags to Exclusive").
     pub(crate) fn init_home_page(&mut self, home: usize, gpage: GlobalPage, frame: FrameNo) {
-        let entry = PitEntry {
-            gpage,
-            mode: FrameMode::Scoma,
-            static_home: self.homes.static_home(gpage),
-            dyn_home: NodeId(home as u16),
-            home_frame_hint: Some(frame),
-            caps: prism_mem::pit::Caps::AllNodes,
-        };
-        self.nodes[home].controller.pit.insert(frame, entry);
-        self.nodes[home]
-            .controller
-            .tags
-            .allocate(frame, LineTag::Exclusive);
-        self.nodes[home]
-            .controller
-            .dir
+        let entry = self.home_pit_entry(gpage, home, frame);
+        let ctl = &mut self.nodes[home].controller;
+        ctl.pit.insert(frame, entry);
+        ctl.tags.allocate(frame, LineTag::Exclusive);
+        ctl.dir
             .page_in(gpage, frame, self.cfg.geometry.lines_per_page());
     }
 
@@ -207,70 +196,29 @@ impl Machine {
                 continue;
             }
             t = self.send(home, c, MsgKind::PageOutReq, t);
-            if let Some(cp) = self.nodes[c].kernel.client_page(gpage) {
-                let evict = EvictOrder {
-                    gpage,
-                    frame: cp.frame,
-                    vpage: cp.vpage,
-                    convert_to_lanuma: false,
-                };
-                t = self.page_out_client(c, evict, t);
-            } else if let Some(frame) = self.nodes[c]
-                .controller
-                .pit
-                .frame_of(gpage)
-                .filter(|f| f.is_imaginary())
-            {
-                self.drop_lanuma_mapping(c, gpage, frame);
-            }
+            t = self.retire_mapping(c, gpage, t);
             self.nodes[c].kernel.reset_home_status(gpage);
             t = self.send(c, home, MsgKind::PageOutAck, t);
         }
 
         // 2. The home flushes its own processors' copies (dirty data
-        //    folds into home memory, which is about to go to disk).
-        let pd = self.nodes[home]
+        //    folds into home memory, which is about to go to disk) and
+        //    unmaps its own virtual mapping (node-local shootdown only).
+        //    Shadow memory keeps the node_copy: it models the disk copy,
+        //    which the next page-in restores.
+        let home_frame = self.nodes[home]
             .controller
             .dir
             .page_out(gpage)
-            .expect("residency checked above");
-        let home_frame = pd.home_frame;
-        let lpp = self.cfg.geometry.lines_per_page() as u64;
-        let base_key = self.line_key(home_frame, LineIdx(0));
-        for hpi in 0..self.ppn() {
-            let flat = self.flat(home, hpi) as u16;
-            for (key, dirty) in self.nodes[home].procs[hpi]
-                .l2
-                .invalidate_range(base_key, lpp)
-            {
-                let l1_dirty = self.nodes[home].procs[hpi]
-                    .l1
-                    .invalidate(key)
-                    .unwrap_or(false);
-                if let Some(sh) = self.shadow.as_mut() {
-                    if let Some(lid) = sh.lid_for(home as u16, key) {
-                        if dirty || l1_dirty {
-                            sh.writeback(flat, home as u16, lid);
-                        }
-                        sh.drop_proc(flat, lid);
-                    }
-                }
-            }
-            self.nodes[home].procs[hpi]
-                .l1
-                .invalidate_range(base_key, lpp);
+            .expect("residency checked above")
+            .home_frame;
+        let vpage = self.vpage_of_shared(home, gpage);
+        self.release_frame(home, home_frame, vpage);
+        if let Some(vp) = vpage {
+            self.nodes[home].kernel.unmap_shared_vpage(vp);
         }
 
-        // 3. Unmap the home's own virtual mapping (node-local shootdown
-        //    only) and release all controller and kernel state. Shadow
-        //    memory keeps the node_copy: it models the disk copy, which
-        //    the next page-in restores.
-        if let Some(vp) = self.vpage_of_shared(home, gpage) {
-            self.nodes[home].kernel.unmap_shared_vpage(vp);
-            for hpi in 0..self.ppn() {
-                self.nodes[home].procs[hpi].tlb.invalidate(vp);
-            }
-        }
+        // 3. Release all controller and kernel state.
         self.nodes[home].controller.pit.remove(home_frame);
         self.nodes[home].controller.tags.deallocate(home_frame);
         self.nodes[home].kernel.release_home_residency(gpage);
@@ -278,7 +226,7 @@ impl Machine {
         self.nodes[home]
             .memory
             .acquire(t, Cycle(lat.mem_occupancy * 8));
-        t += Cycle(lat.pageout_per_line * lpp / 4);
+        t += Cycle(lat.pageout_per_line * self.cfg.geometry.lines_per_page() as u64 / 4);
         self.obs.incr(Ctr::HomePageOuts);
         Some(t)
     }
@@ -340,42 +288,10 @@ impl Machine {
             .map(|(l, _)| l)
             .collect();
 
-        // Invalidate local processor caches for the whole frame,
-        // folding any dirtier L1/L2 copies into the flush (their
-        // versions supersede the page-cache copy).
-        let base_key = self.line_key(frame, LineIdx(0));
-        for spi in 0..self.ppn() {
-            let f2 = self.flat(n, spi) as u16;
-            for (key, _dirty) in self.nodes[n].procs[spi]
-                .l2
-                .invalidate_range(base_key, lpp as u64)
-            {
-                self.nodes[n].procs[spi].l1.invalidate(key);
-                if let Some(sh) = self.shadow.as_mut() {
-                    if let Some(lid) = sh.lid_for(n as u16, key) {
-                        // The processor's copy is at least as new as the
-                        // page cache's; propagate it there first.
-                        sh.writeback(f2, n as u16, lid);
-                        sh.drop_proc(f2, lid);
-                    }
-                }
-            }
-            // L1-only leftovers (possible if L2 already lost the line).
-            for (key, _dirty) in self.nodes[n].procs[spi]
-                .l1
-                .invalidate_range(base_key, lpp as u64)
-            {
-                if let Some(sh) = self.shadow.as_mut() {
-                    if let Some(lid) = sh.lid_for(n as u16, key) {
-                        sh.writeback(f2, n as u16, lid);
-                        sh.drop_proc(f2, lid);
-                    }
-                }
-            }
-            // Node-local TLB shootdown only (paper: no global TLB
-            // invalidations).
-            self.nodes[n].procs[spi].tlb.invalidate(evict.vpage);
-        }
+        // Invalidate local processor caches for the whole frame, folding
+        // any dirtier L1/L2 copies into the page cache first (their
+        // versions supersede it), and shoot down the node's TLBs.
+        self.release_frame(n, frame, Some(evict.vpage));
 
         // Flush dirty lines to the home and update its directory.
         if !dirty_lines.is_empty() && !self.nodes[home].failed {

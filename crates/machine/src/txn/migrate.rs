@@ -8,8 +8,6 @@
 use prism_mem::addr::{GlobalPage, LineIdx, NodeId};
 use prism_mem::cache::LineState;
 use prism_mem::directory::LineDir;
-use prism_mem::mode::FrameMode;
-use prism_mem::pit::PitEntry;
 use prism_mem::tags::LineTag;
 use prism_protocol::msg::MsgKind;
 use prism_sim::Cycle;
@@ -45,122 +43,33 @@ impl Machine {
         self.post_send(old, static_home, MsgKind::MigrateCtl, t);
         self.post_send(static_home, new, MsgKind::MigrateCtl, t);
 
-        // If the new home currently holds the page as a *client*, retire
-        // that client mapping first (its data is flushed home by the
-        // page-out, so the bulk transfer below carries fresh data).
-        if let Some(cp) = self.nodes[new].kernel.client_page(gpage) {
-            let evict = prism_kernel::kernel::EvictOrder {
-                gpage,
-                frame: cp.frame,
-                vpage: cp.vpage,
-                convert_to_lanuma: false,
-            };
-            self.page_out_client(new, evict, t);
-        } else {
-            // An LA-NUMA mapping at the new home: drop it (caches, node
-            // state, PIT, page table, TLB).
-            let lanuma_frame = self.nodes[new]
-                .controller
-                .pit
-                .frame_of(gpage)
-                .filter(|f| f.is_imaginary());
-            if let Some(frame) = lanuma_frame {
-                self.drop_lanuma_mapping(new, gpage, frame);
-            }
-        }
+        // If the new home currently holds the page as a client, retire
+        // that mapping first (an S-COMA page-out flushes its data home, so
+        // the bulk transfer below carries fresh data).
+        self.retire_mapping(new, gpage, t);
 
         // Move the directory state and the page data.
-        let mut pd = self.nodes[old]
+        let pd = self.nodes[old]
             .controller
             .dir
             .page_out(gpage)
             .expect("migrating page is resident at the old home");
         self.post_send(old, new, MsgKind::PageData, t);
 
-        // The old home gives up residency: drop its own cached copies,
-        // its PIT entry, tags, and any virtual mapping it had.
+        // The old home gives up residency: its processors' dirty copies
+        // fold into its memory so the bulk transfer carries current data,
+        // then its PIT entry, tags, and any virtual mapping go (its
+        // processors will refault as clients).
         let old_frame = pd.home_frame;
-        let base_key = self.line_key(old_frame, LineIdx(0));
-        for spi in 0..self.ppn() {
-            let flat = self.flat(old, spi) as u16;
-            for (key, dirty) in self.nodes[old].procs[spi]
-                .l2
-                .invalidate_range(base_key, lpp as u64)
-            {
-                let l1_dirty = self.nodes[old].procs[spi]
-                    .l1
-                    .invalidate(key)
-                    .unwrap_or(false);
-                if dirty || l1_dirty {
-                    // Fold the processor's dirty copy into the old home's
-                    // memory so the bulk transfer carries current data.
-                    if let Some(sh) = self.shadow.as_mut() {
-                        if let Some(lid) = sh.lid_for(old as u16, key) {
-                            sh.writeback(flat, old as u16, lid);
-                        }
-                    }
-                }
-                if let Some(sh) = self.shadow.as_mut() {
-                    if let Some(lid) = sh.lid_for(old as u16, key) {
-                        sh.drop_proc(flat, lid);
-                    }
-                }
-            }
-            for (key, dirty) in self.nodes[old].procs[spi]
-                .l1
-                .invalidate_range(base_key, lpp as u64)
-            {
-                if let Some(sh) = self.shadow.as_mut() {
-                    if let Some(lid) = sh.lid_for(old as u16, key) {
-                        if dirty {
-                            sh.writeback(flat, old as u16, lid);
-                        }
-                        sh.drop_proc(flat, lid);
-                    }
-                }
-            }
-        }
+        let vpage = self.vpage_of_shared(old, gpage);
+        self.release_frame(old, old_frame, vpage);
         self.nodes[old].controller.pit.remove(old_frame);
         self.nodes[old].controller.tags.deallocate(old_frame);
-        // Unmap the old home's own virtual mapping, if its processors
-        // were using the page (they will refault as clients).
-        let vpage = self.vpage_of_shared(old, gpage);
         if let Some(vp) = vpage {
             self.nodes[old].kernel.unmap_shared_vpage(vp);
-            for spi in 0..self.ppn() {
-                self.nodes[old].procs[spi].tlb.invalidate(vp);
-            }
         }
         self.nodes[old].kernel.release_home_residency(gpage);
-
-        // The new home adopts: fresh frame, PIT entry, tags derived from
-        // the directory, directory installed.
-        let (new_frame, newly) = self.nodes[new].kernel.ensure_home_resident(gpage);
-        assert!(newly, "new home cannot already be home-resident");
-        pd.home_frame = new_frame;
-        let entry = PitEntry {
-            gpage,
-            mode: FrameMode::Scoma,
-            static_home: NodeId(static_home as u16),
-            dyn_home: NodeId(new as u16),
-            home_frame_hint: Some(new_frame),
-            caps: prism_mem::pit::Caps::AllNodes,
-        };
-        self.nodes[new].controller.pit.insert(new_frame, entry);
-        self.nodes[new]
-            .controller
-            .tags
-            .allocate(new_frame, LineTag::Shared);
-        for l in 0..lpp {
-            let li = LineIdx(l as u16);
-            let tag = match pd.line(li) {
-                LineDir::Owned(_) => LineTag::Invalid,
-                LineDir::Shared(_) => LineTag::Shared,
-                LineDir::Uncached => LineTag::Exclusive,
-            };
-            self.nodes[new].controller.tags.set(new_frame, li, tag);
-        }
-        self.nodes[new].controller.dir.adopt(gpage, pd);
+        self.adopt_home(new, gpage, pd, old);
 
         // Shadow: the page data moved old → new.
         if self.shadow.is_some() {
@@ -193,13 +102,6 @@ impl Machine {
             }
         }
 
-        // Publish the new dynamic home at the static home. The old home
-        // becomes a legal stale hint (clients heal lazily).
-        self.dyn_homes.insert(gpage, NodeId(new as u16));
-        self.former_homes
-            .entry(gpage)
-            .or_default()
-            .insert(NodeId(old as u16));
         self.obs.incr(Ctr::Migrations);
         self.obs.emit(
             t,
@@ -312,27 +214,13 @@ impl Machine {
                 self.record_refusal(gpage, dirty_at_static);
                 return None;
             }
-            // A clean client copy: retire it so the node can host the
-            // page as its home. The page-out skips the dead home's
-            // directory update; the adoption below rebuilds it.
-            let evict = prism_kernel::kernel::EvictOrder {
-                gpage,
-                frame: cp.frame,
-                vpage: cp.vpage,
-                convert_to_lanuma: false,
-            };
-            self.page_out_client(static_home, evict, t);
-        } else if let Some(frame) = self.nodes[static_home]
-            .controller
-            .pit
-            .frame_of(gpage)
-            .filter(|f| f.is_imaginary())
-        {
-            // An LA-NUMA mapping at the static home: necessarily clean
-            // (dirty lines appear as Owned(static_home) and were refused
-            // above), so dropping it loses nothing.
-            self.drop_lanuma_mapping(static_home, gpage, frame);
         }
+        // Retire a clean client copy so the node can host the page as its
+        // home; its page-out skips the dead home's directory update, and
+        // the adoption below rebuilds it. An LA-NUMA mapping there is
+        // necessarily clean too (its dirty lines are Owned(static_home),
+        // refused above), so dropping it loses nothing.
+        self.retire_mapping(static_home, gpage, t);
 
         // Strip the dead home's residency: directory, PIT, tags. Its
         // processors are dead; their caches need no invalidation.
@@ -364,40 +252,9 @@ impl Machine {
             }
         }
 
-        // The static home adopts: frame, PIT entry, tags from the
-        // directory, then the restored page image (backing store).
-        let (new_frame, newly) = self.nodes[static_home].kernel.ensure_home_resident(gpage);
-        assert!(newly, "failover target cannot already be home-resident");
-        pd.home_frame = new_frame;
-        let entry = PitEntry {
-            gpage,
-            mode: FrameMode::Scoma,
-            static_home: NodeId(static_home as u16),
-            dyn_home: NodeId(static_home as u16),
-            home_frame_hint: Some(new_frame),
-            caps: prism_mem::pit::Caps::AllNodes,
-        };
-        self.nodes[static_home]
-            .controller
-            .pit
-            .insert(new_frame, entry);
-        self.nodes[static_home]
-            .controller
-            .tags
-            .allocate(new_frame, LineTag::Shared);
-        for l in 0..lpp {
-            let li = LineIdx(l as u16);
-            let tag = match pd.line(li) {
-                LineDir::Owned(_) => LineTag::Invalid,
-                LineDir::Shared(_) => LineTag::Shared,
-                LineDir::Uncached => LineTag::Exclusive,
-            };
-            self.nodes[static_home]
-                .controller
-                .tags
-                .set(new_frame, li, tag);
-        }
-        self.nodes[static_home].controller.dir.adopt(gpage, pd);
+        // The static home adopts the page; the restored page image
+        // comes from its backing store.
+        self.adopt_home(static_home, gpage, pd, dead);
 
         // Shadow: the backing-store image (the dead home's node copy)
         // reappears at the static home. Journal-covered lines take the
@@ -463,11 +320,6 @@ impl Machine {
             });
         }
 
-        self.dyn_homes.insert(gpage, NodeId(static_home as u16));
-        self.former_homes
-            .entry(gpage)
-            .or_default()
-            .insert(NodeId(dead as u16));
         self.freport(|r| r.failovers += 1);
         self.obs.emit(
             t,
@@ -556,50 +408,6 @@ impl Machine {
         }
         self.freport(|r| r.contained_faults += 1);
         Some((target, t))
-    }
-
-    /// Drops an LA-NUMA client mapping at a node (used when the node
-    /// becomes the page's home).
-    pub(crate) fn drop_lanuma_mapping(
-        &mut self,
-        n: usize,
-        gpage: GlobalPage,
-        frame: prism_mem::addr::FrameNo,
-    ) {
-        let lpp = self.cfg.geometry.lines_per_page() as u64;
-        let base_key = self.line_key(frame, LineIdx(0));
-        // Dirty LA-NUMA lines must reach the (old) home before the frame
-        // disappears.
-        for spi in 0..self.ppn() {
-            let flat = self.flat(n, spi) as u16;
-            let removed = self.nodes[n].procs[spi].l2.invalidate_range(base_key, lpp);
-            for (key, dirty) in removed {
-                self.nodes[n].procs[spi].l1.invalidate(key);
-                if dirty {
-                    let lid = self
-                        .shadow
-                        .as_ref()
-                        .and_then(|sh| sh.lid_for(n as u16, key))
-                        .unwrap_or(0);
-                    let t = self.nodes[n].procs[spi].clock;
-                    self.lanuma_posted_writeback(n, key, lid, flat, t);
-                }
-                if let Some(sh) = self.shadow.as_mut() {
-                    if let Some(lid) = sh.lid_for(n as u16, key) {
-                        sh.drop_proc(flat, lid);
-                    }
-                }
-            }
-            self.nodes[n].procs[spi].l1.invalidate_range(base_key, lpp);
-        }
-        self.nodes[n].controller.clear_lanuma_frame(frame);
-        self.nodes[n].controller.pit.remove(frame);
-        if let Some(vp) = self.vpage_of_shared(n, gpage) {
-            self.nodes[n].kernel.unmap_lanuma(vp);
-            for spi in 0..self.ppn() {
-                self.nodes[n].procs[spi].tlb.invalidate(vp);
-            }
-        }
     }
 
     /// The virtual page a node maps `gpage` at, if it has a mapping.

@@ -14,9 +14,13 @@
 //!   ([`remote_txn::RemoteTxn`]) covering translate → route → home
 //!   dispatch → fetch/invalidate → commit → reply → fill, with
 //!   migration and failure handling as explicit phases.
+//! * `lifecycle` — the page lifecycle's shared steps: taking a frame
+//!   off a node, retiring a node's client mapping, and adopting a page
+//!   at a new dynamic home.
 //! * `migrate` — the page-migration transaction (lazy dynamic-home
 //!   migration, paper §3.5) and home failover after node death.
 
+pub(crate) mod lifecycle;
 pub(crate) mod local;
 pub(crate) mod migrate;
 pub mod remote_txn;

@@ -13,7 +13,7 @@ use prism_machine::{AuditKind, FaultPlan, JournalPolicy, ObsEvent};
 use prism_mem::addr::{GlobalPage, Gsid, NodeId, VirtAddr};
 use prism_mem::trace::{Op, OpLane, SegmentSpec, Trace, SHARED_BASE};
 use prism_sim::Cycle;
-use prism_workloads::{app, AppId, Scale};
+use prism_workloads::{app, failover_trace, AppId, Scale};
 
 /// Every chaos test runs the online coherence auditor: structural
 /// inconsistencies between directory, tags, PIT, and journal surface as
@@ -178,70 +178,6 @@ fn pit_corruption_recovers_via_static_home_forwarding() {
     );
 }
 
-/// Builds the canonical home-failover scenario on one shared page
-/// (static home: node 0). Writers on node 2 pull the page's dynamic
-/// home to node 2 through lazy migration; reads from node 1 then leave
-/// the image at node 2 clean (nothing Modified in node 2's processor
-/// caches). Node 2 dies inside the compute pad, and afterwards node 3
-/// — a stranger to the page — reads it, forcing the static home to
-/// re-master the page.
-fn failover_trace() -> Trace {
-    const LINES: u64 = 64; // 4 KiB page / 64 B lines
-    let read_all = |lane: &mut Vec<Op>| {
-        for l in 0..LINES {
-            lane.push(Op::Read(VirtAddr(SHARED_BASE + l * 64)));
-        }
-    };
-    let write_all = |lane: &mut Vec<Op>| {
-        for l in 0..LINES {
-            lane.push(Op::Write(VirtAddr(SHARED_BASE + l * 64)));
-        }
-    };
-    let barrier = |lanes: &mut Vec<Vec<Op>>, id: u32| {
-        for lane in lanes.iter_mut() {
-            lane.push(Op::Barrier(id));
-        }
-    };
-
-    let mut lanes: Vec<Vec<Op>> = (0..8).map(|_| Vec::new()).collect();
-    // Phase 1: node 2 (lane 4) faults every line in — 64 remote fills.
-    write_all(&mut lanes[4]);
-    barrier(&mut lanes, 0);
-    // Phase 2: node 1 (lane 2) reads every line, downgrading node 2's
-    // dirty copies — 64 more requests at the home (128 total, split
-    // evenly, below the migration policy's dominance bar).
-    read_all(&mut lanes[2]);
-    barrier(&mut lanes, 1);
-    // Phase 3: node 2 upgrades every line again. At request 192 node 2
-    // holds 2/3 of the page's traffic and the dynamic home migrates to
-    // node 2 (flushing every dirty line into its memory on the way).
-    write_all(&mut lanes[4]);
-    barrier(&mut lanes, 2);
-    // Phase 4: node 1 re-reads through the stale hint (healing it) and
-    // leaves the page clean at its new home.
-    read_all(&mut lanes[2]);
-    barrier(&mut lanes, 3);
-    // Compute pad: the node-2 failure lands in here.
-    for lane in lanes.iter_mut() {
-        lane.push(Op::Compute(2_000_000));
-    }
-    barrier(&mut lanes, 4);
-    // Phase 5: node 3 (lane 6) has never touched the page; its read is
-    // forwarded by the static home toward the dead dynamic home and
-    // must recover through failover.
-    read_all(&mut lanes[6]);
-
-    Trace {
-        name: "failover".into(),
-        segments: vec![SegmentSpec {
-            name: "page".into(),
-            va_base: SHARED_BASE,
-            bytes: 4096,
-        }],
-        lanes: lanes.into_iter().map(Into::into).collect(),
-    }
-}
-
 /// A page whose dynamic home migrated away from its static home can
 /// survive that home's death: the static home re-masters it from the
 /// clean image and later readers get current data (the shadow checker
@@ -250,7 +186,7 @@ fn failover_trace() -> Trace {
 fn static_home_remasters_pages_of_a_dead_dynamic_home() {
     let mut cfg = config();
     cfg.migration = Some(MigrationPolicy::default());
-    let trace = failover_trace();
+    let trace = failover_trace(false);
 
     let clean = Machine::new(cfg.clone()).run(&trace);
     assert_eq!(clean.dead_procs, 0);
@@ -283,62 +219,6 @@ fn static_home_remasters_pages_of_a_dead_dynamic_home() {
     assert!(report.audit.is_empty(), "{:?}", report.audit);
 }
 
-/// Like [`failover_trace`], but node 2 writes the whole page again
-/// *after* the migration settled, so it dies holding every line of the
-/// page Modified in its processor caches — the exact state PR-era
-/// failover had to refuse.
-fn dirty_failover_trace() -> Trace {
-    const LINES: u64 = 64;
-    let read_all = |lane: &mut Vec<Op>| {
-        for l in 0..LINES {
-            lane.push(Op::Read(VirtAddr(SHARED_BASE + l * 64)));
-        }
-    };
-    let write_all = |lane: &mut Vec<Op>| {
-        for l in 0..LINES {
-            lane.push(Op::Write(VirtAddr(SHARED_BASE + l * 64)));
-        }
-    };
-    let barrier = |lanes: &mut Vec<Vec<Op>>, id: u32| {
-        for lane in lanes.iter_mut() {
-            lane.push(Op::Barrier(id));
-        }
-    };
-
-    let mut lanes: Vec<Vec<Op>> = (0..8).map(|_| Vec::new()).collect();
-    // Phases 1-3 as in `failover_trace`: build node 2's dominance until
-    // the dynamic home migrates there.
-    write_all(&mut lanes[4]);
-    barrier(&mut lanes, 0);
-    read_all(&mut lanes[2]);
-    barrier(&mut lanes, 1);
-    write_all(&mut lanes[4]);
-    barrier(&mut lanes, 2);
-    // Phase 4: node 2, now the dynamic home, dirties the whole page
-    // again. These writes hit its own home frame and stay Modified in
-    // its caches — under journaling each streams a version record to
-    // the static home.
-    write_all(&mut lanes[4]);
-    barrier(&mut lanes, 3);
-    // Compute pad: node 2 dies in here, caches and all.
-    for lane in lanes.iter_mut() {
-        lane.push(Op::Compute(2_000_000));
-    }
-    barrier(&mut lanes, 4);
-    // Phase 5: node 3 reads the page, forcing recovery.
-    read_all(&mut lanes[6]);
-
-    Trace {
-        name: "dirty-failover".into(),
-        segments: vec![SegmentSpec {
-            name: "page".into(),
-            va_base: SHARED_BASE,
-            bytes: 4096,
-        }],
-        lanes: lanes.into_iter().map(Into::into).collect(),
-    }
-}
-
 /// The tentpole scenario: a dynamic home dies with the whole page dirty
 /// in its processor caches. Without journaling the failover refuses and
 /// the page's dirty lines are lost (the PR-era containment behavior);
@@ -349,7 +229,7 @@ fn dirty_failover_trace() -> Trace {
 fn journal_remasters_dirty_pages_refused_without_it() {
     let mut cfg = config();
     cfg.migration = Some(MigrationPolicy::default());
-    let trace = dirty_failover_trace();
+    let trace = failover_trace(true);
 
     let clean = Machine::new(cfg.clone()).run(&trace);
     assert_eq!(clean.dead_procs, 0);
@@ -480,7 +360,7 @@ fn watchdog_remasters_a_wedged_line_whose_home_died() {
     cfg.migration = Some(MigrationPolicy::default());
     // Split the compute pad into short ops, so the faults and the
     // watchdog fire inside it instead of at the pick that ends it.
-    let mut trace = failover_trace();
+    let mut trace = failover_trace(false);
     for lane in &mut trace.lanes {
         let ops: Vec<Op> = lane
             .iter()
@@ -530,7 +410,7 @@ fn recovery_machinery_is_deterministic() {
     let mut cfg = config();
     cfg.migration = Some(MigrationPolicy::default());
     cfg.journal = JournalPolicy::eager();
-    let trace = dirty_failover_trace();
+    let trace = failover_trace(true);
     let probe = Machine::new(cfg.clone()).run(&trace);
     let half = Cycle(probe.exec_cycles.as_u64() / 2);
     let quarter = Cycle(probe.exec_cycles.as_u64() / 4);
@@ -637,7 +517,7 @@ fn fault_free_journaled_run_audits_clean() {
     let mut cfg = config();
     cfg.migration = Some(MigrationPolicy::default());
     cfg.journal = JournalPolicy::eager();
-    let trace = dirty_failover_trace();
+    let trace = failover_trace(true);
 
     let plain = {
         let mut c = config();

@@ -216,7 +216,8 @@ impl fmt::Display for ProcId {
     }
 }
 
-/// A global segment identifier, issued by the global IPC server.
+/// A global segment identifier: segment `i` of a trace is `Gsid(i)` on
+/// every node (the globalized `shmget` of paper §3.4).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Gsid(pub u32);
 

@@ -13,7 +13,8 @@
 //!   scale.
 //! * [`microbench`] — the latency microbenchmark regenerating Table 1.
 //! * [`synthetic`] — uniform/migratory/producer-consumer/private
-//!   patterns for tests and ablations.
+//!   patterns for tests and ablations, and the one-page home-failover
+//!   scenario ([`synthetic::failover_trace`]).
 //! * [`common`] — the [`common::Workload`] trait and trace-building
 //!   helpers.
 
@@ -40,5 +41,5 @@ pub use mp3d::Mp3d;
 pub use ocean::Ocean;
 pub use radix::Radix;
 pub use suite::{app, suite, AppId, Scale};
-pub use synthetic::Synthetic;
+pub use synthetic::{failover_trace, Synthetic};
 pub use water::{WaterNsq, WaterSpatial};

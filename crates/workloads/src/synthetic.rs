@@ -1,6 +1,7 @@
 //! Synthetic access patterns for tests, examples, and ablations.
 
-use prism_mem::trace::Trace;
+use prism_mem::addr::VirtAddr;
+use prism_mem::trace::{Op, SegmentSpec, Trace, SHARED_BASE};
 use prism_sim::SimRng;
 
 use crate::common::{finish_trace, BarrierIds, Lane, Layout, Workload};
@@ -178,6 +179,63 @@ impl Workload for Synthetic {
             name: self.name(),
             ..trace
         }
+    }
+}
+
+/// The one-page home-failover scenario, for a machine of 4 nodes × 2
+/// processors with lazy migration on. The page's static home is node 0.
+///
+/// 1. Node 2 (lane 4) writes every line, faulting the page in.
+/// 2. Node 1 (lane 2) reads every line, downgrading node 2's copies.
+/// 3. Node 2 writes every line again. By the page's 192nd request node 2
+///    holds 2/3 of its traffic, and the default migration policy moves
+///    the dynamic home to node 2.
+/// 4. With `dirty` off, node 1 reads every line again, healing its stale
+///    home hint and leaving the image at node 2 clean. With `dirty` on,
+///    node 2, now the home, writes every line, so all 64 stay Modified
+///    in its processor caches.
+/// 5. Every lane computes for 2,000,000 cycles in one `Compute` op.
+/// 6. Node 3 (lane 6), a stranger to the page, reads every line through
+///    the static home.
+///
+/// A barrier follows each of steps 1–5. Faults strike only between
+/// ops, so a node failure planned inside the step-5 pad fires at the
+/// first pick after the pad ends, right before the barrier that
+/// releases step 6.
+pub fn failover_trace(dirty: bool) -> Trace {
+    const LINES: u64 = 64; // 4 KiB page / 64 B lines
+    let sweep = |lane: &mut Vec<Op>, write: bool| {
+        for l in 0..LINES {
+            let va = VirtAddr(SHARED_BASE + l * 64);
+            lane.push(if write { Op::Write(va) } else { Op::Read(va) });
+        }
+    };
+    let mut lanes: Vec<Vec<Op>> = vec![Vec::new(); 8];
+    let phases = [
+        (4, true),
+        (2, false),
+        (4, true),
+        if dirty { (4, true) } else { (2, false) },
+    ];
+    for (id, (lane, write)) in phases.into_iter().enumerate() {
+        sweep(&mut lanes[lane], write);
+        for lane in &mut lanes {
+            lane.push(Op::Barrier(id as u32));
+        }
+    }
+    for lane in &mut lanes {
+        lane.push(Op::Compute(2_000_000));
+        lane.push(Op::Barrier(4));
+    }
+    sweep(&mut lanes[6], false);
+    Trace {
+        name: if dirty { "dirty-failover" } else { "failover" }.into(),
+        segments: vec![SegmentSpec {
+            name: "page".into(),
+            va_base: SHARED_BASE,
+            bytes: 4096,
+        }],
+        lanes: lanes.into_iter().map(Into::into).collect(),
     }
 }
 

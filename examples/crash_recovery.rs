@@ -22,10 +22,11 @@
 use prism::kernel::migration::MigrationPolicy;
 use prism::machine::machine::Machine;
 use prism::machine::{FaultPlan, JournalPolicy};
-use prism::mem::addr::{GlobalPage, Gsid, NodeId, VirtAddr};
-use prism::mem::trace::{Op, SegmentSpec, Trace, SHARED_BASE};
+use prism::mem::addr::{GlobalPage, Gsid, NodeId};
+use prism::mem::trace::{Op, Trace};
 use prism::prelude::*;
 use prism::sim::Cycle;
+use prism::workloads::failover_trace;
 
 fn main() {
     let mut cfg = MachineConfig::builder()
@@ -36,7 +37,7 @@ fn main() {
     cfg.migration = Some(MigrationPolicy::default());
 
     // ── Act 1: journaling turns a refused failover into a recovery ──
-    let trace = dirty_failover_trace();
+    let trace = failover_trace(true);
     let healthy = Machine::new(cfg.clone()).run(&trace);
     let half = Cycle(healthy.exec_cycles.as_u64() / 2);
     println!(
@@ -118,50 +119,4 @@ fn main() {
          how long a transaction can wedge, and the auditor bounds how long\n\
          corruption can hide — recovery with receipts, not luck."
     );
-}
-
-/// One shared page (static home: node 0). Node 2's writes pull the
-/// dynamic home to node 2 via lazy migration; a final write phase
-/// leaves all 64 lines Modified in node 2's caches when it dies.
-fn dirty_failover_trace() -> Trace {
-    const LINES: u64 = 64; // 4 KiB page / 64 B lines
-    let read_all = |lane: &mut Vec<Op>| {
-        for l in 0..LINES {
-            lane.push(Op::Read(VirtAddr(SHARED_BASE + l * 64)));
-        }
-    };
-    let write_all = |lane: &mut Vec<Op>| {
-        for l in 0..LINES {
-            lane.push(Op::Write(VirtAddr(SHARED_BASE + l * 64)));
-        }
-    };
-    let barrier = |lanes: &mut Vec<Vec<Op>>, id: u32| {
-        for lane in lanes.iter_mut() {
-            lane.push(Op::Barrier(id));
-        }
-    };
-    let mut lanes: Vec<Vec<Op>> = (0..8).map(|_| Vec::new()).collect();
-    write_all(&mut lanes[4]); // node 2 faults the page in
-    barrier(&mut lanes, 0);
-    read_all(&mut lanes[2]); // node 1 downgrades node 2's dirty copies
-    barrier(&mut lanes, 1);
-    write_all(&mut lanes[4]); // node 2 re-upgrades; migration fires here
-    barrier(&mut lanes, 2);
-    write_all(&mut lanes[4]); // node 2, now home, dirties every line
-    barrier(&mut lanes, 3);
-    for lane in lanes.iter_mut() {
-        lane.push(Op::Compute(2_000_000)); // the failure lands in here
-    }
-    barrier(&mut lanes, 4);
-    read_all(&mut lanes[6]); // node 3 reads through the dead home
-
-    Trace {
-        name: "dirty-failover".into(),
-        segments: vec![SegmentSpec {
-            name: "page".into(),
-            va_base: SHARED_BASE,
-            bytes: 4096,
-        }],
-        lanes: lanes.into_iter().map(Into::into).collect(),
-    }
 }

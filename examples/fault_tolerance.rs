@@ -13,10 +13,10 @@
 use prism::kernel::migration::MigrationPolicy;
 use prism::machine::machine::Machine;
 use prism::machine::{FaultPlan, RetryPolicy};
-use prism::mem::addr::{NodeId, VirtAddr};
-use prism::mem::trace::{Op, SegmentSpec, Trace, SHARED_BASE};
+use prism::mem::addr::NodeId;
 use prism::prelude::*;
 use prism::sim::Cycle;
+use prism::workloads::failover_trace;
 
 fn main() {
     let cfg = MachineConfig::builder().nodes(4).procs_per_node(2).build();
@@ -64,7 +64,7 @@ fn main() {
     // touched the page — reads it through the static home (node 0).
     let mut mig_cfg = cfg.clone();
     mig_cfg.migration = Some(MigrationPolicy::default());
-    let mtrace = failover_trace();
+    let mtrace = failover_trace(false);
     let healthy = Machine::new(mig_cfg.clone()).run(&mtrace);
 
     let half = Cycle(healthy.exec_cycles.as_u64() / 2);
@@ -91,51 +91,4 @@ fn main() {
          when the static home survives and no dirty line was stranded on the\n\
          dead node; everything else stays fail-stop contained."
     );
-}
-
-/// One shared page, statically homed on node 0: node 2's writes pull
-/// the dynamic home to node 2 via lazy migration, node 1's reads leave
-/// the image there clean, a compute pad hosts the failure, and node 3
-/// reads the page only afterwards.
-fn failover_trace() -> Trace {
-    const LINES: u64 = 64; // 4 KiB page / 64 B lines
-    let read_all = |lane: &mut Vec<Op>| {
-        for l in 0..LINES {
-            lane.push(Op::Read(VirtAddr(SHARED_BASE + l * 64)));
-        }
-    };
-    let write_all = |lane: &mut Vec<Op>| {
-        for l in 0..LINES {
-            lane.push(Op::Write(VirtAddr(SHARED_BASE + l * 64)));
-        }
-    };
-    let barrier = |lanes: &mut Vec<Vec<Op>>, id: u32| {
-        for lane in lanes.iter_mut() {
-            lane.push(Op::Barrier(id));
-        }
-    };
-    let mut lanes: Vec<Vec<Op>> = (0..8).map(|_| Vec::new()).collect();
-    write_all(&mut lanes[4]); // node 2 faults the page in
-    barrier(&mut lanes, 0);
-    read_all(&mut lanes[2]); // node 1 downgrades node 2's dirty copies
-    barrier(&mut lanes, 1);
-    write_all(&mut lanes[4]); // node 2 re-upgrades; migration fires here
-    barrier(&mut lanes, 2);
-    read_all(&mut lanes[2]); // node 1 heals its hint, cleans the image
-    barrier(&mut lanes, 3);
-    for lane in lanes.iter_mut() {
-        lane.push(Op::Compute(2_000_000)); // the failure lands in here
-    }
-    barrier(&mut lanes, 4);
-    read_all(&mut lanes[6]); // node 3 reads through the dead home
-
-    Trace {
-        name: "failover".into(),
-        segments: vec![SegmentSpec {
-            name: "page".into(),
-            va_base: SHARED_BASE,
-            bytes: 4096,
-        }],
-        lanes: lanes.into_iter().map(Into::into).collect(),
-    }
 }

@@ -91,11 +91,11 @@ fn segment_attachment_is_idempotent_and_extensible() {
 }
 
 /// Conflicting re-attachment (same base, different size) is rejected
-/// loudly rather than corrupting translations — the IPC server catches
-/// it first (`shmget` with the same key but another size), mirroring
-/// System V's EINVAL.
+/// loudly rather than corrupting translations — the kernel catches it as
+/// segment 0 registered again with another size, mirroring System V's
+/// EINVAL.
 #[test]
-#[should_panic(expected = "size mismatch")]
+#[should_panic(expected = "segment 0 registered again with another size")]
 fn conflicting_reattachment_panics() {
     let mut m = Machine::new(config());
     m.run(&reads(2, 4));
@@ -104,6 +104,25 @@ fn conflicting_reattachment_panics() {
         segments: vec![SegmentSpec {
             name: "s".into(),
             va_base: SHARED_BASE,
+            bytes: 8192,
+        }],
+        lanes: vec![Default::default(); 8],
+    };
+    m.run(&trace);
+}
+
+/// Segment 0 registered again at another base with another size is
+/// rejected too, although no attachment at that base exists yet.
+#[test]
+#[should_panic(expected = "segment 0 registered again with another size")]
+fn resized_segment_at_another_base_panics() {
+    let mut m = Machine::new(config());
+    m.run(&reads(2, 4));
+    let trace = Trace {
+        name: "moved".into(),
+        segments: vec![SegmentSpec {
+            name: "s".into(),
+            va_base: SHARED_BASE + 65536,
             bytes: 8192,
         }],
         lanes: vec![Default::default(); 8],
