@@ -9,7 +9,8 @@
 //! frame to its global page only where one is used (journaling writes
 //! and the node-level dispatch after an L2 miss).
 //!
-//! The driver classifies each reference and dispatches to the
+//! A reference that misses in L2 (or writes a line L2 holds Shared)
+//! becomes one [`Request`], which the node-level dispatch hands to the
 //! transaction layer: intra-node fills live in [`crate::txn::local`],
 //! the inter-node protocol in [`crate::txn::remote_txn`].
 
@@ -17,6 +18,7 @@ use prism_mem::addr::{FrameNo, GlobalPage, LineIdx, VirtAddr};
 use prism_mem::cache::LineState;
 use prism_mem::mode::FrameMode;
 use prism_mem::page_table::Pte;
+use prism_mem::tags::LineTag;
 use prism_protocol::dirproto::{tag_action, TagAction};
 use prism_protocol::msg::MsgKind;
 use prism_sim::Cycle;
@@ -25,6 +27,46 @@ use crate::machine::Machine;
 use crate::node::ProcState;
 use crate::obs::Ctr;
 use crate::txn::local::FillBacking;
+use crate::txn::remote_txn::RemoteTxn;
+
+/// One reference that missed in L2 (or writes a line L2 holds
+/// Shared), as the node controller sees it: who asks, for which line of
+/// which frame, and whether to write. It is built once, after the cache
+/// checks, and carried through the node-level dispatch, the intra-node
+/// fill and the remote transaction.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Request {
+    /// The requesting node.
+    pub(crate) n: usize,
+    /// The requesting processor, within its node.
+    pub(crate) pi: usize,
+    /// The frame the reference maps to on node `n`.
+    pub(crate) frame: FrameNo,
+    /// The frame's mode.
+    pub(crate) mode: FrameMode,
+    /// The global page the PIT binds the frame to (shared frames only).
+    pub(crate) gpage: Option<GlobalPage>,
+    /// The line within the page.
+    pub(crate) line: LineIdx,
+    /// The line's cache key on node `n`.
+    pub(crate) key: u64,
+    /// The line's virtual identity (the shadow checker's line id).
+    pub(crate) lid: u64,
+    /// A write (or an ownership upgrade) rather than a read.
+    pub(crate) write: bool,
+}
+
+impl Request {
+    /// The global page of a shared frame.
+    pub(crate) fn gpage(&self) -> GlobalPage {
+        self.gpage.expect("a shared frame has a PIT entry")
+    }
+
+    /// The requesting processor's flat id.
+    pub(crate) fn flat(&self, m: &Machine) -> u16 {
+        m.flat(self.n, self.pi) as u16
+    }
+}
 
 impl Machine {
     /// Executes one memory reference by processor `pi` of node `n`,
@@ -145,7 +187,7 @@ impl Machine {
         match l2_state {
             Some(st) if !write => {
                 t += Cycle(lat.l2_hit);
-                self.fill_l1(n, pi, key, st, lid);
+                self.fill_l1(n, pi, key, st);
                 self.nodes[n].procs[pi].clock = t;
                 if let Some(sh) = self.shadow.as_mut() {
                     sh.observe_hit(flat, lid);
@@ -157,7 +199,7 @@ impl Machine {
                 self.nodes[n].procs[pi]
                     .l2
                     .set_state(key, LineState::Modified);
-                self.fill_l1(n, pi, key, LineState::Modified, lid);
+                self.fill_l1(n, pi, key, LineState::Modified);
                 self.nodes[n].procs[pi].clock = t;
                 if let Some(sh) = self.shadow.as_mut() {
                     sh.write(flat, lid);
@@ -176,7 +218,7 @@ impl Machine {
         } else {
             None
         };
-        t = self.node_level(
+        let req = Request {
             n,
             pi,
             frame,
@@ -186,9 +228,8 @@ impl Machine {
             key,
             lid,
             write,
-            has_shared_copy,
-            t,
-        );
+        };
+        t = self.node_level(&req, has_shared_copy, t);
         if self.nodes[n].procs[pi].state != ProcState::Dead {
             self.nodes[n].procs[pi].clock = t;
         }
@@ -203,45 +244,31 @@ impl Machine {
             .map(|e| e.gpage)
     }
 
-    /// The controller's mode-dispatched handling of an L2 miss (or
-    /// upgrade). Returns the completion time.
-    #[allow(clippy::too_many_arguments)]
-    fn node_level(
-        &mut self,
-        n: usize,
-        pi: usize,
-        frame: FrameNo,
-        mode: FrameMode,
-        gpage: Option<GlobalPage>,
-        line: LineIdx,
-        key: u64,
-        lid: u64,
-        write: bool,
-        has_shared_copy: bool,
-        t: Cycle,
-    ) -> Cycle {
-        match mode {
+    /// The controller's mode-dispatched handling of an L2 miss, or of a
+    /// write to a copy the requester holds Shared (`has_shared_copy`).
+    /// Returns the completion time.
+    fn node_level(&mut self, req: &Request, has_shared_copy: bool, t: Cycle) -> Cycle {
+        let Request {
+            n,
+            pi,
+            frame,
+            line,
+            write,
+            ..
+        } = *req;
+        match req.mode {
             FrameMode::Local | FrameMode::Command | FrameMode::Sync => {
                 // Node-private: the local bus protocol prevails.
-                self.intra_node_fill(
-                    n,
-                    pi,
-                    key,
-                    lid,
-                    write,
-                    FillBacking::Memory {
-                        authoritative: true,
-                    },
-                    LineState::Exclusive,
-                    t,
-                )
+                let backing = FillBacking::Memory {
+                    authoritative: true,
+                };
+                self.intra_node_fill(req, backing, LineState::Exclusive, t)
             }
             FrameMode::Scoma => {
-                let gp = gpage.expect("S-COMA frame has a PIT entry");
                 let tag = self.nodes[n].controller.tags.get(frame, line);
                 match tag_action(tag, write) {
                     TagAction::Proceed => {
-                        let read_cap = if tag == prism_mem::tags::LineTag::Exclusive {
+                        let read_cap = if tag == LineTag::Exclusive {
                             LineState::Exclusive
                         } else {
                             LineState::Shared
@@ -249,36 +276,9 @@ impl Machine {
                         // Home frames' memory is authoritative (untouched
                         // lines hold initial data); a client page cache
                         // only holds what was fetched.
-                        let authoritative = self.resolve_dyn_home(gp).0 as usize == n;
-                        self.intra_node_fill(
-                            n,
-                            pi,
-                            key,
-                            lid,
-                            write,
-                            FillBacking::Memory { authoritative },
-                            read_cap,
-                            t,
-                        )
-                    }
-                    TagAction::Upgrade => self.remote_access(
-                        n,
-                        pi,
-                        frame,
-                        gp,
-                        line,
-                        key,
-                        lid,
-                        true,
-                        has_shared_copy,
-                        true,
-                        t,
-                    ),
-                    TagAction::FetchShared => {
-                        self.remote_access(n, pi, frame, gp, line, key, lid, false, false, true, t)
-                    }
-                    TagAction::FetchExclusive => {
-                        self.remote_access(n, pi, frame, gp, line, key, lid, true, false, true, t)
+                        let authoritative = self.resolve_dyn_home(req.gpage()).0 as usize == n;
+                        let backing = FillBacking::Memory { authoritative };
+                        self.intra_node_fill(req, backing, read_cap, t)
                     }
                     TagAction::Stall => {
                         // A wedged transaction: the watchdog waits out the
@@ -290,27 +290,17 @@ impl Machine {
                         if self.nodes[n].procs[pi].state == ProcState::Dead {
                             return t;
                         }
-                        self.node_level(
-                            n,
-                            pi,
-                            frame,
-                            mode,
-                            gpage,
-                            line,
-                            key,
-                            lid,
-                            write,
-                            has_shared_copy,
-                            t,
-                        )
+                        self.node_level(req, has_shared_copy, t)
+                    }
+                    action => {
+                        let has_data = action == TagAction::Upgrade && has_shared_copy;
+                        RemoteTxn::new(*req, has_data, t).run(self)
                     }
                 }
             }
             FrameMode::LaNuma => {
-                let gp = gpage.expect("LA-NUMA frame has a PIT entry");
                 let tag = self.nodes[n].controller.lanuma_tag(frame, line);
-                let action = tag_action(tag, write);
-                match action {
+                match tag_action(tag, write) {
                     TagAction::Proceed => {
                         // The controller vouched for this line, so a local
                         // copy exists: in a sibling cache, or — for a
@@ -318,52 +308,20 @@ impl Machine {
                         // own L2 (node-exclusive but intra-node shared
                         // after read sharing), needing only a local bus
                         // upgrade.
-                        if self.sibling_with_copy(n, pi, key).is_some() {
-                            self.intra_node_fill(
-                                n,
-                                pi,
-                                key,
-                                lid,
-                                write,
-                                FillBacking::CacheOnly,
-                                LineState::Shared,
-                                t,
-                            )
+                        if self.sibling_with_copy(n, pi, req.key).is_some() {
+                            self.intra_node_fill(req, FillBacking::CacheOnly, LineState::Shared, t)
                         } else if write && has_shared_copy {
-                            self.local_bus_upgrade(n, pi, key, lid, t)
+                            self.local_bus_upgrade(req, t)
                         } else {
                             debug_assert!(false, "LA-NUMA node state without a local copy: node {n} proc {pi} frame {frame} line {line} tag {tag:?} write {write}");
-                            self.remote_access(
-                                n, pi, frame, gp, line, key, lid, write, false, false, t,
-                            )
+                            RemoteTxn::new(*req, false, t).run(self)
                         }
                     }
-                    TagAction::Upgrade => self.remote_access(
-                        n,
-                        pi,
-                        frame,
-                        gp,
-                        line,
-                        key,
-                        lid,
-                        true,
-                        has_shared_copy,
-                        false,
-                        t,
-                    ),
-                    TagAction::FetchShared => {
-                        let t = self.remote_access(
-                            n, pi, frame, gp, line, key, lid, false, false, false, t,
-                        );
-                        self.maybe_reconvert_lanuma(n, pi, frame, gp, t)
-                    }
-                    TagAction::FetchExclusive => {
-                        let t = self
-                            .remote_access(n, pi, frame, gp, line, key, lid, true, false, false, t);
-                        self.maybe_reconvert_lanuma(n, pi, frame, gp, t)
-                    }
-                    TagAction::Stall => {
-                        unreachable!("LA-NUMA node state is never Transit")
+                    TagAction::Upgrade => RemoteTxn::new(*req, has_shared_copy, t).run(self),
+                    TagAction::Stall => unreachable!("LA-NUMA node state is never Transit"),
+                    TagAction::FetchShared | TagAction::FetchExclusive => {
+                        let t = RemoteTxn::new(*req, false, t).run(self);
+                        self.maybe_reconvert_lanuma(n, pi, frame, req.gpage(), t)
                     }
                 }
             }

@@ -13,9 +13,9 @@
 //! 1. **Scheduling** — `sched`: the tournament tree that picks the
 //!    earliest-clock processor in O(log P) and folds fault, watchdog,
 //!    and audit sweeps into the same event stream.
-//! 2. **Transactions** — [`txn`]: reified protocol transactions (local
-//!    fill pipelines, the remote-access state machine, migration), with
-//!    `access`/`remote` reduced to thin drivers.
+//! 2. **Transactions** — [`txn`]: protocol transactions (local fill
+//!    pipelines and the per-node snoop, the remote-access transaction,
+//!    migration), driven by `access` with one request value per miss.
 //! 3. **Observability** — [`obs`]: the event bus every layer reports
 //!    into (dense counters, latency histograms, a structural-event
 //!    ring), from which [`report::RunReport`] is assembled.
@@ -28,12 +28,11 @@
 //! * `sched` — the tournament-tree scheduler and the run loop.
 //! * [`obs`] — counters, histograms, and the [`obs::ObsEvent`] ring.
 //! * [`txn`] — protocol transactions: local fills, the remote-access
-//!   state machine ([`txn::remote_txn`]), and page migration.
+//!   transaction ([`txn::remote_txn`]: the inter-node directory
+//!   protocol with timing, invalidation fan-out, firewall checks and
+//!   lazy-migration forwarding), and page migration.
 //! * `access` — the per-reference path: TLB → page table → L1 → L2 →
 //!   mode-dispatched node-level action (paper Figure 4).
-//! * `remote` — the inter-node directory protocol execution with
-//!   timing, invalidation fan-out, firewall checks, and lazy-migration
-//!   request forwarding.
 //! * `net` — message timing: NI occupancy, wire latency, and
 //!   fault-aware reliable delivery.
 //! * `paging` — page faults, page-ins, client page-outs (paper §3.3).
@@ -87,7 +86,6 @@ mod net;
 pub mod node;
 pub mod obs;
 mod paging;
-mod remote;
 pub mod report;
 mod sched;
 pub mod shadow;

@@ -8,8 +8,8 @@
 //!   over the processor slots picks the earliest runnable processor,
 //!   and fault/watchdog/audit sweeps fire as scheduled control events.
 //! * [`crate::txn`] — protocol transactions (local fills, remote
-//!   misses, migrations, failovers) as typed pipelines driven by
-//!   `access`/`remote`.
+//!   misses, migrations, failovers), driven by `access` with one
+//!   request value per L2 miss.
 //! * [`crate::obs`] — the event bus all statistics, fault accounting,
 //!   and audit findings flow through; [`crate::report`] snapshots it
 //!   into a [`RunReport`].

@@ -381,15 +381,7 @@ impl Machine {
                     } => {
                         self.nodes[n].procs[pi].clock = release_at;
                         for w in waiters {
-                            let (wn, wpi) = self.split_flat(w);
-                            let wp = &mut self.nodes[wn].procs[wpi];
-                            // Dead processors stay dead even if a barrier
-                            // would have released them.
-                            if wp.state == ProcState::Blocked {
-                                wp.clock = release_at;
-                                wp.state = ProcState::Ready;
-                                self.sched.wake(w, release_at);
-                            }
+                            self.resume_blocked(w, release_at);
                         }
                     }
                 }
@@ -431,15 +423,9 @@ impl Machine {
                     self.send(n, lock_home, MsgKind::LockRelease, t) + Cycle(lat.dispatch)
                 };
                 if let Some((next, grant)) = self.locks.release(id, flat, t_rel) {
-                    let (wn, wpi) = self.split_flat(next);
+                    let (wn, _) = self.split_flat(next);
                     let granted = self.send(lock_home, wn, MsgKind::LockGrant, grant);
-                    let wp = &mut self.nodes[wn].procs[wpi];
-                    if wp.state == ProcState::Blocked {
-                        let at = granted + Cycle(lat.sync_op);
-                        wp.clock = at;
-                        wp.state = ProcState::Ready;
-                        self.sched.wake(next, at);
-                    }
+                    self.resume_blocked(next, granted + Cycle(lat.sync_op));
                 }
             }
         }
@@ -475,26 +461,26 @@ impl Machine {
                 } = outcome
                 {
                     for w in waiters {
-                        let (wn, wpi) = self.split_flat(w);
-                        let wp = &mut self.nodes[wn].procs[wpi];
-                        if wp.state == ProcState::Blocked {
-                            wp.clock = release_at;
-                            wp.state = ProcState::Ready;
-                            self.sched.wake(w, release_at);
-                        }
+                        self.resume_blocked(w, release_at);
                     }
                 }
             }
         }
         for (_lock, next, grant) in self.locks.release_all_held_by(flat, now) {
-            let (wn, wpi) = self.split_flat(next);
-            let wp = &mut self.nodes[wn].procs[wpi];
-            if wp.state == ProcState::Blocked {
-                let at = grant + Cycle(self.cfg.latency.sync_op);
-                wp.clock = at;
-                wp.state = ProcState::Ready;
-                self.sched.wake(next, at);
-            }
+            self.resume_blocked(next, grant + Cycle(self.cfg.latency.sync_op));
+        }
+    }
+
+    /// Resumes processor `flat` at `at` if it is blocked on a barrier or
+    /// a lock. Dead processors stay dead even if a barrier release or a
+    /// lock hand-off would have resumed them.
+    fn resume_blocked(&mut self, flat: usize, at: Cycle) {
+        let (n, pi) = self.split_flat(flat);
+        let p = &mut self.nodes[n].procs[pi];
+        if p.state == ProcState::Blocked {
+            p.clock = at;
+            p.state = ProcState::Ready;
+            self.sched.wake(flat, at);
         }
     }
 

@@ -61,20 +61,6 @@ impl Shadow {
         Shadow::default()
     }
 
-    /// Debug aid: set `PRISM_TRACE_LID=<hex line id>` to print every
-    /// shadow event for one line.
-    fn trace(&self, lid: u64, what: &str) {
-        static TARGET: std::sync::OnceLock<Option<u64>> = std::sync::OnceLock::new();
-        let target = TARGET.get_or_init(|| {
-            std::env::var("PRISM_TRACE_LID")
-                .ok()
-                .and_then(|v| u64::from_str_radix(v.trim_start_matches("0x"), 16).ok())
-        });
-        if *target == Some(lid) {
-            eprintln!("LID {lid:#x}: {what}");
-        }
-    }
-
     /// Latest version of a line (0 if never written).
     pub fn latest(&self, lid: u64) -> u64 {
         self.latest.get(&lid).copied().unwrap_or(0)
@@ -94,10 +80,6 @@ impl Shadow {
     /// A processor writes the line (after the protocol granted
     /// exclusivity): bumps the global version.
     pub fn write(&mut self, proc: u16, lid: u64) {
-        self.trace(
-            lid,
-            &format!("write by proc {proc} -> v{}", self.latest(lid) + 1),
-        );
         let v = self.latest(lid) + 1;
         self.latest.insert(lid, v);
         self.proc_copy.insert((proc, lid), v);
@@ -109,13 +91,6 @@ impl Shadow {
     ///
     /// Panics if the held copy is stale.
     pub fn observe_hit(&mut self, proc: u16, lid: u64) {
-        self.trace(
-            lid,
-            &format!(
-                "observe_hit proc {proc} holds v{}",
-                self.proc_version(proc, lid)
-            ),
-        );
         self.reads_checked += 1;
         let held = self.proc_copy.get(&(proc, lid)).copied().unwrap_or(0);
         let latest = self.latest(lid);
@@ -149,10 +124,6 @@ impl Shadow {
             v, latest,
             "coherence violation: node {node} memory holds v{v} of line {lid:#x}, latest is v{latest}"
         );
-        self.trace(
-            lid,
-            &format!("fill_from_node_memory proc {proc} node {node} v{v}"),
-        );
         self.proc_copy.insert((proc, lid), v);
         self.reads_checked += 1;
     }
@@ -169,7 +140,6 @@ impl Shadow {
             v, latest,
             "coherence violation: proc {src} supplied v{v} of line {lid:#x}, latest is v{latest}"
         );
-        self.trace(lid, &format!("fill_from_proc {src} -> {proc} v{v}"));
         self.proc_copy.insert((proc, lid), v);
         self.reads_checked += 1;
     }
@@ -202,10 +172,6 @@ impl Shadow {
             version, latest,
             "coherence violation: remote fetch got v{version} of line {lid:#x}, latest is v{latest}"
         );
-        self.trace(
-            lid,
-            &format!("fill_remote proc {proc} node {node} v{version} pc={into_page_cache}"),
-        );
         self.proc_copy.insert((proc, lid), version);
         if into_page_cache {
             self.node_copy.insert((node, lid), version);
@@ -216,13 +182,6 @@ impl Shadow {
     /// A dirty line leaves a processor for its node's memory (local
     /// writeback) or another node's memory (LA-NUMA writeback).
     pub fn writeback(&mut self, proc: u16, dst_node: u16, lid: u64) {
-        self.trace(
-            lid,
-            &format!(
-                "writeback proc {proc} -> node {dst_node} v{}",
-                self.proc_version(proc, lid)
-            ),
-        );
         if let Some(&v) = self.proc_copy.get(&(proc, lid)) {
             self.node_copy.insert((dst_node, lid), v);
         }
@@ -243,19 +202,12 @@ impl Shadow {
 
     /// A processor's last copy of the line is gone.
     pub fn drop_proc(&mut self, proc: u16, lid: u64) {
-        self.trace(lid, &format!("drop_proc {proc}"));
         self.proc_copy.remove(&(proc, lid));
     }
 
     /// A node's memory copy of the line is invalidated.
     pub fn drop_node(&mut self, node: u16, lid: u64) {
-        self.trace(lid, &format!("drop_node {node}"));
         self.node_copy.remove(&(node, lid));
-    }
-
-    /// The version a processor currently holds (0 if none).
-    pub fn proc_version(&self, proc: u16, lid: u64) -> u64 {
-        self.proc_copy.get(&(proc, lid)).copied().unwrap_or(0)
     }
 }
 

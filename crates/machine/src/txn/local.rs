@@ -2,17 +2,20 @@
 //! without leaving the node, plus the client-side write-back paths a
 //! fill can trigger.
 //!
-//! Covers sibling-cache snoops, local-memory fills, node-local bus
-//! upgrades, L1/L2 insertion with inclusion-preserving evictions, and
-//! the LA-NUMA client obligations on eviction (posted write-backs,
-//! demotions to shared, replacement hints). The access-path driver in
-//! `access` classifies the reference and delegates here.
+//! Covers the per-node snoop every protocol path uses to invalidate or
+//! downgrade a line in a node's processors ([`Snoop`]), sibling-cache
+//! and local-memory fills, the write grant of bus and remote upgrades,
+//! L1/L2 insertion with inclusion-preserving evictions, and the LA-NUMA
+//! client obligations on eviction (posted write-backs, demotions to
+//! shared, replacement hints). The access-path driver in `access`
+//! classifies the reference and delegates here.
 
 use prism_mem::addr::{FrameNo, LineIdx};
 use prism_mem::cache::LineState;
 use prism_protocol::msg::MsgKind;
 use prism_sim::Cycle;
 
+use crate::access::Request;
 use crate::machine::Machine;
 use crate::obs::Ctr;
 
@@ -32,37 +35,85 @@ pub(crate) enum FillBacking {
     CacheOnly,
 }
 
+/// What a snoop on a node's bus leaves of each processor's copy of a
+/// line.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Snoop {
+    /// The copy leaves L1 and L2.
+    Invalidate,
+    /// The copy stays, Shared in L1 and L2.
+    Downgrade,
+}
+
 impl Machine {
-    /// A node-local bus upgrade: the accessor holds the line Shared and
-    /// the node already has exclusivity; one address phase invalidates
-    /// (nonexistent) sibling copies and grants write permission.
-    pub(crate) fn local_bus_upgrade(
+    /// Snoops `key` in L1 and L2 of every processor of node `n` except
+    /// `spare`: each copy is invalidated or downgraded, and an
+    /// invalidated copy leaves the shadow (`lid` is the line's id there).
+    /// Returns the processor (flat id) whose copy was dirty, if any.
+    ///
+    /// The node's own memory, its tags and where dirty data goes are the
+    /// caller's concern.
+    pub(crate) fn snoop_node(
         &mut self,
         n: usize,
-        pi: usize,
         key: u64,
         lid: u64,
-        t: Cycle,
-    ) -> Cycle {
-        let lat = self.cfg.latency;
-        let flat = self.flat(n, pi) as u16;
-        let t = self.nodes[n].bus.acquire_until(t, Cycle(lat.bus_addr));
+        spare: Option<usize>,
+        snoop: Snoop,
+    ) -> Option<u16> {
+        let mut dirty = None;
+        for spi in (0..self.ppn()).filter(|&spi| Some(spi) != spare) {
+            let flat = self.flat(n, spi) as u16;
+            let p = &mut self.nodes[n].procs[spi];
+            let (l1, l2) = match snoop {
+                Snoop::Invalidate => (p.l1.invalidate(key), p.l2.invalidate(key)),
+                Snoop::Downgrade => (p.l1.downgrade(key), p.l2.downgrade(key)),
+            };
+            if l1.is_none() && l2.is_none() {
+                continue;
+            }
+            if l1 == Some(true) || l2 == Some(true) {
+                dirty = Some(flat);
+            }
+            if snoop == Snoop::Invalidate {
+                if let Some(sh) = self.shadow.as_mut() {
+                    sh.drop_proc(flat, lid);
+                }
+            }
+        }
+        dirty
+    }
+
+    /// Makes the copy the requester holds Modified in L2 and L1: the
+    /// write permission an ownership upgrade grants. The shadow checks
+    /// the held copy is current before the write.
+    pub(crate) fn grant_write(&mut self, req: &Request) {
+        let Request {
+            n, pi, key, lid, ..
+        } = *req;
+        let flat = req.flat(self);
         if let Some(sh) = self.shadow.as_mut() {
             sh.observe_hit(flat, lid);
         }
-        self.nodes[n].procs[pi]
-            .l2
-            .set_state(key, LineState::Modified);
-        if self.nodes[n].procs[pi].l1.probe(key).is_some() {
-            self.nodes[n].procs[pi]
-                .l1
-                .set_state(key, LineState::Modified);
+        let p = &mut self.nodes[n].procs[pi];
+        p.l2.set_state(key, LineState::Modified);
+        if p.l1.probe(key).is_some() {
+            p.l1.set_state(key, LineState::Modified);
         } else {
-            self.fill_l1(n, pi, key, LineState::Modified, lid);
+            self.fill_l1(n, pi, key, LineState::Modified);
         }
         if let Some(sh) = self.shadow.as_mut() {
             sh.write(flat, lid);
         }
+    }
+
+    /// A node-local bus upgrade: the accessor holds the line Shared and
+    /// the node already has exclusivity; one address phase invalidates
+    /// (nonexistent) sibling copies and grants write permission.
+    pub(crate) fn local_bus_upgrade(&mut self, req: &Request, t: Cycle) -> Cycle {
+        let lat = self.cfg.latency;
+        let t = self.nodes[req.n].bus.acquire_until(t, Cycle(lat.bus_addr));
+        self.grant_write(req);
         self.obs.incr(Ctr::LocalFills);
         t
     }
@@ -92,21 +143,24 @@ impl Machine {
 
     /// Satisfies a miss within the node: sibling cache or local memory /
     /// page cache.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn intra_node_fill(
         &mut self,
-        n: usize,
-        pi: usize,
-        key: u64,
-        lid: u64,
-        write: bool,
+        req: &Request,
         backing: FillBacking,
         read_cap: LineState,
         t: Cycle,
     ) -> Cycle {
+        let Request {
+            n,
+            pi,
+            key,
+            lid,
+            write,
+            ..
+        } = *req;
         let memory_backed = matches!(backing, FillBacking::Memory { .. });
         let lat = self.cfg.latency;
-        let flat = self.flat(n, pi) as u16;
+        let flat = req.flat(self);
         let t0 = t;
         let sibling = self.sibling_with_copy(n, pi, key);
         let mut t = t;
@@ -127,29 +181,17 @@ impl Machine {
                 if let Some(sh) = self.shadow.as_mut() {
                     sh.fill_from_proc(flat, sflat, lid);
                 }
-                for spi2 in 0..self.ppn() {
-                    if spi2 == pi {
-                        continue;
-                    }
-                    let f2 = self.flat(n, spi2) as u16;
-                    let in_l1 = self.nodes[n].procs[spi2].l1.invalidate(key).is_some();
-                    let in_l2 = self.nodes[n].procs[spi2].l2.invalidate(key).is_some();
-                    if in_l1 || in_l2 {
-                        if let Some(sh) = self.shadow.as_mut() {
-                            sh.drop_proc(f2, lid);
-                        }
-                    }
-                }
-                self.insert_line(n, pi, key, LineState::Modified, lid);
+                self.snoop_node(n, key, lid, Some(pi), Snoop::Invalidate);
+                self.insert_line(n, pi, key, LineState::Modified);
                 if let Some(sh) = self.shadow.as_mut() {
                     sh.write(flat, lid);
                 }
             } else {
+                // MESI: every sibling copy drops to Shared.
+                self.snoop_node(n, key, lid, Some(pi), Snoop::Downgrade);
                 if sstate == LineState::Modified {
-                    // MESI downgrade with writeback: dirty data reaches the
+                    // The downgrade writes back: dirty data reaches the
                     // node's memory (or, for LA-NUMA, the remote home).
-                    self.nodes[n].procs[spi].l1.downgrade(key);
-                    self.nodes[n].procs[spi].l2.downgrade(key);
                     if memory_backed {
                         self.nodes[n].memory.acquire(t, Cycle(lat.mem_access));
                         if let Some(sh) = self.shadow.as_mut() {
@@ -163,20 +205,11 @@ impl Machine {
                         // re-request ownership.
                         self.lanuma_demote_to_shared(n, key, lid, sflat, t);
                     }
-                } else if sstate == LineState::Exclusive {
-                    self.nodes[n].procs[spi]
-                        .l2
-                        .set_state(key, LineState::Shared);
-                    if self.nodes[n].procs[spi].l1.probe(key).is_some() {
-                        self.nodes[n].procs[spi]
-                            .l1
-                            .set_state(key, LineState::Shared);
-                    }
                 }
                 if let Some(sh) = self.shadow.as_mut() {
                     sh.fill_from_proc(flat, sflat, lid);
                 }
-                self.insert_line(n, pi, key, LineState::Shared, lid);
+                self.insert_line(n, pi, key, LineState::Shared);
             }
             self.obs.incr(Ctr::SiblingFills);
         } else {
@@ -198,12 +231,12 @@ impl Machine {
                 sh.fill_from_node_memory(flat, n as u16, lid, authoritative);
             }
             if write {
-                self.insert_line(n, pi, key, LineState::Modified, lid);
+                self.insert_line(n, pi, key, LineState::Modified);
                 if let Some(sh) = self.shadow.as_mut() {
                     sh.write(flat, lid);
                 }
             } else {
-                self.insert_line(n, pi, key, read_cap, lid);
+                self.insert_line(n, pi, key, read_cap);
             }
             self.obs.incr(Ctr::LocalFills);
         }
@@ -213,15 +246,7 @@ impl Machine {
 
     /// Inserts a line into L2 then L1, processing evictions (inclusion:
     /// an L2 eviction removes the L1 copy and merges dirtiness).
-    pub(crate) fn insert_line(
-        &mut self,
-        n: usize,
-        pi: usize,
-        key: u64,
-        state: LineState,
-        lid: u64,
-    ) {
-        let _ = lid;
+    pub(crate) fn insert_line(&mut self, n: usize, pi: usize, key: u64, state: LineState) {
         if let Some(ev) = self.nodes[n].procs[pi].l2.insert(key, state) {
             let l1_dirty = self.nodes[n].procs[pi]
                 .l1
@@ -229,13 +254,12 @@ impl Machine {
                 .unwrap_or(false);
             self.process_l2_eviction(n, pi, ev.line, ev.dirty || l1_dirty);
         }
-        self.fill_l1(n, pi, key, state, lid);
+        self.fill_l1(n, pi, key, state);
     }
 
     /// Fills L1 (assuming L2 already holds the line), processing the L1
     /// eviction: a dirty L1 victim folds into L2.
-    pub(crate) fn fill_l1(&mut self, n: usize, pi: usize, key: u64, state: LineState, lid: u64) {
-        let _ = lid;
+    pub(crate) fn fill_l1(&mut self, n: usize, pi: usize, key: u64, state: LineState) {
         if let Some(ev) = self.nodes[n].procs[pi].l1.insert(key, state) {
             if ev.dirty && self.nodes[n].procs[pi].l2.probe(ev.line).is_some() {
                 self.nodes[n].procs[pi]

@@ -1,19 +1,20 @@
-//! The transaction layer: protocol transactions reified as typed state
-//! machines.
+//! The transaction layer: the protocol exchanges the paper describes.
 //!
-//! Each multi-hop protocol exchange the paper describes — a ScomA
-//! remote miss, a LaNuma forward, a page migration, a journal append, a
-//! home failover — is represented here as an explicit transaction with
-//! named phases, so the access-path drivers (`access`, `remote`) stay
-//! thin: they classify the reference, construct the transaction, and
-//! step it to completion.
+//! The access path (`access`) classifies a reference that misses in L2
+//! and builds one request value for it: node, processor, frame, mode,
+//! global page, line and whether it writes. The node-level dispatch
+//! hands that request to an intra-node fill or to the remote
+//! transaction, which carries it to the end.
 //!
 //! * [`local`] — intra-node fill pipelines: L1/L2 fills, sibling
-//!   snoops, bus upgrades, and LaNuma client-side write-back policy.
-//! * [`remote_txn`] — the remote-access state machine
-//!   ([`remote_txn::RemoteTxn`]) covering translate → route → home
-//!   dispatch → fetch/invalidate → commit → reply → fill, with
-//!   migration and failure handling as explicit phases.
+//!   fills, bus upgrades, the one write grant, LaNuma client-side
+//!   write-back policy, and `snoop_node`, the one primitive that
+//!   invalidates or downgrades a line in every processor of a node.
+//! * [`remote_txn`] — the remote-access transaction
+//!   ([`remote_txn::RemoteTxn`]): translate → route → home dispatch →
+//!   data fetch → invalidate → commit → reply → learn → fill →
+//!   migrate, a fixed chain of steps in which routing, home dispatch
+//!   and data fetch can abort.
 //! * `lifecycle` — the page lifecycle's shared steps: taking a frame
 //!   off a node, retiring a node's client mapping, and adopting a page
 //!   at a new dynamic home.

@@ -29,6 +29,7 @@ use prism_sim::Cycle;
 
 use crate::machine::Machine;
 use crate::obs::ObsEvent;
+use crate::txn::local::Snoop;
 
 impl Machine {
     /// Scans every live node for lines wedged in Transit past the
@@ -190,22 +191,14 @@ impl Machine {
     /// shadow, the node's page-cache version.
     fn drop_local_copies(&mut self, n: usize, frame: FrameNo, line: LineIdx) {
         let key = self.line_key(frame, line);
-        for spi in 0..self.ppn() {
-            let flat = self.flat(n, spi) as u16;
-            let in_l1 = self.nodes[n].procs[spi].l1.invalidate(key).is_some();
-            let in_l2 = self.nodes[n].procs[spi].l2.invalidate(key).is_some();
-            if in_l1 || in_l2 {
-                if let Some(sh) = self.shadow.as_mut() {
-                    if let Some(lid) = sh.lid_for(n as u16, key) {
-                        sh.drop_proc(flat, lid);
-                    }
-                }
-            }
-        }
+        // Any cached copy was filled by an access on this node, which
+        // noted the line's id with the shadow, so the shadow never sees
+        // the 0 below.
         let lid = self
             .shadow
             .as_ref()
             .and_then(|sh| sh.lid_for(n as u16, key));
+        self.snoop_node(n, key, lid.unwrap_or(0), None, Snoop::Invalidate);
         if let (Some(sh), Some(lid)) = (self.shadow.as_mut(), lid) {
             sh.drop_node(n as u16, lid);
         }

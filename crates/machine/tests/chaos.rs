@@ -402,6 +402,66 @@ fn watchdog_remasters_a_wedged_line_whose_home_died() {
     );
 }
 
+/// A line wedged at a client whose dirty dynamic home then dies, with
+/// no journal to re-master the page from, reaches the third escalation
+/// step: the watchdog kills the processor that still caches the line
+/// and drops the node's copies, with the shadow checker on.
+#[test]
+fn watchdog_kills_the_holder_of_a_line_it_cannot_recover() {
+    let mut cfg = config();
+    cfg.migration = Some(MigrationPolicy::default());
+    // Node 1 (lane 2) reads line 0 from the migrated, dirty home at
+    // node 2 just before the pad, so it is node 1's only valid line
+    // and the wedge picks it. The pad is split into short ops, so the
+    // faults and the watchdog fire inside it.
+    let mut trace = failover_trace(true);
+    for (i, lane) in trace.lanes.iter_mut().enumerate() {
+        let ops: Vec<Op> = lane
+            .iter()
+            .flat_map(|op| match *op {
+                Op::Compute(c) => {
+                    let read = (i == 2).then_some(Op::Read(VirtAddr(SHARED_BASE)));
+                    let pad = vec![Op::Compute(1_000); (c / 1_000) as usize];
+                    read.into_iter().chain(pad).collect()
+                }
+                op => vec![op],
+            })
+            .collect();
+        *lane = ops.into();
+    }
+    let clean = Machine::new(cfg.clone()).run(&trace);
+    let quarter = clean.exec_cycles.as_u64() / 4;
+
+    let mut m = Machine::new(cfg);
+    m.install_fault_plan(
+        FaultPlan::new(3)
+            .wedge_transit(NodeId(1), Cycle(quarter))
+            .fail_node(NodeId(2), Cycle(quarter + 100)),
+    )
+    .expect("fault plan validates");
+    let report = m.run(&trace);
+
+    assert_eq!(report.fault.transit_wedges, 1);
+    assert_eq!(report.fault.node_failures, 1);
+    assert_eq!(report.fault.watchdog_resends, 0);
+    assert_eq!(report.fault.watchdog_remasters, 0);
+    assert_eq!(report.fault.watchdog_kills, 1, "no rung can recover it");
+    assert!(watchdog_recoveries(&m).is_empty());
+    let killed: Vec<(NodeId, usize)> = m
+        .recent_events()
+        .into_iter()
+        .filter_map(|(_, ev)| match ev {
+            ObsEvent::ProcKilled { node, proc } => Some((node, proc)),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        killed.contains(&(NodeId(1), 0)),
+        "the line's holder dies: {killed:?}"
+    );
+    assert!(report.reads_checked > 0);
+}
+
 /// The full recovery machinery — journaling, watchdog, failover, audit
 /// — is bit-identically deterministic: same seed, same FaultReport,
 /// same timing.

@@ -46,6 +46,40 @@ fn wild_writes_are_rejected_by_capability_lists() {
     assert!(violation.write);
 }
 
+/// The home's PIT firewall also guards the coherence protocol: a remote
+/// request from a node outside the page's capability list is rejected
+/// at the home and kills only the requester, while an admitted node's
+/// request goes through. The shadow checker runs throughout.
+#[test]
+fn remote_requests_outside_the_capability_list_kill_only_the_requester() {
+    let cfg = MachineConfig::builder()
+        .nodes(4)
+        .procs_per_node(2)
+        .check_coherence(true)
+        .build();
+    let mut m = Machine::new(cfg);
+    let mapped = shared_trace();
+    m.run(&mapped);
+    // Node 0 homes the page: admit only itself and node 1.
+    let gp = GlobalPage::new(Gsid(0), 0);
+    let mut admitted = NodeSet::single(NodeId(0));
+    admitted.insert(NodeId(1));
+    m.restrict_page(NodeId(0), gp, Caps::Only(admitted))
+        .unwrap();
+
+    // Node 1 (proc 2) and node 2 (proc 4) each read a line of the page.
+    let mut lanes: Vec<Vec<Op>> = vec![Vec::new(); 8];
+    lanes[2].push(Op::Read(VirtAddr(SHARED_BASE + 64)));
+    lanes[4].push(Op::Read(VirtAddr(SHARED_BASE + 128)));
+    let report = m.run(&Trace {
+        lanes: lanes.into_iter().map(Into::into).collect(),
+        ..mapped
+    });
+    assert_eq!(report.firewall_rejections, 1, "node 2's request");
+    assert_eq!(report.dead_procs, 1, "only the rejected requester dies");
+    assert!(report.reads_checked > 0);
+}
+
 #[test]
 fn restricting_an_unbound_page_reports_the_missing_binding() {
     let mut m = Machine::new(config());
