@@ -14,7 +14,6 @@ use prism_mem::page_table::{PageTable, Pte, SegmentTable};
 use prism_mem::trace::SegmentSpec;
 use prism_sim::FastMap;
 
-use crate::ipc::HomeMap;
 use crate::page_cache::{ClientPage, PageCache};
 use crate::policy::{decide_client_mode, ControllerQuery, PagePolicy};
 
@@ -146,7 +145,6 @@ impl KernelStats {
 pub struct Kernel {
     node: NodeId,
     geom: Geometry,
-    homes: HomeMap,
     policy: PagePolicy,
     home_status_flag: bool,
     renuma_threshold: u64,
@@ -165,7 +163,7 @@ pub struct Kernel {
 
 impl Kernel {
     /// Creates the kernel for `node`.
-    pub fn new(node: NodeId, cfg: KernelConfig, homes: HomeMap, geom: Geometry) -> Kernel {
+    pub fn new(node: NodeId, cfg: KernelConfig, geom: Geometry) -> Kernel {
         // The kernel↔controller command interface (paper §3.2, Command
         // mode) gets its memory-mapped frame at boot.
         let mut pool = FramePool::new(cfg.real_frames);
@@ -175,7 +173,6 @@ impl Kernel {
         Kernel {
             node,
             geom,
-            homes,
             policy: cfg.policy,
             home_status_flag: cfg.home_status_flag,
             renuma_threshold: cfg.renuma_threshold.max(1),
@@ -288,17 +285,6 @@ impl Kernel {
                 a.gsid == gpage.gsid && (gpage.page as u64) < a.bytes.div_ceil(geom.page_bytes())
             })
             .map(|a| (a.va_base >> geom.page_log2()) + gpage.page as u64)
-    }
-
-    /// The static home of a global page.
-    pub fn static_home(&self, gpage: GlobalPage) -> NodeId {
-        self.homes.static_home(gpage)
-    }
-
-    /// Applies an OS page-placement decision (see
-    /// [`crate::ipc::HomeMap::place_segment`]).
-    pub fn place_segment(&mut self, gsid: u32, first_node: u16, node_count: u16) {
-        self.homes.place_segment(gsid, first_node, node_count);
     }
 
     /// Plans the service of a page fault on `vpage`.
@@ -670,7 +656,7 @@ mod tests {
             home_status_flag: true,
             renuma_threshold: 8,
         };
-        let mut k = Kernel::new(NodeId(1), cfg, HomeMap::new(4), Geometry::default());
+        let mut k = Kernel::new(NodeId(1), cfg, Geometry::default());
         k.attach_segments(&[SegmentSpec {
             name: "data".into(),
             va_base: SHARED_BASE,

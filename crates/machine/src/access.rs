@@ -79,53 +79,40 @@ impl Machine {
         self.obs.incr(Ctr::TotalRefs);
         let vpage = geom.vpage(va);
 
-        // Trace-ingest batching: a run continuation can reuse the
-        // memoized translation when the configuration guarantees it is
-        // still valid. The skipped work — a TLB re-touch of the entry
-        // that is already most-recently-used and a read of the frame's
-        // class — is idempotent, so timing and statistics are
-        // unchanged; only host cycles are saved.
-        let pc = self.nodes[n].procs[pi].pc;
-        let memo = self.nodes[n].procs[pi].xlat_memo;
-        let (frame, mode) = match memo {
-            Some((mv, frame, mode))
-                if self.fast_xlat && mv == vpage && self.ingest.same_run(flat as usize, pc) =>
-            {
-                self.obs.incr(Ctr::BatchedLookups);
+        // `batched_lookups` counts a reference to the same virtual page
+        // as its processor's previous one, with no sync op between, when
+        // the configuration keeps translations stable for the run.
+        let last_vpage = self.nodes[n].procs[pi].last_vpage.replace(vpage);
+        if self.fast_xlat && last_vpage == Some(vpage) {
+            self.obs.incr(Ctr::BatchedLookups);
+        }
+        let (frame, mode) = match self.nodes[n].procs[pi].tlb.lookup(vpage) {
+            // A TLB hit gives the frame, and the frame's class gives the
+            // mode: no page-table walk. Every unmap shoots down the
+            // node's TLBs, so a cached frame is always the one the page
+            // table holds.
+            Some(frame) => {
+                let kernel = &self.nodes[n].kernel;
+                let mode = kernel.mode_of(frame);
+                debug_assert_eq!(kernel.lookup(vpage), Some(Pte { frame, mode }));
                 (frame, mode)
             }
-            _ => {
-                let (frame, mode) = match self.nodes[n].procs[pi].tlb.lookup(vpage) {
-                    // A TLB hit gives the frame, and the frame's class
-                    // gives the mode: no page-table walk. Every unmap
-                    // shoots down the node's TLBs, so a cached frame is
-                    // always the one the page table holds.
-                    Some(frame) => {
-                        let kernel = &self.nodes[n].kernel;
-                        let mode = kernel.mode_of(frame);
-                        debug_assert_eq!(kernel.lookup(vpage), Some(Pte { frame, mode }));
-                        (frame, mode)
+            // A TLB miss walks the page table; a miss on an unmapped
+            // page is a page fault.
+            None => {
+                t += Cycle(lat.tlb_miss);
+                if self.nodes[n].kernel.lookup(vpage).is_none() {
+                    t = self.handle_fault(n, pi, vpage, va, t);
+                    if self.nodes[n].procs[pi].state == ProcState::Dead {
+                        return;
                     }
-                    // A TLB miss walks the page table; a miss on an
-                    // unmapped page is a page fault.
-                    None => {
-                        t += Cycle(lat.tlb_miss);
-                        if self.nodes[n].kernel.lookup(vpage).is_none() {
-                            t = self.handle_fault(n, pi, vpage, va, t);
-                            if self.nodes[n].procs[pi].state == ProcState::Dead {
-                                return;
-                            }
-                        }
-                        let pte = self.nodes[n]
-                            .kernel
-                            .lookup(vpage)
-                            .expect("fault handler mapped the page");
-                        self.nodes[n].procs[pi].tlb.insert(vpage, pte.frame);
-                        (pte.frame, pte.mode)
-                    }
-                };
-                self.nodes[n].procs[pi].xlat_memo = Some((vpage, frame, mode));
-                (frame, mode)
+                }
+                let pte = self.nodes[n]
+                    .kernel
+                    .lookup(vpage)
+                    .expect("fault handler mapped the page");
+                self.nodes[n].procs[pi].tlb.insert(vpage, pte.frame);
+                (pte.frame, pte.mode)
             }
         };
         let line = geom.line_in_page(va.0);
@@ -302,16 +289,17 @@ impl Machine {
                 let tag = self.nodes[n].controller.lanuma_tag(frame, line);
                 match tag_action(tag, write) {
                     TagAction::Proceed => {
-                        // The controller vouched for this line, so a local
-                        // copy exists: in a sibling cache, or — for a
-                        // write reaching here — Shared in the accessor's
-                        // own L2 (node-exclusive but intra-node shared
-                        // after read sharing), needing only a local bus
-                        // upgrade.
+                        // The controller vouched for this line, so a
+                        // sibling cache holds a copy: the accessor missed,
+                        // or holds the line Shared to write it, which
+                        // never meets tag Exclusive under the tag
+                        // invariant.
+                        debug_assert!(
+                            self.lanuma_tag_invariant_holds(n, frame, line, req.key),
+                            "LA-NUMA tag Exclusive without a Modified copy: node {n} frame {frame} line {line}"
+                        );
                         if self.sibling_with_copy(n, pi, req.key).is_some() {
                             self.intra_node_fill(req, FillBacking::CacheOnly, LineState::Shared, t)
-                        } else if write && has_shared_copy {
-                            self.local_bus_upgrade(req, t)
                         } else {
                             debug_assert!(false, "LA-NUMA node state without a local copy: node {n} proc {pi} frame {frame} line {line} tag {tag:?} write {write}");
                             RemoteTxn::new(*req, false, t).run(self)

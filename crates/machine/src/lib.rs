@@ -80,7 +80,6 @@ pub mod config;
 mod controller;
 mod failure;
 pub mod faults;
-mod ingest;
 pub mod machine;
 mod net;
 pub mod node;

@@ -4,7 +4,7 @@
 //! the cross-node state (homes, barriers, locks, shadow, fault plan) —
 //! with the engine split into three layers:
 //!
-//! * [`crate::sched`] — the deterministic run loop: a tournament tree
+//! * `sched` — the deterministic run loop: a tournament tree
 //!   over the processor slots picks the earliest runnable processor,
 //!   and fault/watchdog/audit sweeps fire as scheduled control events.
 //! * [`crate::txn`] — protocol transactions (local fills, remote
@@ -26,7 +26,6 @@ use prism_kernel::policy::PagePolicy;
 
 use crate::config::MachineConfig;
 use crate::faults::{FaultPlan, FaultPlanError, FaultReport, FaultState, Journal};
-use crate::ingest::IngestIndex;
 use crate::node::{Node, ProcState};
 use crate::obs::{EventBus, ObsEvent};
 use crate::report::RunReport;
@@ -119,12 +118,8 @@ pub struct Machine {
     /// True once the user suggested page/region modes (translations may
     /// then change mode mid-run, which disables `fast_xlat`).
     pub(crate) mode_prefs_set: bool,
-    /// Same-page run-length index of the loaded trace (trace-ingest
-    /// batching).
-    pub(crate) ingest: IngestIndex,
     /// True when the configuration guarantees translations are stable
-    /// for the whole run, letting run continuations reuse the
-    /// per-processor translation memo.
+    /// for the whole run; only then does `batched_lookups` count.
     pub(crate) fast_xlat: bool,
     /// `(node, processor)` of every flat processor id (see
     /// [`Machine::split_flat`]).
@@ -152,7 +147,7 @@ impl Machine {
                     home_status_flag: cfg.home_status_flag,
                     renuma_threshold: cfg.renuma_threshold,
                 };
-                let kernel = Kernel::new(NodeId(n as u16), kcfg, homes.clone(), cfg.geometry);
+                let kernel = Kernel::new(NodeId(n as u16), kcfg, cfg.geometry);
                 Node::new(NodeId(n as u16), &cfg, kernel)
             })
             .collect();
@@ -180,7 +175,6 @@ impl Machine {
             former_homes: FastMap::default(),
             workload_name: String::new(),
             mode_prefs_set: false,
-            ingest: IngestIndex::default(),
             fast_xlat: false,
             flat_split,
         }
@@ -441,9 +435,6 @@ impl Machine {
     /// Panics if the range is empty or exceeds the machine.
     pub fn place_segment(&mut self, gsid: u32, first_node: u16, node_count: u16) {
         self.homes.place_segment(gsid, first_node, node_count);
-        for node in &mut self.nodes {
-            node.kernel.place_segment(gsid, first_node, node_count);
-        }
     }
 
     /// The index of the barrier group containing processor `flat`.
@@ -491,19 +482,15 @@ impl Machine {
         for node in &mut self.nodes {
             for p in &mut node.procs {
                 p.pc = 0;
-                p.xlat_memo = None;
+                p.last_vpage = None;
                 if p.state != ProcState::Dead {
                     p.state = ProcState::Ready;
                 }
             }
         }
-        // Trace-ingest batching: index same-page runs once, and decide
-        // whether translations are stable enough for run continuations
-        // to reuse the memoized one. Fault plans can kill processors
-        // mid-access, migration and page-cache pressure can remap pages,
-        // and non-S-COMA policies convert frame modes — any of those
-        // disables reuse (the index itself is still reported).
-        self.ingest = IngestIndex::build(trace, self.cfg.geometry);
+        // Whether translations are stable for the run: fault plans can
+        // kill processors mid-access, migration and page-cache pressure
+        // can remap pages, and non-S-COMA policies convert frame modes.
         self.fast_xlat = self.fault.is_none()
             && self.cfg.migration.is_none()
             && self.cfg.page_cache_capacity.is_none()

@@ -1,9 +1,8 @@
 //! Processors and node assembly.
 
-use prism_mem::addr::{FrameNo, NodeId, ProcId};
+use prism_mem::addr::{NodeId, ProcId};
 use prism_mem::cache::Cache;
 use prism_mem::tlb::Tlb;
-use prism_mem::FrameMode;
 use prism_sim::{Cycle, Resource};
 
 use prism_kernel::kernel::Kernel;
@@ -42,12 +41,10 @@ pub struct Processor {
     pub l2: Cache,
     /// Translation lookaside buffer.
     pub tlb: Tlb,
-    /// Last translation of the current same-page run, as
-    /// `(vpage, frame, mode)` — trace-ingest batching lets subsequent
-    /// references in the run reuse it instead of repeating the TLB
-    /// lookup and the frame-class read (both idempotent, so timing and
-    /// statistics are unchanged).
-    pub xlat_memo: Option<(u64, FrameNo, FrameMode)>,
+    /// The virtual page of the previous memory reference since the
+    /// last load or sync op (`RunReport::batched_lookups` counts
+    /// references to the same page).
+    pub last_vpage: Option<u64>,
 }
 
 impl Processor {
@@ -62,7 +59,7 @@ impl Processor {
             l1: Cache::new("L1", cfg.l1_bytes, cfg.l1_assoc, line_log2),
             l2: Cache::new("L2", cfg.l2_bytes, cfg.l2_assoc, line_log2),
             tlb: Tlb::new(cfg.tlb_entries),
-            xlat_memo: None,
+            last_vpage: None,
         }
     }
 
@@ -124,18 +121,12 @@ impl Node {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prism_kernel::ipc::HomeMap;
     use prism_kernel::kernel::KernelConfig;
 
     #[test]
     fn node_assembly_numbers_processors_globally() {
         let cfg = MachineConfig::builder().nodes(2).procs_per_node(3).build();
-        let k = Kernel::new(
-            NodeId(1),
-            KernelConfig::default(),
-            HomeMap::new(2),
-            cfg.geometry,
-        );
+        let k = Kernel::new(NodeId(1), KernelConfig::default(), cfg.geometry);
         let node = Node::new(NodeId(1), &cfg, k);
         let ids: Vec<u16> = node.procs.iter().map(|p| p.id.0).collect();
         assert_eq!(ids, vec![3, 4, 5]);

@@ -3,16 +3,16 @@
 //! Before this layer existed, run statistics were threaded through three
 //! parallel mechanisms: an ad-hoc `MachineStats` struct, the
 //! [`FaultReport`] buried inside the fault-injection state, and audit
-//! findings stored loose on the `Machine`. The [`EventBus`] replaces all
+//! findings stored loose on the `Machine`. The `EventBus` replaces all
 //! three with a single spine built on [`prism_sim::event`]:
 //!
-//! * **Counters** ([`Ctr`]) — high-frequency protocol events (references,
+//! * **Counters** (`Ctr`) — high-frequency protocol events (references,
 //!   misses, invalidations). Hot-path updates are an add into a plain
 //!   `[u64; N]` indexed by the counter; no hashing, no branching. The
 //!   counters carry no names: [`crate::report`] reads each into its own
 //!   `RunReport` field.
 //! * **Fault accounting** — the [`FaultReport`] the recovery machinery
-//!   writes through [`crate::machine::Machine::freport`] (gated on an
+//!   writes through `Machine::freport` (gated on an
 //!   installed fault plan, exactly as before).
 //! * **Audit findings** — the online coherence auditor's findings and
 //!   sweep count.
@@ -70,8 +70,9 @@ pub(crate) enum Ctr {
     FirewallRejections,
     /// Processors killed by fault containment.
     DeadProcs,
-    /// Translations served from the per-processor run memo instead of a
-    /// fresh TLB/kernel lookup (trace-ingest batching hit-rate).
+    /// References to the same virtual page as their processor's
+    /// previous one, with no sync op between, in a run whose
+    /// translations are stable.
     BatchedLookups,
 }
 

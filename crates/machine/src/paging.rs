@@ -5,6 +5,7 @@ use prism_mem::addr::{FrameNo, GlobalPage, LineIdx, NodeId, VirtAddr};
 use prism_mem::mode::FrameMode;
 use prism_mem::pit::PitEntry;
 use prism_mem::tags::LineTag;
+use prism_protocol::dirproto;
 use prism_protocol::msg::MsgKind;
 use prism_sim::Cycle;
 
@@ -312,13 +313,8 @@ impl Machine {
             let mut home_frame = None;
             if let Some(pd) = self.nodes[home].controller.dir.page_mut(gp) {
                 home_frame = Some(pd.home_frame);
-                for &l in &dirty_lines {
-                    let cur = pd.line(l);
-                    *pd.line_mut(l) = prism_protocol::dirproto::apply_writeback(cur, reader);
-                }
-                for &l in &shared_lines {
-                    let cur = pd.line(l);
-                    *pd.line_mut(l) = prism_protocol::dirproto::apply_replacement_hint(cur, reader);
+                for &l in dirty_lines.iter().chain(&shared_lines) {
+                    *pd.line_mut(l) = dirproto::release(pd.line(l), reader);
                 }
                 pd.client_frames.remove(&reader);
             }

@@ -1,6 +1,6 @@
 //! Simulation results: report assembly and deterministic serialization.
 //!
-//! [`Machine::finalize_report`] is the one subscriber that drains the
+//! `Machine::finalize_report` is the one subscriber that drains the
 //! observability bus ([`crate::obs`]) into a [`RunReport`]: protocol
 //! counters, latency histograms, fault accounting, and audit findings
 //! all come off the bus; per-node detail comes from the nodes and their
@@ -67,9 +67,10 @@ pub struct RunReport {
     pub exec_cycles: Cycle,
     /// Total memory references executed.
     pub total_refs: u64,
-    /// References that reused a same-page run's memoized translation
-    /// (trace-ingest batching hit count; 0 when the configuration
-    /// disables reuse).
+    /// References to the same virtual page as their processor's
+    /// previous one, with no sync op between (0 when the configuration
+    /// lets translations change mid-run: faults, migration, a bounded
+    /// page cache, a non-S-COMA policy or suggested modes).
     pub batched_lookups: u64,
     /// L1 hits / misses summed over processors.
     pub l1_hits: u64,

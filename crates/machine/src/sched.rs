@@ -354,6 +354,9 @@ impl Machine {
 
     pub(crate) fn exec_op(&mut self, flat: usize, op: Op) {
         let (n, pi) = self.split_flat(flat);
+        if matches!(op, Op::Barrier(_) | Op::Lock(_) | Op::Unlock(_)) {
+            self.nodes[n].procs[pi].last_vpage = None;
+        }
         match op {
             Op::Compute(c) => {
                 self.nodes[n].procs[pi].clock += Cycle(c as u64);

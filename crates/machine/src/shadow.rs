@@ -15,7 +15,7 @@
 //! are disjoint per processor.
 //!
 //! This module also hosts the **online coherence auditor**
-//! ([`Machine::audit_sweep`]): a periodic structural sweep that
+//! (`Machine::audit_sweep`): a periodic structural sweep that
 //! cross-checks the directory, the fine-grain TESI tags, the PIT, and
 //! the write-back journal against each other, reporting
 //! [`AuditFinding`]s in the run report instead of panicking. Every sweep

@@ -25,6 +25,7 @@ use prism_mem::tags::LineTag;
 use prism_sim::Cycle;
 
 use crate::machine::Machine;
+use crate::txn::local::GiveBack;
 
 impl Machine {
     /// Takes `frame` off every processor of node `n`, in ascending
@@ -53,7 +54,7 @@ impl Machine {
                     .and_then(|sh| sh.lid_for(n as u16, key));
                 if dirty && lanuma {
                     let t = self.nodes[n].procs[pi].clock;
-                    self.lanuma_posted_writeback(n, key, lid.unwrap_or(0), flat, t);
+                    self.lanuma_give_back(n, key, lid.unwrap_or(0), flat, t, GiveBack::Release);
                 }
                 if let (Some(sh), Some(lid)) = (self.shadow.as_mut(), lid) {
                     if dirty && !lanuma {

@@ -4,14 +4,17 @@
 //!
 //! Covers the per-node snoop every protocol path uses to invalidate or
 //! downgrade a line in a node's processors ([`Snoop`]), sibling-cache
-//! and local-memory fills, the write grant of bus and remote upgrades,
-//! L1/L2 insertion with inclusion-preserving evictions, and the LA-NUMA
-//! client obligations on eviction (posted write-backs, demotions to
-//! shared, replacement hints). The access-path driver in `access`
-//! classifies the reference and delegates here.
+//! and local-memory fills, the write grant of remote upgrades, L1/L2
+//! insertion with inclusion-preserving evictions, and the one step that
+//! gives a modified LA-NUMA line back to its home ([`GiveBack`]). The
+//! access-path driver in `access` classifies the reference and
+//! delegates here.
 
-use prism_mem::addr::{FrameNo, LineIdx};
+use prism_mem::addr::{FrameNo, LineIdx, NodeId};
 use prism_mem::cache::LineState;
+use prism_mem::directory::LineDir;
+use prism_mem::tags::LineTag;
+use prism_protocol::dirproto;
 use prism_protocol::msg::MsgKind;
 use prism_sim::Cycle;
 
@@ -43,6 +46,17 @@ pub(crate) enum Snoop {
     Invalidate,
     /// The copy stays, Shared in L1 and L2.
     Downgrade,
+}
+
+/// How a node's modified LA-NUMA line goes back to the page's home.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum GiveBack {
+    /// The node's copy leaves (an eviction or a frame release): the
+    /// directory applies [`dirproto::release`].
+    Release,
+    /// The node keeps shared copies (a sibling read the Modified copy
+    /// supplied): the directory applies [`dirproto::demote`].
+    Demote,
 }
 
 impl Machine {
@@ -107,17 +121,6 @@ impl Machine {
         }
     }
 
-    /// A node-local bus upgrade: the accessor holds the line Shared and
-    /// the node already has exclusivity; one address phase invalidates
-    /// (nonexistent) sibling copies and grants write permission.
-    pub(crate) fn local_bus_upgrade(&mut self, req: &Request, t: Cycle) -> Cycle {
-        let lat = self.cfg.latency;
-        let t = self.nodes[req.n].bus.acquire_until(t, Cycle(lat.bus_addr));
-        self.grant_write(req);
-        self.obs.incr(Ctr::LocalFills);
-        t
-    }
-
     /// The sibling processor (same node, different processor) holding a
     /// copy of `key`, preferring a Modified holder.
     pub(crate) fn sibling_with_copy(
@@ -153,6 +156,8 @@ impl Machine {
         let Request {
             n,
             pi,
+            frame,
+            line,
             key,
             lid,
             write,
@@ -199,11 +204,14 @@ impl Machine {
                         }
                     } else {
                         // The node keeps (shared) copies, so this is a
-                        // demotion, not an eviction: the home directory
-                        // moves to Shared({n}) and the node's LA-NUMA
+                        // demotion, not an eviction: the node's LA-NUMA
                         // state drops to Shared so future local writes
-                        // re-request ownership.
-                        self.lanuma_demote_to_shared(n, key, lid, sflat, t);
+                        // re-request ownership, and the home directory
+                        // moves to Shared({n}).
+                        self.nodes[n]
+                            .controller
+                            .set_lanuma_tag(frame, line, LineTag::Shared);
+                        self.lanuma_give_back(n, key, lid, sflat, t, GiveBack::Demote);
                     }
                 }
                 if let Some(sh) = self.shadow.as_mut() {
@@ -270,8 +278,7 @@ impl Machine {
     }
 
     /// Handles an L2 eviction: local frames write back to node memory;
-    /// LA-NUMA frames write back to (or send replacement hints to) the
-    /// home.
+    /// a dirty LA-NUMA line goes back to its home.
     pub(crate) fn process_l2_eviction(
         &mut self,
         n: usize,
@@ -301,104 +308,69 @@ impl Machine {
                     sh.writeback(flat, n as u16, lid);
                 }
             }
-        } else {
-            // LA-NUMA: the node may lose its last copy of the line.
-            if dirty {
-                debug_assert!(!sibling_has);
-                if let Some(lid) = lid {
-                    self.lanuma_posted_writeback(n, evicted_key, lid, flat, t);
-                } else {
-                    self.lanuma_posted_writeback(n, evicted_key, 0, flat, t);
-                }
-                self.nodes[n].controller.set_lanuma_tag(
-                    frame,
-                    line,
-                    prism_mem::tags::LineTag::Invalid,
-                );
-            } else if !sibling_has {
-                let was = self.nodes[n].controller.lanuma_tag(frame, line);
-                self.nodes[n].controller.set_lanuma_tag(
-                    frame,
-                    line,
-                    prism_mem::tags::LineTag::Invalid,
-                );
-                if was == prism_mem::tags::LineTag::Exclusive {
-                    // Replacement hint keeps the directory's Owned state
-                    // honest (see prism-protocol docs on invariants).
-                    self.lanuma_replacement_hint(n, frame, line, t);
-                }
-            }
+        } else if dirty {
+            // LA-NUMA: the node loses its only copy of the line.
+            debug_assert!(!sibling_has, "dirty line cannot be shared intra-node");
+            self.lanuma_give_back(n, evicted_key, lid.unwrap_or(0), flat, t, GiveBack::Release);
+            self.nodes[n]
+                .controller
+                .set_lanuma_tag(frame, line, LineTag::Invalid);
+        } else if !sibling_has {
+            // The node's last copy leaves clean: its tag is not
+            // Exclusive, so no ownership goes back to the home.
+            debug_assert!(
+                self.lanuma_tag_invariant_holds(n, frame, line, evicted_key),
+                "clean eviction of an Exclusive LA-NUMA line: node {n} frame {frame} line {line}"
+            );
+            self.nodes[n]
+                .controller
+                .set_lanuma_tag(frame, line, LineTag::Invalid);
         }
         if let (Some(sh), Some(lid)) = (self.shadow.as_mut(), lid) {
             sh.drop_proc(flat, lid);
         }
     }
 
-    /// Posts a dirty LA-NUMA line back to its home: updates the home's
-    /// directory and memory without stalling the evicting processor.
-    pub(crate) fn lanuma_posted_writeback(
-        &mut self,
+    /// The LA-NUMA tag invariant: node `n`'s tag for an LA-NUMA line is
+    /// Exclusive only while one of its processors holds the line
+    /// Modified. The tag turns Exclusive only through a write, which
+    /// leaves the writer Modified, and each way that copy stops being
+    /// the node's only one (a sibling read, a remote downgrade, an
+    /// eviction, an invalidation) moves the tag off Exclusive. So no
+    /// clean copy is ever `Owned` by the node, and a write to a line its
+    /// processor holds Shared never meets tag Exclusive.
+    pub(crate) fn lanuma_tag_invariant_holds(
+        &self,
         n: usize,
+        frame: FrameNo,
+        line: LineIdx,
         key: u64,
-        lid: u64,
-        from_flat: u16,
-        t: Cycle,
-    ) {
-        let lpp = self.cfg.geometry.lines_per_page() as u64;
-        let frame = FrameNo((key / lpp) as u32);
-        let line = LineIdx((key % lpp) as u16);
-        let Some(entry) = self.nodes[n].controller.pit.translate(frame) else {
-            return;
+    ) -> bool {
+        let modified = |p: &crate::node::Processor| {
+            p.l1.probe(key) == Some(LineState::Modified)
+                || p.l2.probe(key) == Some(LineState::Modified)
         };
-        let gpage = entry.gpage;
-        let mut home = self.resolve_dyn_home(gpage).0 as usize;
-        if self.nodes[home].failed {
-            // Try to save the dirty data by re-mastering the page at the
-            // static home; an unrecoverable page loses the writeback
-            // (its directory state will refuse future readers).
-            match self.try_home_failover(gpage, home, t) {
-                Some(out) => home = out.new_home,
-                None => return,
-            }
-        }
-        self.post_send(n, home, MsgKind::Writeback, t);
-        self.obs.incr(Ctr::RemoteWritebacks);
-        let lat = self.cfg.latency;
-        self.nodes[home].memory.acquire(t, Cycle(lat.mem_access));
-        let reader = prism_mem::addr::NodeId(n as u16);
-        let snap = self.nodes[home].controller.dir.page_mut(gpage).map(|pd| {
-            let cur = pd.line(line);
-            *pd.line_mut(line) = prism_protocol::dirproto::apply_writeback(cur, reader);
-            (cur, pd.home_frame)
-        });
-        if let Some((cur, home_frame)) = snap {
-            let was_owned =
-                matches!(cur, prism_mem::directory::LineDir::Owned(o) if o.0 as usize == n);
-            if was_owned {
-                // Home memory is valid again.
-                self.nodes[home].controller.tags.set(
-                    home_frame,
-                    line,
-                    prism_mem::tags::LineTag::Shared,
-                );
-            }
-        }
-        if let Some(sh) = self.shadow.as_mut() {
-            sh.writeback(from_flat, home as u16, lid);
-        }
+        self.nodes[n].controller.lanuma_tag(frame, line) != LineTag::Exclusive
+            || self.nodes[n].procs.iter().any(modified)
     }
 
-    /// Demotes a node's modified LA-NUMA line to shared: the dirty data
-    /// is written back to the home (whose memory becomes valid again)
-    /// but the node *keeps* shared copies, so the directory records it
-    /// as a sharer rather than forgetting it.
-    pub(crate) fn lanuma_demote_to_shared(
+    /// Gives node `n`'s modified LA-NUMA line `key` back to the page's
+    /// home, posted at `t` without stalling `from_flat`, the processor
+    /// whose copy held the data. The PIT names the page, whose dynamic
+    /// home takes the data; a dead home fails over to the static home,
+    /// and when failover is refused the data is lost (the directory
+    /// refuses later readers). One `Writeback` goes out, the home's
+    /// memory takes it (a demotion reserves occupancy only), and the
+    /// directory applies `kind`. A line the directory held `Owned(n)`
+    /// leaves the home's memory valid again, so its tag turns Shared.
+    pub(crate) fn lanuma_give_back(
         &mut self,
         n: usize,
         key: u64,
         lid: u64,
         from_flat: u16,
         t: Cycle,
+        kind: GiveBack,
     ) {
         let lpp = self.cfg.geometry.lines_per_page() as u64;
         let frame = FrameNo((key / lpp) as u32);
@@ -408,9 +380,6 @@ impl Machine {
         };
         let gpage = entry.gpage;
         let mut home = self.resolve_dyn_home(gpage).0 as usize;
-        self.nodes[n]
-            .controller
-            .set_lanuma_tag(frame, line, prism_mem::tags::LineTag::Shared);
         if self.nodes[home].failed {
             match self.try_home_failover(gpage, home, t) {
                 Some(out) => home = out.new_home,
@@ -420,71 +389,29 @@ impl Machine {
         self.post_send(n, home, MsgKind::Writeback, t);
         self.obs.incr(Ctr::RemoteWritebacks);
         let lat = self.cfg.latency;
-        self.nodes[home].memory.acquire(t, Cycle(lat.mem_occupancy));
-        let reader = prism_mem::addr::NodeId(n as u16);
-        let demoted = self.nodes[home]
+        let (occupancy, apply): (u64, fn(LineDir, NodeId) -> LineDir) = match kind {
+            GiveBack::Release => (lat.mem_access, dirproto::release),
+            GiveBack::Demote => (lat.mem_occupancy, dirproto::demote),
+        };
+        self.nodes[home].memory.acquire(t, Cycle(occupancy));
+        let from = NodeId(n as u16);
+        let was_owned = self.nodes[home]
             .controller
             .dir
             .page_mut(gpage)
             .and_then(|pd| {
-                let owned =
-                    matches!(pd.line(line), prism_mem::directory::LineDir::Owned(o) if o == reader);
-                owned.then(|| {
-                    *pd.line_mut(line) = prism_mem::directory::LineDir::Shared(
-                        prism_mem::addr::NodeSet::single(reader),
-                    );
-                    pd.home_frame
-                })
+                let cur = pd.line(line);
+                *pd.line_mut(line) = apply(cur, from);
+                (cur == LineDir::Owned(from)).then_some(pd.home_frame)
             });
-        if let Some(home_frame) = demoted {
-            self.nodes[home].controller.tags.set(
-                home_frame,
-                line,
-                prism_mem::tags::LineTag::Shared,
-            );
+        if let Some(home_frame) = was_owned {
+            self.nodes[home]
+                .controller
+                .tags
+                .set(home_frame, line, LineTag::Shared);
         }
         if let Some(sh) = self.shadow.as_mut() {
             sh.writeback(from_flat, home as u16, lid);
-        }
-    }
-
-    /// Posts a replacement hint for a clean-exclusive LA-NUMA line.
-    pub(crate) fn lanuma_replacement_hint(
-        &mut self,
-        n: usize,
-        frame: FrameNo,
-        line: LineIdx,
-        t: Cycle,
-    ) {
-        let Some(entry) = self.nodes[n].controller.pit.translate(frame) else {
-            return;
-        };
-        let gpage = entry.gpage;
-        let home = self.resolve_dyn_home(gpage).0 as usize;
-        if self.nodes[home].failed {
-            // A hint is advisory; losing it only leaves the directory's
-            // Owned state stale, which failover treats conservatively.
-            return;
-        }
-        self.post_send(n, home, MsgKind::Writeback, t);
-        let reader = prism_mem::addr::NodeId(n as u16);
-        let snap = self.nodes[home].controller.dir.page_mut(gpage).map(|pd| {
-            let cur = pd.line(line);
-            *pd.line_mut(line) = prism_protocol::dirproto::apply_replacement_hint(cur, reader);
-            (cur, pd.home_frame)
-        });
-        if let Some((cur, home_frame)) = snap {
-            let was_owned =
-                matches!(cur, prism_mem::directory::LineDir::Owned(o) if o.0 as usize == n);
-            if was_owned {
-                // The node's copy was clean-exclusive, so home memory was
-                // already current; mark the home tag valid again.
-                self.nodes[home].controller.tags.set(
-                    home_frame,
-                    line,
-                    prism_mem::tags::LineTag::Shared,
-                );
-            }
         }
     }
 }

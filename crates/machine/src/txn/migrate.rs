@@ -9,6 +9,7 @@ use prism_mem::addr::{GlobalPage, LineIdx, NodeId};
 use prism_mem::cache::LineState;
 use prism_mem::directory::LineDir;
 use prism_mem::tags::LineTag;
+use prism_protocol::dirproto;
 use prism_protocol::msg::MsgKind;
 use prism_sim::Cycle;
 
@@ -239,17 +240,12 @@ impl Machine {
         pd.client_frames.remove(&NodeId(static_home as u16));
         pd.clients.remove(NodeId(dead as u16));
         pd.client_frames.remove(&NodeId(dead as u16));
+        // Neither holds a line `Owned` (refused above), so this only
+        // drops them from sharer sets.
         for l in 0..lpp {
             let li = LineIdx(l as u16);
-            if let LineDir::Shared(mut s) = pd.line(li) {
-                s.remove(NodeId(static_home as u16));
-                s.remove(NodeId(dead as u16));
-                *pd.line_mut(li) = if s.is_empty() {
-                    LineDir::Uncached
-                } else {
-                    LineDir::Shared(s)
-                };
-            }
+            let scrubbed = dirproto::release(pd.line(li), NodeId(static_home as u16));
+            *pd.line_mut(li) = dirproto::release(scrubbed, NodeId(dead as u16));
         }
 
         // The static home adopts the page; the restored page image

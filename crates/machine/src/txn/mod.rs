@@ -6,12 +6,14 @@
 //! hands that request to an intra-node fill or to the remote
 //! transaction, which carries it to the end.
 //!
-//! * [`local`] — intra-node fill pipelines: L1/L2 fills, sibling
-//!   fills, bus upgrades, the one write grant, LaNuma client-side
-//!   write-back policy, and `snoop_node`, the one primitive that
-//!   invalidates or downgrades a line in every processor of a node.
+//! * `local` — intra-node fill pipelines: L1/L2 fills, sibling fills,
+//!   the one write grant, `snoop_node`, the one primitive that
+//!   invalidates or downgrades a line in every processor of a node, and
+//!   `lanuma_give_back`, the one step that returns a modified LA-NUMA
+//!   line to its home (a write-back on eviction, a demotion on a
+//!   sibling read; there is no replacement hint).
 //! * [`remote_txn`] — the remote-access transaction
-//!   ([`remote_txn::RemoteTxn`]): translate → route → home dispatch →
+//!   (`RemoteTxn`): translate → route → home dispatch →
 //!   data fetch → invalidate → commit → reply → learn → fill →
 //!   migrate, a fixed chain of steps in which routing, home dispatch
 //!   and data fetch can abort.

@@ -1,7 +1,7 @@
 //! The remote-access transaction: one inter-node coherence request,
 //! from the requester's bus to its cache fill.
 //!
-//! A [`RemoteTxn`] carries one `Request` (read, write, or ownership
+//! A `RemoteTxn` carries one `Request` (read, write, or ownership
 //! upgrade) built by the access path through a fixed chain of steps:
 //! PIT translation, routing (with failed-home re-routing and
 //! lazy-migration forwarding), home-side dispatch and firewall, data
@@ -9,7 +9,7 @@
 //! requester-side learning, the cache fill and the lazy-migration
 //! check. Routing, home dispatch and data sourcing can abort with an
 //! [`AbortCause`], which kills the requester. The node-level dispatch
-//! in `access` builds the transaction and calls [`RemoteTxn::run`].
+//! in `access` builds the transaction and calls `RemoteTxn::run`.
 //!
 //! Per-node cache actions (snooping the home's or a sharer's
 //! processors) go through one primitive, `Machine::snoop_node` in
@@ -17,10 +17,9 @@
 
 use prism_mem::addr::{FrameNo, GlobalPage, LineIdx, NodeId};
 use prism_mem::cache::LineState;
-use prism_mem::directory::LineDir;
 use prism_mem::mode::FrameMode;
 use prism_mem::tags::LineTag;
-use prism_protocol::dirproto::{transition, DataSource, DirOutcome, ReqKind};
+use prism_protocol::dirproto::{home_transition, transition, DataSource, DirOutcome, ReqKind};
 use prism_protocol::firewall;
 use prism_protocol::msg::MsgKind;
 use prism_sim::Cycle;
@@ -278,19 +277,21 @@ impl RemoteTxn {
         let home_dirty = (0..m.ppn())
             .any(|hpi| m.nodes[home].procs[hpi].l2.probe(home_key) == Some(LineState::Modified));
 
-        Ok(if home == n {
-            m.home_self_transition(dirline, home_tag, self.req.write, self.has_data)
+        let kind = if self.req.write {
+            ReqKind::Write
         } else {
+            ReqKind::Read
+        };
+        Ok(if home == n {
+            home_transition(dirline, kind, self.has_data)
+        } else {
+            let requester = NodeId(n as u16);
             transition(
                 dirline,
                 home_tag,
                 home_dirty,
-                NodeId(n as u16),
-                if self.req.write {
-                    ReqKind::Write
-                } else {
-                    ReqKind::Read
-                },
+                requester,
+                kind,
                 self.has_data,
             )
         })
@@ -595,63 +596,6 @@ impl RemoteTxn {
 }
 
 impl Machine {
-    /// Directory transition for the home node's *own* access to a page it
-    /// homes, when its fine-grain tag is not sufficient (tag `S` write,
-    /// or tag `I` because a client owns the line).
-    pub(crate) fn home_self_transition(
-        &self,
-        dirline: LineDir,
-        home_tag: LineTag,
-        write: bool,
-        has_data: bool,
-    ) -> DirOutcome {
-        let data_source = if has_data {
-            DataSource::None
-        } else {
-            DataSource::HomeMemory
-        };
-        match (dirline, write) {
-            (LineDir::Owned(owner), false) => DirOutcome {
-                source: DataSource::Owner(owner),
-                invalidate: prism_mem::addr::NodeSet::EMPTY,
-                invalidate_home: false,
-                new_state: LineDir::Shared(prism_mem::addr::NodeSet::single(owner)),
-                home_tag_to: Some(LineTag::Shared),
-                updates_home_memory: true,
-            },
-            (LineDir::Owned(owner), true) => DirOutcome {
-                source: DataSource::Owner(owner),
-                invalidate: prism_mem::addr::NodeSet::single(owner),
-                invalidate_home: false,
-                new_state: LineDir::Uncached,
-                home_tag_to: Some(LineTag::Exclusive),
-                updates_home_memory: true,
-            },
-            (LineDir::Shared(sharers), true) => DirOutcome {
-                source: data_source,
-                invalidate: sharers,
-                invalidate_home: false,
-                new_state: LineDir::Uncached,
-                home_tag_to: Some(LineTag::Exclusive),
-                updates_home_memory: false,
-            },
-            (LineDir::Uncached, true) => DirOutcome {
-                // Stale sharer hints already drained; just take the tag.
-                source: data_source,
-                invalidate: prism_mem::addr::NodeSet::EMPTY,
-                invalidate_home: false,
-                new_state: LineDir::Uncached,
-                home_tag_to: Some(LineTag::Exclusive),
-                updates_home_memory: false,
-            },
-            (state, false) => {
-                unreachable!(
-                    "home read with valid memory should hit locally: {state:?} tag {home_tag:?}"
-                )
-            }
-        }
-    }
-
     /// Invalidates a line at a node: every processor cache, plus the
     /// node-level tag (S-COMA fine-grain tag or LA-NUMA state).
     pub(crate) fn invalidate_at_node(

@@ -3,16 +3,21 @@
 //! The coherence controller at a page's (dynamic) home node serializes all
 //! protocol actions for the page's lines. Given the current directory
 //! state, the home's own fine-grain tag, and the request, [`transition`]
+//! (a client's request) or [`home_transition`] (the home's own access)
 //! computes *what must happen*: where the data comes from, who must be
 //! invalidated, the new directory state, and how the home's own copy
-//! changes. The machine executes the plan with timing; keeping the logic
-//! pure makes the protocol exhaustively testable.
+//! changes. A line going back home is [`release`] (the node's hold ends)
+//! or [`demote`] (an LA-NUMA node keeps a shared copy). The machine
+//! executes the plan with timing and assigns no directory state of its
+//! own; keeping the logic pure makes the protocol exhaustively testable.
 //!
 //! ## Invariants
 //!
-//! * `Owned(o)` ⇒ node `o` really holds the line (LA-NUMA frames send
-//!   replacement hints on clean-exclusive evictions; S-COMA page caches
-//!   hold their lines until page-out; dirty evictions write back).
+//! * `Owned(o)` ⇒ node `o` really holds the line: S-COMA page caches
+//!   hold their lines until page-out, and an LA-NUMA node is `Owned`
+//!   only while one of its processors holds the line Modified, whose
+//!   eviction writes it back. No clean-exclusive copy exists to drop
+//!   silently, so there is no replacement hint.
 //! * `Owned(_)` ⇒ the home's fine-grain tag for the line is `I`.
 //! * `Shared(_)`/`Uncached` ⇒ the home's memory copy is valid.
 
@@ -70,8 +75,8 @@ pub struct DirOutcome {
 /// * `home_tag` — the home's own fine-grain tag for the line.
 /// * `home_dirty_in_cache` — whether a processor cache at the home holds
 ///   the line modified (the machine knows; the directory does not).
-/// * `requester` — the client node asking (never the home itself; home
-///   accesses are satisfied locally).
+/// * `requester` — the client node asking (never the home itself: the
+///   home's own access is [`home_transition`]).
 /// * `kind` — read or write.
 /// * `requester_has_data` — true when the requester holds a valid shared
 ///   copy and merely needs ownership (upgrade).
@@ -161,13 +166,71 @@ pub fn transition(
     }
 }
 
-/// Applies a dirty writeback from `from` (LA-NUMA eviction or page-out
-/// flush): the home's memory becomes the only valid copy.
-pub fn apply_writeback(cur: LineDir, from: NodeId) -> LineDir {
+/// Computes the plan for the home node's own access to a line it homes,
+/// when its fine-grain tag is not sufficient: a read or write with tag
+/// `I` (a client owns the line), or a write with tag `S` (clients
+/// share it). The home ends with the line Exclusive after a write and
+/// Shared after a read; `home_has_data` marks a write whose processor
+/// holds a valid shared copy.
+///
+/// # Panics
+///
+/// Panics on a home read of a line whose memory copy is valid
+/// (`Shared` or `Uncached`): the home's tag satisfies it locally.
+pub fn home_transition(cur: LineDir, kind: ReqKind, home_has_data: bool) -> DirOutcome {
+    let home_source = if home_has_data {
+        DataSource::None
+    } else {
+        DataSource::HomeMemory
+    };
+    let (source, invalidate, new_state, home_tag_to, updates_home_memory) = match (cur, kind) {
+        (LineDir::Owned(o), ReqKind::Read) => (
+            DataSource::Owner(o),
+            NodeSet::EMPTY,
+            LineDir::Shared(NodeSet::single(o)),
+            LineTag::Shared,
+            true,
+        ),
+        (LineDir::Owned(o), ReqKind::Write) => (
+            DataSource::Owner(o),
+            NodeSet::single(o),
+            LineDir::Uncached,
+            LineTag::Exclusive,
+            true,
+        ),
+        (LineDir::Shared(s), ReqKind::Write) => {
+            (home_source, s, LineDir::Uncached, LineTag::Exclusive, false)
+        }
+        (LineDir::Uncached, ReqKind::Write) => (
+            home_source,
+            NodeSet::EMPTY,
+            LineDir::Uncached,
+            LineTag::Exclusive,
+            false,
+        ),
+        (state, ReqKind::Read) => {
+            unreachable!("home read with valid memory should hit locally: {state:?}")
+        }
+    };
+    DirOutcome {
+        source,
+        invalidate,
+        invalidate_home: false,
+        new_state,
+        home_tag_to: Some(home_tag_to),
+        updates_home_memory,
+    }
+}
+
+/// Releases node `from`'s hold on a line: a dirty write-back (LA-NUMA
+/// eviction, page-out flush) or a clean copy leaving (page-out of a
+/// shared page-cache line, the failover scrub of a dead or adopting
+/// home). `Owned(from)` becomes `Uncached`, as the home's memory is
+/// then the only valid copy; `from` leaves a sharer set, and an empty
+/// set becomes `Uncached`; any other state is unchanged.
+pub fn release(cur: LineDir, from: NodeId) -> LineDir {
     match cur {
         LineDir::Owned(o) if o == from => LineDir::Uncached,
-        // A writeback can race with sharers in the atomic model only via
-        // page-outs of shared-but-dirty page-cache copies; drop `from`.
         LineDir::Shared(s) => {
             let ns = s.without(from);
             if ns.is_empty() {
@@ -180,18 +243,13 @@ pub fn apply_writeback(cur: LineDir, from: NodeId) -> LineDir {
     }
 }
 
-/// Applies a replacement hint: node `from` dropped its clean copy.
-pub fn apply_replacement_hint(cur: LineDir, from: NodeId) -> LineDir {
+/// Demotes node `from`'s modified LA-NUMA line: its dirty data goes
+/// back to the home, whose memory is valid again, but the node keeps
+/// shared copies, so `Owned(from)` becomes `Shared({from})`; any other
+/// state is unchanged.
+pub fn demote(cur: LineDir, from: NodeId) -> LineDir {
     match cur {
-        LineDir::Owned(o) if o == from => LineDir::Uncached,
-        LineDir::Shared(s) => {
-            let ns = s.without(from);
-            if ns.is_empty() {
-                LineDir::Uncached
-            } else {
-                LineDir::Shared(ns)
-            }
-        }
+        LineDir::Owned(o) if o == from => LineDir::Shared(NodeSet::single(from)),
         other => other,
     }
 }
@@ -389,32 +447,98 @@ mod tests {
     }
 
     #[test]
-    fn writeback_clears_ownership() {
-        assert_eq!(apply_writeback(LineDir::Owned(O), O), LineDir::Uncached);
-        assert_eq!(apply_writeback(LineDir::Owned(O), X), LineDir::Owned(O));
-        let s: NodeSet = [O, X].into_iter().collect();
+    fn release_on_every_shape() {
+        let ox: NodeSet = [O, X].into_iter().collect();
+        // The releaser's ownership ends: home memory is the only copy.
+        assert_eq!(release(LineDir::Owned(O), O), LineDir::Uncached);
+        // Another node's ownership stands.
+        assert_eq!(release(LineDir::Owned(O), X), LineDir::Owned(O));
+        // The releaser leaves a sharer set; the last one leaves it empty.
         assert_eq!(
-            apply_writeback(LineDir::Shared(s), O),
+            release(LineDir::Shared(ox), O),
             LineDir::Shared(NodeSet::single(X))
         );
         assert_eq!(
-            apply_writeback(LineDir::Shared(NodeSet::single(O)), O),
+            release(LineDir::Shared(NodeSet::single(O)), O),
             LineDir::Uncached
         );
-        assert_eq!(apply_writeback(LineDir::Uncached, O), LineDir::Uncached);
+        // A non-holder changes nothing.
+        assert_eq!(release(LineDir::Shared(ox), R), LineDir::Shared(ox));
+        assert_eq!(release(LineDir::Uncached, O), LineDir::Uncached);
     }
 
     #[test]
-    fn replacement_hint_drops_holder() {
+    fn demote_on_every_shape() {
+        let ox: NodeSet = [O, X].into_iter().collect();
+        // The owner keeps a shared copy.
         assert_eq!(
-            apply_replacement_hint(LineDir::Owned(O), O),
-            LineDir::Uncached
-        );
-        let s: NodeSet = [O, X].into_iter().collect();
-        assert_eq!(
-            apply_replacement_hint(LineDir::Shared(s), X),
+            demote(LineDir::Owned(O), O),
             LineDir::Shared(NodeSet::single(O))
         );
+        // Every other shape is unchanged.
+        assert_eq!(demote(LineDir::Owned(O), X), LineDir::Owned(O));
+        assert_eq!(demote(LineDir::Shared(ox), O), LineDir::Shared(ox));
+        assert_eq!(
+            demote(LineDir::Shared(NodeSet::single(O)), O),
+            LineDir::Shared(NodeSet::single(O))
+        );
+        assert_eq!(demote(LineDir::Uncached, O), LineDir::Uncached);
+    }
+
+    #[test]
+    fn home_read_of_an_owned_line_intervenes_and_shares() {
+        let out = home_transition(LineDir::Owned(O), ReqKind::Read, false);
+        assert_eq!(out.source, DataSource::Owner(O));
+        assert!(out.invalidate.is_empty());
+        assert!(!out.invalidate_home);
+        assert_eq!(out.new_state, LineDir::Shared(NodeSet::single(O)));
+        assert_eq!(out.home_tag_to, Some(LineTag::Shared));
+        assert!(
+            out.updates_home_memory,
+            "the owner's data refreshes home memory"
+        );
+    }
+
+    #[test]
+    fn home_write_of_an_owned_line_takes_it_back() {
+        let out = home_transition(LineDir::Owned(O), ReqKind::Write, false);
+        assert_eq!(out.source, DataSource::Owner(O));
+        assert_eq!(out.invalidate, NodeSet::single(O));
+        assert!(!out.invalidate_home);
+        assert_eq!(out.new_state, LineDir::Uncached);
+        assert_eq!(out.home_tag_to, Some(LineTag::Exclusive));
+        assert!(out.updates_home_memory);
+    }
+
+    #[test]
+    fn home_write_of_a_shared_line_invalidates_every_sharer() {
+        let s: NodeSet = [O, X].into_iter().collect();
+        for (has_data, source) in [(true, DataSource::None), (false, DataSource::HomeMemory)] {
+            let out = home_transition(LineDir::Shared(s), ReqKind::Write, has_data);
+            assert_eq!(out.source, source);
+            assert_eq!(out.invalidate, s);
+            assert!(!out.invalidate_home);
+            assert_eq!(out.new_state, LineDir::Uncached);
+            assert_eq!(out.home_tag_to, Some(LineTag::Exclusive));
+            assert!(!out.updates_home_memory);
+        }
+    }
+
+    #[test]
+    fn home_write_of_an_uncached_line_takes_the_tag() {
+        let out = home_transition(LineDir::Uncached, ReqKind::Write, false);
+        assert_eq!(out.source, DataSource::HomeMemory);
+        assert!(out.invalidate.is_empty());
+        assert!(!out.invalidate_home);
+        assert_eq!(out.new_state, LineDir::Uncached);
+        assert_eq!(out.home_tag_to, Some(LineTag::Exclusive));
+        assert!(!out.updates_home_memory);
+    }
+
+    #[test]
+    #[should_panic(expected = "home read with valid memory should hit locally")]
+    fn home_read_of_valid_memory_is_unreachable() {
+        home_transition(LineDir::Shared(NodeSet::single(O)), ReqKind::Read, false);
     }
 
     #[test]

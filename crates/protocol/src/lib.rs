@@ -6,8 +6,10 @@
 //!   calibrated so the composed uncontended paths reproduce the paper's
 //!   Table 1 (including the SRAM- vs DRAM-PIT study of §4.3).
 //! * [`dirproto`] — the home-node directory protocol transitions
-//!   (2-party/3-party reads and writes, invalidation fan-out, writebacks,
-//!   replacement hints) and the client-side fine-grain tag actions.
+//!   (2-party/3-party reads and writes, the home's own accesses,
+//!   invalidation fan-out, and lines released or demoted back to the
+//!   home) and the client-side fine-grain tag actions. Every directory
+//!   state the machine stores is one of these results.
 //! * [`msg`] — the inter-node message taxonomy and traffic ledger.
 //! * [`firewall`] — PIT capability checks that reject wild writes from
 //!   remote nodes (fault containment, paper §3.2).

@@ -7,7 +7,7 @@ use prism_mem::addr::{NodeId, NodeSet};
 use prism_mem::directory::LineDir;
 use prism_mem::tags::LineTag;
 use prism_protocol::dirproto::{
-    apply_replacement_hint, apply_writeback, tag_action, transition, DataSource, ReqKind, TagAction,
+    demote, release, tag_action, transition, DataSource, ReqKind, TagAction,
 };
 use prism_sim::SimRng;
 
@@ -21,17 +21,21 @@ enum Event {
     Write(u16),
     /// The owner writes its dirty line back (eviction).
     Writeback(u16),
-    /// A clean holder drops its copy.
-    Hint(u16),
+    /// A holder's copy leaves (a page-out).
+    Drop(u16),
+    /// The owner writes its dirty line back but keeps a shared copy
+    /// (LA-NUMA demotion).
+    Demote(u16),
 }
 
 fn event(rng: &mut SimRng) -> Event {
     let node = rng.gen_range(1..5) as u16;
-    match rng.gen_range(0..4) {
+    match rng.gen_range(0..5) {
         0 => Event::Read(node),
         1 => Event::Write(node),
         2 => Event::Writeback(node),
-        _ => Event::Hint(node),
+        3 => Event::Demote(node),
+        _ => Event::Drop(node),
     }
 }
 
@@ -106,24 +110,34 @@ fn random_histories_preserve_invariants() {
                 Event::Writeback(node) => {
                     let from = NodeId(node);
                     if matches!(dir, LineDir::Owned(o) if o == from) {
-                        dir = apply_writeback(dir, from);
+                        dir = release(dir, from);
                         // Home memory refreshed by the writeback.
                         tag = LineTag::Shared;
                         check_invariants(dir, tag);
                     }
                 }
-                Event::Hint(node) => {
+                Event::Demote(node) => {
+                    let from = NodeId(node);
+                    if matches!(dir, LineDir::Owned(o) if o == from) {
+                        dir = demote(dir, from);
+                        assert_eq!(dir, LineDir::Shared(NodeSet::single(from)));
+                        // Home memory refreshed by the writeback.
+                        tag = LineTag::Shared;
+                        check_invariants(dir, tag);
+                    }
+                }
+                Event::Drop(node) => {
                     let from = NodeId(node);
                     let before_holders = match dir {
                         LineDir::Shared(s) => s,
                         LineDir::Owned(o) => NodeSet::single(o),
                         LineDir::Uncached => NodeSet::EMPTY,
                     };
-                    // Only clean holders send hints; an owner's hint means
-                    // its copy was clean-exclusive, so home memory is valid.
+                    // Only holders release; an owner's page-out flushes its
+                    // copy, so home memory is valid.
                     if before_holders.contains(from) {
                         let was_owner = matches!(dir, LineDir::Owned(o) if o == from);
-                        dir = apply_replacement_hint(dir, from);
+                        dir = release(dir, from);
                         if was_owner {
                             tag = LineTag::Shared;
                         }
