@@ -41,6 +41,13 @@ pub enum RunError {
         /// The blocked processors.
         procs: Vec<usize>,
     },
+    /// The trace was generated for another processor count.
+    LaneCount {
+        /// Lanes the trace has.
+        trace: usize,
+        /// Processors the machine has.
+        machine: usize,
+    },
 }
 
 impl std::fmt::Display for RunError {
@@ -53,6 +60,10 @@ impl std::fmt::Display for RunError {
                     "processors {procs:?} ended in state Blocked: trace deadlock"
                 ),
             },
+            RunError::LaneCount { trace, machine } => write!(
+                f,
+                "trace was generated for {trace} processors, machine has {machine}"
+            ),
         }
     }
 }
@@ -465,14 +476,13 @@ impl Machine {
 
     /// Loads a trace: attaches its segments on every kernel (segment `i`
     /// as `Gsid(i)`, identical virtual addresses on every node).
-    pub(crate) fn load(&mut self, trace: &Trace) {
-        assert_eq!(
-            trace.lanes.len(),
-            self.cfg.total_procs(),
-            "trace was generated for {} processors, machine has {}",
-            trace.lanes.len(),
-            self.cfg.total_procs()
-        );
+    pub(crate) fn load(&mut self, trace: &Trace) -> Result<(), RunError> {
+        if trace.lanes.len() != self.cfg.total_procs() {
+            return Err(RunError::LaneCount {
+                trace: trace.lanes.len(),
+                machine: self.cfg.total_procs(),
+            });
+        }
         self.workload_name = trace.name.clone();
         let live = self.live_in_range(0..self.cfg.total_procs());
         self.barrier_groups = vec![(0..self.cfg.total_procs(), BarrierSet::new(live.max(1)))];
@@ -499,6 +509,7 @@ impl Machine {
         for node in &mut self.nodes {
             node.kernel.attach_segments(&trace.segments);
         }
+        Ok(())
     }
 
     /// Runs a trace to completion and reports results.
@@ -521,16 +532,14 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// [`RunError::Deadlock`] when processors end blocked on locks or
-    /// barriers nobody will release — for example two lanes taking the
-    /// same two locks in opposite orders, or one lane taking a lock it
-    /// already holds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace's lane count mismatches the machine.
+    /// - [`RunError::LaneCount`] when the trace's lane count mismatches
+    ///   the machine; nothing runs.
+    /// - [`RunError::Deadlock`] when processors end blocked on locks or
+    ///   barriers nobody will release — for example two lanes taking the
+    ///   same two locks in opposite orders, or one lane taking a lock it
+    ///   already holds.
     pub fn try_run(&mut self, trace: &Trace) -> Result<RunReport, RunError> {
-        self.load(trace);
+        self.load(trace)?;
         self.run_loop(trace)?;
         Ok(self.finalize_report())
     }
@@ -563,7 +572,8 @@ impl Machine {
             combined.lanes.len(),
             self.cfg.total_procs()
         );
-        self.load(&combined);
+        self.load(&combined)
+            .expect("the lane count was checked above");
         // OS page placement: each job's segments are homed on the job's
         // own nodes, so jobs are independent failure units (paper §1).
         let ppn = self.ppn();

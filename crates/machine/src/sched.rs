@@ -831,7 +831,7 @@ mod tests {
             m.install_fault_plan(plan.clone()).expect("valid plan");
         }
         let report = if reference {
-            m.load(trace);
+            m.load(trace).expect("lane count matches");
             m.run_loop_linear(trace).map(|()| m.finalize_report())
         } else {
             m.try_run(trace)

@@ -295,13 +295,16 @@ impl Machine {
             .as_ref()
             .and_then(|sh| sh.lid_for(n as u16, evicted_key));
         let t = self.nodes[n].procs[pi].clock;
-        let sibling_has = self.sibling_with_copy(n, pi, evicted_key).is_some();
+        // Only a clean LA-NUMA eviction needs to know whether a sibling
+        // still holds the line; elsewhere the scan only checks, in
+        // debug builds, that a dirty line was the node's only copy.
+        let no_sibling_copy = || self.sibling_with_copy(n, pi, evicted_key).is_none();
 
         if !frame.is_imaginary() {
             // Local / S-COMA / home frame: posted writeback into local
             // memory.
             if dirty {
-                debug_assert!(!sibling_has, "dirty line cannot be shared intra-node");
+                debug_assert!(no_sibling_copy(), "dirty line cannot be shared intra-node");
                 let lat = self.cfg.latency;
                 self.nodes[n].memory.acquire(t, Cycle(lat.mem_access));
                 if let (Some(sh), Some(lid)) = (self.shadow.as_mut(), lid) {
@@ -310,12 +313,12 @@ impl Machine {
             }
         } else if dirty {
             // LA-NUMA: the node loses its only copy of the line.
-            debug_assert!(!sibling_has, "dirty line cannot be shared intra-node");
+            debug_assert!(no_sibling_copy(), "dirty line cannot be shared intra-node");
             self.lanuma_give_back(n, evicted_key, lid.unwrap_or(0), flat, t, GiveBack::Release);
             self.nodes[n]
                 .controller
                 .set_lanuma_tag(frame, line, LineTag::Invalid);
-        } else if !sibling_has {
+        } else if no_sibling_copy() {
             // The node's last copy leaves clean: its tag is not
             // Exclusive, so no ownership goes back to the home.
             debug_assert!(

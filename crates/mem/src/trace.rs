@@ -49,34 +49,53 @@ pub enum Op {
     Unlock(u32),
 }
 
-/// Bits of an [`OpLane`] word that carry the op's payload (an address
-/// or a 32-bit argument); the three bits above them carry its kind.
-const PAYLOAD_BITS: u32 = 61;
+/// Bits of an [`OpLane`] word that carry the op's payload; the three
+/// bits above them carry its kind.
+const PAYLOAD_BITS: u32 = 29;
+
+const PAYLOAD_MASK: u32 = (1 << PAYLOAD_BITS) - 1;
+
+/// Bits of a read's or write's payload that carry its offset within an
+/// address window; the bit above them picks one of the lane's two
+/// windows.
+const WINDOW_BITS: u32 = 28;
+
+const OFFSET_MASK: u64 = (1 << WINDOW_BITS) - 1;
+
+/// A window slot no address has claimed yet. Window bases have their
+/// low [`WINDOW_BITS`] clear, so no address's base equals it.
+const NO_WINDOW: u64 = u64::MAX;
+
+/// Bits of a spilled op's 8-byte word that carry its payload (an
+/// address or a 32-bit argument); the three bits above them carry its
+/// kind.
+const WIDE_PAYLOAD_BITS: u32 = 61;
 
 /// One past the largest virtual address an [`OpLane`] can hold (2^61).
 /// Every address the workloads generate lies far below it: shared
 /// segments start at [`SHARED_BASE`] (2^32), and the private region of
 /// processor 65,535 ends below 2^47.
-pub const LANE_VA_LIMIT: u64 = 1 << PAYLOAD_BITS;
+pub const LANE_VA_LIMIT: u64 = 1 << WIDE_PAYLOAD_BITS;
 
-const PAYLOAD_MASK: u64 = LANE_VA_LIMIT - 1;
+const WIDE_PAYLOAD_MASK: u64 = LANE_VA_LIMIT - 1;
 
-const TAG_READ: u64 = 0;
-const TAG_WRITE: u64 = 1;
-const TAG_COMPUTE: u64 = 2;
-const TAG_BARRIER: u64 = 3;
-const TAG_LOCK: u64 = 4;
-const TAG_UNLOCK: u64 = 5;
+const KIND_READ: u32 = 0;
+const KIND_WRITE: u32 = 1;
+const KIND_COMPUTE: u32 = 2;
+const KIND_BARRIER: u32 = 3;
+const KIND_LOCK: u32 = 4;
+const KIND_UNLOCK: u32 = 5;
+/// The op sits in the lane's side table; the payload is its index.
+const KIND_SPILLED: u32 = 7;
 
-/// Packs `op` into one word: its kind in the top three bits, its
-/// payload in the other 61.
+/// Packs `op` into one 8-byte side-table word: its kind in the top
+/// three bits, its payload in the other 61.
 ///
 /// # Panics
 ///
 /// Panics if a `Read` or `Write` address is at or above
 /// [`LANE_VA_LIMIT`].
-#[inline]
-fn pack(op: Op) -> u64 {
+fn pack_wide(op: Op) -> u64 {
     let addr = |va: VirtAddr| {
         assert!(
             va.0 < LANE_VA_LIMIT,
@@ -84,36 +103,68 @@ fn pack(op: Op) -> u64 {
         );
         va.0
     };
-    let (tag, payload) = match op {
-        Op::Read(va) => (TAG_READ, addr(va)),
-        Op::Write(va) => (TAG_WRITE, addr(va)),
-        Op::Compute(c) => (TAG_COMPUTE, c as u64),
-        Op::Barrier(b) => (TAG_BARRIER, b as u64),
-        Op::Lock(l) => (TAG_LOCK, l as u64),
-        Op::Unlock(l) => (TAG_UNLOCK, l as u64),
+    let (kind, payload) = match op {
+        Op::Read(va) => (KIND_READ, addr(va)),
+        Op::Write(va) => (KIND_WRITE, addr(va)),
+        Op::Compute(c) => (KIND_COMPUTE, c as u64),
+        Op::Barrier(b) => (KIND_BARRIER, b as u64),
+        Op::Lock(l) => (KIND_LOCK, l as u64),
+        Op::Unlock(l) => (KIND_UNLOCK, l as u64),
     };
-    (tag << PAYLOAD_BITS) | payload
+    ((kind as u64) << WIDE_PAYLOAD_BITS) | payload
 }
 
-/// Inverse of [`pack`].
-#[inline]
-fn unpack(word: u64) -> Op {
-    let payload = word & PAYLOAD_MASK;
-    match word >> PAYLOAD_BITS {
-        TAG_READ => Op::Read(VirtAddr(payload)),
-        TAG_WRITE => Op::Write(VirtAddr(payload)),
-        TAG_COMPUTE => Op::Compute(payload as u32),
-        TAG_BARRIER => Op::Barrier(payload as u32),
-        TAG_LOCK => Op::Lock(payload as u32),
-        TAG_UNLOCK => Op::Unlock(payload as u32),
-        _ => unreachable!("op lanes hold only packed ops"),
+/// Inverse of [`pack_wide`].
+#[cold]
+fn unpack_wide(word: u64) -> Op {
+    let payload = word & WIDE_PAYLOAD_MASK;
+    match (word >> WIDE_PAYLOAD_BITS) as u32 {
+        KIND_READ => Op::Read(VirtAddr(payload)),
+        KIND_WRITE => Op::Write(VirtAddr(payload)),
+        KIND_COMPUTE => Op::Compute(payload as u32),
+        KIND_BARRIER => Op::Barrier(payload as u32),
+        KIND_LOCK => Op::Lock(payload as u32),
+        KIND_UNLOCK => Op::Unlock(payload as u32),
+        _ => unreachable!("side tables hold only packed ops"),
     }
 }
 
-/// One processor's operation stream, stored as one 8-byte word per op
-/// (an [`Op`] takes 16). Reads decode on the fly: [`OpLane::get`]
-/// returns an [`Op`], and [`OpLane::iter`] yields [`LaneOp`]s, which
-/// dereference to one.
+/// Decodes one lane word against the lane's windows and side table.
+#[inline]
+fn unpack(word: u32, windows: &[u64; 2], spilled: &[u64]) -> Op {
+    let payload = word & PAYLOAD_MASK;
+    let addr = || {
+        let base = windows[(word >> WINDOW_BITS) as usize & 1];
+        VirtAddr(base | (word as u64 & OFFSET_MASK))
+    };
+    match word >> PAYLOAD_BITS {
+        KIND_READ => Op::Read(addr()),
+        KIND_WRITE => Op::Write(addr()),
+        KIND_COMPUTE => Op::Compute(payload),
+        KIND_BARRIER => Op::Barrier(payload),
+        KIND_LOCK => Op::Lock(payload),
+        KIND_UNLOCK => Op::Unlock(payload),
+        _ => unpack_wide(spilled[payload as usize]),
+    }
+}
+
+/// One processor's operation stream, stored as one 4-byte word per op
+/// (an [`Op`] takes 16). A word holds a 3-bit kind and a 29-bit
+/// payload:
+///
+/// - a read or write holds its offset within one of two 2^28-byte
+///   address windows, which the lane records the first time an address
+///   falls in each (a workload's shared segments take one, the lane's
+///   private region the other);
+/// - a `Compute`, `Barrier`, `Lock` or `Unlock` below 2^29 holds its
+///   value;
+/// - any other op (a third window, a larger value) goes to a side table
+///   of 8-byte words, and its lane word holds the table index.
+///
+/// The encoding is a function of the op sequence, so two lanes are
+/// equal exactly when they hold the same ops in order. Reads decode on
+/// the fly: [`OpLane::get`] returns an [`Op`], and [`OpLane::iter`]
+/// yields [`LaneOp`]s, which dereference to one.
 ///
 /// ```
 /// use prism_mem::addr::VirtAddr;
@@ -122,9 +173,28 @@ fn unpack(word: u64) -> Op {
 /// let lane = OpLane::from(vec![Op::Read(VirtAddr(64)), Op::Barrier(3)]);
 /// assert_eq!(lane.get(1), Some(Op::Barrier(3)));
 /// assert!(lane.iter().any(|op| matches!(*op, Op::Read(_))));
+/// assert_eq!(lane.spilled(), 0);
 /// ```
-#[derive(Clone, Default, PartialEq, Eq)]
-pub struct OpLane(Vec<u64>);
+#[derive(Clone, PartialEq, Eq)]
+pub struct OpLane {
+    /// One word per op: kind in the top three bits, payload below.
+    words: Vec<u32>,
+    /// The two window bases, in order of first use ([`NO_WINDOW`] while
+    /// unclaimed).
+    windows: [u64; 2],
+    /// The side table: ops no word can hold, packed by [`pack_wide`].
+    spilled: Vec<u64>,
+}
+
+impl Default for OpLane {
+    fn default() -> OpLane {
+        OpLane {
+            words: Vec::new(),
+            windows: [NO_WINDOW; 2],
+            spilled: Vec::new(),
+        }
+    }
+}
 
 impl OpLane {
     /// An empty lane.
@@ -140,33 +210,95 @@ impl OpLane {
     /// [`LANE_VA_LIMIT`].
     #[inline]
     pub fn push(&mut self, op: Op) {
-        self.0.push(pack(op));
+        let (kind, payload) = match op {
+            Op::Read(va) => (KIND_READ, self.window_payload(va)),
+            Op::Write(va) => (KIND_WRITE, self.window_payload(va)),
+            Op::Compute(c) => (KIND_COMPUTE, c),
+            Op::Barrier(b) => (KIND_BARRIER, b),
+            Op::Lock(l) => (KIND_LOCK, l),
+            Op::Unlock(l) => (KIND_UNLOCK, l),
+        };
+        if payload <= PAYLOAD_MASK {
+            self.words.push((kind << PAYLOAD_BITS) | payload);
+        } else {
+            self.push_cold(op);
+        }
+    }
+
+    /// `va`'s window bit and offset, or `u32::MAX` (no payload) when
+    /// `va` lies in neither window.
+    #[inline]
+    fn window_payload(&self, va: VirtAddr) -> u32 {
+        let base = va.0 & !OFFSET_MASK;
+        let offset = (va.0 & OFFSET_MASK) as u32;
+        if base == self.windows[0] {
+            offset
+        } else if base == self.windows[1] {
+            (1 << WINDOW_BITS) | offset
+        } else {
+            u32::MAX
+        }
+    }
+
+    /// Appends an op whose payload does not fit a word: claims a free
+    /// window for a new address, or else spills the op to the side
+    /// table.
+    #[cold]
+    #[inline(never)]
+    fn push_cold(&mut self, op: Op) {
+        if let Op::Read(va) | Op::Write(va) = op {
+            let free = self.windows.iter().position(|&w| w == NO_WINDOW);
+            if let (Some(slot), true) = (free, va.0 < LANE_VA_LIMIT) {
+                self.windows[slot] = va.0 & !OFFSET_MASK;
+                return self.push(op);
+            }
+        }
+        let index = self.spilled.len();
+        assert!(
+            index <= PAYLOAD_MASK as usize,
+            "an op lane spills at most 2^29 ops"
+        );
+        self.spilled.push(pack_wide(op));
+        self.words
+            .push((KIND_SPILLED << PAYLOAD_BITS) | index as u32);
     }
 
     /// The op at `pc`, if the lane is that long.
     #[inline]
     pub fn get(&self, pc: usize) -> Option<Op> {
-        self.0.get(pc).map(|&w| unpack(w))
+        let &word = self.words.get(pc)?;
+        Some(unpack(word, &self.windows, &self.spilled))
     }
 
     /// Number of ops.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.words.len()
     }
 
     /// True when the lane holds no op.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.words.is_empty()
+    }
+
+    /// Number of ops held in the side table: each costs 8 bytes on top
+    /// of its 4-byte word. Zero for every generated workload.
+    pub fn spilled(&self) -> usize {
+        self.spilled.len()
     }
 
     /// The ops in order.
     pub fn iter(&self) -> LaneOps<'_> {
-        LaneOps(self.0.iter())
+        LaneOps {
+            words: self.words.iter(),
+            windows: self.windows,
+            spilled: &self.spilled,
+        }
     }
 
     /// Drops spare capacity, so the lane holds exactly its ops.
     pub fn shrink_to_fit(&mut self) {
-        self.0.shrink_to_fit();
+        self.words.shrink_to_fit();
+        self.spilled.shrink_to_fit();
     }
 }
 
@@ -193,7 +325,13 @@ impl FromIterator<Op> for OpLane {
     ///
     /// Panics as [`OpLane::push`] does.
     fn from_iter<I: IntoIterator<Item = Op>>(ops: I) -> OpLane {
-        OpLane(ops.into_iter().map(pack).collect())
+        let ops = ops.into_iter();
+        let mut lane = OpLane::new();
+        lane.words.reserve(ops.size_hint().0);
+        for op in ops {
+            lane.push(op);
+        }
+        lane
     }
 }
 
@@ -220,18 +358,23 @@ impl std::ops::Deref for LaneOp {
 
 /// Iterator over an [`OpLane`]'s ops (see [`OpLane::iter`]).
 #[derive(Clone, Debug)]
-pub struct LaneOps<'a>(std::slice::Iter<'a, u64>);
+pub struct LaneOps<'a> {
+    words: std::slice::Iter<'a, u32>,
+    windows: [u64; 2],
+    spilled: &'a [u64],
+}
 
 impl Iterator for LaneOps<'_> {
     type Item = LaneOp;
 
     #[inline]
     fn next(&mut self) -> Option<LaneOp> {
-        self.0.next().map(|&w| LaneOp(unpack(w)))
+        let &word = self.words.next()?;
+        Some(LaneOp(unpack(word, &self.windows, self.spilled)))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.0.size_hint()
+        self.words.size_hint()
     }
 }
 
@@ -906,15 +1049,34 @@ mod tests {
     }
 
     #[test]
-    fn an_op_costs_eight_bytes() {
-        let ops = every_kind_of_op();
+    fn an_in_window_op_costs_four_bytes() {
+        // Shared and private addresses fill the two windows, and every
+        // value fits a word: nothing spills.
+        let ops = vec![
+            Op::Read(VirtAddr(SHARED_BASE)),
+            Op::Write(VirtAddr(SHARED_BASE + PRIVATE_STRIDE - 1)),
+            Op::Read(private_va(3, 0)),
+            Op::Write(private_va(3, PRIVATE_STRIDE - 1)),
+            Op::Compute(0),
+            Op::Compute((1 << 29) - 1),
+            Op::Barrier((1 << 29) - 1),
+            Op::Lock(1),
+            Op::Unlock(1),
+        ];
         let mut lane = OpLane::from(ops.clone());
         lane.shrink_to_fit();
+        assert_eq!(lane.spilled(), 0);
+        assert_eq!(lane.spilled.capacity(), 0);
         assert_eq!(
-            lane.0.capacity() * std::mem::size_of_val(&lane.0[0]),
-            8 * ops.len()
+            lane.words.capacity() * std::mem::size_of_val(&lane.words[0]),
+            4 * ops.len()
         );
+        assert_eq!(lane.iter().map(|op| *op).collect::<Vec<_>>(), ops);
         assert_eq!(std::mem::size_of::<Op>(), 16);
+        // A third window's address and the four `u32::MAX` values take
+        // the side table.
+        let every = OpLane::from(every_kind_of_op());
+        assert_eq!(every.spilled(), 5);
     }
 
     #[test]

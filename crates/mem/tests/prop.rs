@@ -474,16 +474,94 @@ fn usage_tracker_matches_instance_model() {
     }
 }
 
-/// A random op; addresses cover everything an op lane can hold.
+/// A random address: most fall in one of four 2^28-byte windows (an op
+/// lane holds two, so the others spill), the rest anywhere below 2^61,
+/// with window edges and the top address drawn often.
+fn arb_va(rng: &mut SimRng) -> VirtAddr {
+    const WINDOWS: [u64; 4] = [1 << 32, 0x7000_0000_0000, 0x7000_1000_0000, 0];
+    const SPAN: u64 = 1 << 28;
+    VirtAddr(match rng.gen_range(0..8) {
+        0 => rng.next_u64() % LANE_VA_LIMIT,
+        1 => LANE_VA_LIMIT - 1,
+        2 => WINDOWS[rng.gen_index(4)] + SPAN - 1,
+        3 => WINDOWS[rng.gen_index(4)],
+        _ => WINDOWS[rng.gen_index(4)] + rng.next_u64() % SPAN,
+    })
+}
+
+/// A random 32-bit op argument: small, at the 2^29 edge, large, or
+/// `u32::MAX`.
+fn arb_value(rng: &mut SimRng) -> u32 {
+    match rng.gen_range(0..6) {
+        0 => u32::MAX,
+        1 => (1 << 29) - 1,
+        2 => 1 << 29,
+        3 => rng.next_u64() as u32,
+        _ => rng.gen_range(0..1000) as u32,
+    }
+}
+
+/// A random op; addresses and values cover everything an op lane can
+/// hold, inline and spilled.
 fn arb_op(rng: &mut SimRng) -> Op {
     match rng.gen_range(0..6) {
-        0 => Op::Read(VirtAddr(rng.next_u64() % LANE_VA_LIMIT)),
-        1 => Op::Write(VirtAddr(rng.next_u64() % LANE_VA_LIMIT)),
-        2 => Op::Compute(rng.next_u64() as u32),
-        3 => Op::Barrier(rng.next_u64() as u32),
-        4 => Op::Lock(rng.next_u64() as u32),
-        _ => Op::Unlock(rng.next_u64() as u32),
+        0 => Op::Read(arb_va(rng)),
+        1 => Op::Write(arb_va(rng)),
+        2 => Op::Compute(arb_value(rng)),
+        3 => Op::Barrier(arb_value(rng)),
+        4 => Op::Lock(arb_value(rng)),
+        _ => Op::Unlock(arb_value(rng)),
     }
+}
+
+/// An op lane holds exactly the ops pushed into it: `push`, `from`,
+/// `iter`, `get`, `Eq` and `Debug` agree with the `Vec<Op>` it was
+/// built from, and a PRTR write and read gives the lane back.
+#[test]
+fn op_lane_round_trips_random_ops() {
+    let mut spilled = 0;
+    for seed in 0..CASES * 4 {
+        let mut rng = SimRng::new(seed);
+        let ops: Vec<Op> = (0..rng.gen_range(0..200))
+            .map(|_| arb_op(&mut rng))
+            .collect();
+        let lane = OpLane::from(ops.clone());
+        let mut pushed = OpLane::new();
+        for &op in &ops {
+            pushed.push(op);
+        }
+        assert_eq!(pushed, lane);
+        assert_eq!(lane.len(), ops.len());
+        assert_eq!(lane.is_empty(), ops.is_empty());
+        assert_eq!(lane.iter().map(|op| *op).collect::<Vec<_>>(), ops);
+        assert_eq!(lane.iter().size_hint(), (ops.len(), Some(ops.len())));
+        for (pc, &op) in ops.iter().enumerate() {
+            assert_eq!(lane.get(pc), Some(op));
+        }
+        assert_eq!(lane.get(ops.len()), None);
+        assert_eq!(format!("{lane:?}"), format!("{ops:?}"));
+        spilled += lane.spilled();
+
+        // Equal lanes hold equal ops: change one op, or drop the last.
+        if !ops.is_empty() {
+            let mut other = ops.clone();
+            let at = rng.gen_index(ops.len());
+            other[at] = arb_op(&mut rng);
+            assert_eq!(OpLane::from(other.clone()) == lane, other == ops);
+            assert_ne!(OpLane::from(ops[..ops.len() - 1].to_vec()), lane);
+        }
+
+        let trace = Trace {
+            name: "lane".into(),
+            segments: vec![],
+            lanes: vec![lane.clone()],
+        };
+        let mut buf = Vec::new();
+        write_trace(&trace, &mut buf).expect("write");
+        let back = read_trace(&mut buf.as_slice()).expect("read");
+        assert_eq!(back.lanes, vec![lane]);
+    }
+    assert!(spilled > 0, "the cases never reach the side table");
 }
 
 fn arb_lanes(
