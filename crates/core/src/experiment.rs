@@ -163,7 +163,7 @@ fn sweep_on(
         par_map(workers, phase, |&policy| run(policy, capacity))
             .into_iter()
             .collect::<Result<Vec<_>, _>>()
-            .map_err(SimError::Deadlock)
+            .map_err(SimError::from)
     };
     let mut reports: BTreeMap<PolicyKind, RunReport> = first
         .iter()

@@ -41,6 +41,17 @@ impl fmt::Display for SimError {
     }
 }
 
+impl From<RunError> for SimError {
+    /// A lane-count mismatch the machine caught is the same error
+    /// [`SimError::LaneMismatch`] reports up front; a deadlock stays one.
+    fn from(e: RunError) -> SimError {
+        match e {
+            RunError::LaneCount { trace, machine } => SimError::LaneMismatch { machine, trace },
+            RunError::Deadlock { .. } => SimError::Deadlock(e),
+        }
+    }
+}
+
 impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
@@ -125,7 +136,7 @@ impl Simulation {
     pub fn run_trace(&self, trace: &Trace) -> Result<RunReport, SimError> {
         let cfg = self.effective_config();
         check_trace(&cfg, trace)?;
-        Machine::new(cfg).try_run(trace).map_err(SimError::Deadlock)
+        Ok(Machine::new(cfg).try_run(trace)?)
     }
 }
 
@@ -230,6 +241,25 @@ mod tests {
         assert_eq!(
             err.to_string(),
             "processors [0, 1] ended in state Blocked: trace deadlock"
+        );
+    }
+
+    #[test]
+    fn each_run_error_maps_to_its_own_sim_error() {
+        assert_eq!(
+            SimError::from(RunError::LaneCount {
+                trace: 3,
+                machine: 4
+            }),
+            SimError::LaneMismatch {
+                machine: 4,
+                trace: 3
+            }
+        );
+        let deadlock = RunError::Deadlock { procs: vec![2] };
+        assert_eq!(
+            SimError::from(deadlock.clone()),
+            SimError::Deadlock(deadlock)
         );
     }
 

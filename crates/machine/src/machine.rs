@@ -20,7 +20,7 @@ use prism_mem::addr::{GlobalPage, NodeId, NodeSet};
 use prism_mem::trace::Trace;
 use prism_protocol::msg::TrafficLedger;
 use prism_sim::sync::{BarrierSet, LockSet};
-use prism_sim::{Cycle, FastMap, FastSet};
+use prism_sim::{Cycle, FastMap, FastSet, Resource};
 
 use prism_kernel::policy::PagePolicy;
 
@@ -132,6 +132,9 @@ pub struct Machine {
     /// True when the configuration guarantees translations are stable
     /// for the whole run; only then does `batched_lookups` count.
     pub(crate) fast_xlat: bool,
+    /// The widest gap between the slowest and fastest processor clocks
+    /// seen when the run loop retired the resource timelines.
+    pub(crate) widest_spread: Cycle,
     /// `(node, processor)` of every flat processor id (see
     /// [`Machine::split_flat`]).
     flat_split: Box<[(u32, u32)]>,
@@ -187,6 +190,7 @@ impl Machine {
             workload_name: String::new(),
             mode_prefs_set: false,
             fast_xlat: false,
+            widest_spread: Cycle::ZERO,
             flat_split,
         }
     }
@@ -510,6 +514,32 @@ impl Machine {
             node.kernel.attach_segments(&trace.segments);
         }
         Ok(())
+    }
+
+    /// Every node's four contended resources, node by node: bus,
+    /// memory, network interface and protocol engine.
+    pub fn resources(&self) -> impl Iterator<Item = &Resource> + '_ {
+        self.nodes
+            .iter()
+            .flat_map(|n| [&n.bus, &n.memory, &n.ni, &n.engine])
+    }
+
+    /// The earliest time the resources still accept a request: the
+    /// slowest processor clock at the run loop's latest retirement of
+    /// the resource timelines (zero before the first).
+    pub fn retired_horizon(&self) -> Cycle {
+        self.resources()
+            .map(Resource::retired_before)
+            .max()
+            .unwrap_or(Cycle::ZERO)
+    }
+
+    /// The widest gap between the slowest and the fastest processor
+    /// clock seen at a retirement of the resource timelines. Each
+    /// timeline holds roughly the window from the slowest clock to its
+    /// latest reservation, so this gap bounds what they retain.
+    pub fn widest_clock_spread(&self) -> Cycle {
+        self.widest_spread
     }
 
     /// Runs a trace to completion and reports results.

@@ -177,7 +177,21 @@ impl Machine {
     /// This is the mechanism a memory-pressured home kernel would use;
     /// the evaluation never triggers it (home memory is ample), so it is
     /// exposed for direct use and tests.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before touching any state, if `t` lies before
+    /// [`Machine::retired_horizon`]: the resources no longer hold the
+    /// occupancy of that time. A time at or after the end of the last
+    /// run, such as its `exec_cycles`, is always accepted.
     pub fn home_page_out(&mut self, gpage: GlobalPage, t: Cycle) -> Option<Cycle> {
+        let horizon = self.retired_horizon();
+        assert!(
+            t >= horizon,
+            "home_page_out at cycle {} is before the retired horizon {}",
+            t.as_u64(),
+            horizon.as_u64()
+        );
         let home = self.resolve_dyn_home(gpage).0 as usize;
         self.nodes[home].kernel.home_frame_of(gpage)?;
         let lat = self.cfg.latency;

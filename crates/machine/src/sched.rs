@@ -39,6 +39,10 @@ use crate::obs::{Ctr, ObsEvent};
 /// the earliest runnable one.
 const BATCH_OPS: usize = 256;
 
+/// Picks between two retirements of the resource timelines (see
+/// [`Machine::retire_timelines`]).
+const RETIRE_PICKS: u32 = 4096;
+
 /// Control-event classes, in the order they execute when several come
 /// due at the same pick (faults strike, then the watchdog sweeps, then
 /// the auditor runs — matching the original per-pick check order).
@@ -219,11 +223,41 @@ impl Machine {
     /// will release.
     pub(crate) fn run_loop(&mut self, trace: &Trace) -> Result<(), RunError> {
         self.prime_sched();
+        let mut picks = 0u32;
         while let Some((clock, flat)) = self.sched.top() {
             self.step(trace, clock, flat);
+            picks = picks.wrapping_add(1);
+            if picks.is_multiple_of(RETIRE_PICKS) {
+                self.retire_timelines();
+            }
         }
         self.sched.active = false;
         self.deadlocked()
+    }
+
+    /// Tells every node's four resources the low-water mark: the
+    /// earliest clock of *any* processor, Ready, Blocked, Finished or
+    /// Dead. No later acquire arrives before it: a processor's own
+    /// transactions start at its clock, and `release_frame` posts a
+    /// retired LA-NUMA mapping's write-backs at the clocks of the owning
+    /// node's processors, which may be blocked or finished.
+    fn retire_timelines(&mut self) {
+        let (mut lo, mut hi) = (Cycle::NEVER, Cycle::ZERO);
+        for p in self.nodes.iter().flat_map(|n| &n.procs) {
+            lo = lo.min(p.clock);
+            hi = hi.max(p.clock);
+        }
+        self.widest_spread = self.widest_spread.max(hi - lo);
+        for node in &mut self.nodes {
+            for r in [
+                &mut node.bus,
+                &mut node.memory,
+                &mut node.ni,
+                &mut node.engine,
+            ] {
+                r.retire_before(lo);
+            }
+        }
     }
 
     /// `Err(Deadlock)` naming every processor neither Finished nor Dead

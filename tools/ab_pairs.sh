@@ -13,6 +13,13 @@
 # one line per run to <out.jsonl>: the benchmark's result object tagged
 # with its workload, seed, pair, side and trace mode. A run whose output
 # has no result line stops the script.
+#
+# Both sides run from one empty directory, target/ab/cwd/. The benchmark
+# names the commit from `.git` in its working directory, and that one
+# small allocation shifts the heap layout enough to move `ocean-scoma`'s
+# peak RSS by up to 3 MB: the same binary read 42.3 MB without `.git`
+# and 45.3 MB with it. Run from the checkout and the export, the sides
+# would differ for that reason alone.
 set -euo pipefail
 
 if [ "$#" -lt 5 ]; then
@@ -26,6 +33,8 @@ extra=("$@")
 root=$(git rev-parse --show-toplevel)
 commit=$(git -C "$root" rev-parse --verify "$rev^{commit}")
 parent_dir="$root/target/ab/$commit"
+cwd="$root/target/ab/cwd"
+mkdir -p "$cwd"
 if [ ! -d "$parent_dir/perfbench" ]; then
     mkdir -p "$parent_dir"
     git -C "$root" archive "$commit" | tar -x -C "$parent_dir"
@@ -38,7 +47,7 @@ run() { # <side> <pair>
     local dir
     if [ "$1" = parent ]; then dir=$parent_dir; else dir=$root; fi
     local output host result
-    output=$(cd "$dir" && ./perfbench/target/release/prism-perfbench \
+    output=$(cd "$cwd" && "$dir/perfbench/target/release/prism-perfbench" \
         --workload "$workload" --seconds "$seconds" ${extra[@]+"${extra[@]}"})
     host=$(printf '%s\n' "$output" | grep -m1 '^host:')
     result=$(printf '%s\n' "$output" | tail -n 1)
