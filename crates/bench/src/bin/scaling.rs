@@ -4,11 +4,18 @@
 //! under S-COMA and LA-NUMA page modes, recording simulated cycles and
 //! host wall-clock per machine size.
 //!
+//! ```text
+//! scaling [app] [small|paper]     (default: FFT at paper scale)
+//! ```
+//!
+//! An unknown application or scale exits 2 with the reason.
+//!
 //! Everything is also written to `BENCH_scaling.json` (see
 //! `prism_bench::bench_out` for where it lands).
 
 use std::time::Instant;
 
+use prism_bench::cli::{parse_app, parse_scale};
 use prism_core::sim::json::Json;
 use prism_core::{MachineConfig, PolicyKind, Simulation};
 use prism_workloads::{app, AppId, Scale};
@@ -24,14 +31,17 @@ struct SizeRow {
 }
 
 fn main() {
-    let which = std::env::args().nth(1).unwrap_or_else(|| "FFT".to_string());
-    let id = AppId::ALL
-        .into_iter()
-        .find(|a| a.to_string().eq_ignore_ascii_case(&which))
-        .unwrap_or(AppId::Fft);
-    let scale = match std::env::args().nth(2).as_deref() {
-        Some("small") => Scale::Small,
-        _ => Scale::Paper,
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let parsed = (
+        args.first().map_or(Ok(AppId::Fft), |a| parse_app(a)),
+        args.get(1).map_or(Ok(Scale::Paper), |s| parse_scale(s)),
+    );
+    let (id, scale) = match parsed {
+        (Ok(id), Ok(scale)) => (id, scale),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("scaling: {e}");
+            std::process::exit(2);
+        }
     };
     let workload = app(id, scale);
     println!(

@@ -17,7 +17,7 @@ use std::path::PathBuf;
 
 use prism_core::kernel::migration::MigrationPolicy;
 use prism_core::machine::config::MachineConfigBuilder;
-use prism_core::{derive_scoma70_capacity, MachineConfig, PolicyKind, Simulation};
+use prism_core::{run_specs, MachineConfig, PolicyKind, RunSpec, Simulation};
 use prism_workloads::{app, AppId, Scale};
 
 /// A parsed command.
@@ -97,7 +97,8 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-fn parse_app(s: &str) -> Result<AppId, CliError> {
+/// The suite application named `s`, in any case.
+pub fn parse_app(s: &str) -> Result<AppId, CliError> {
     AppId::ALL
         .into_iter()
         .find(|a| a.to_string().eq_ignore_ascii_case(s))
@@ -110,7 +111,8 @@ fn parse_policy(s: &str) -> Result<PolicyKind, CliError> {
         .ok_or_else(|| CliError(format!("unknown policy '{s}' (try `runner list`)")))
 }
 
-fn parse_scale(s: &str) -> Result<Scale, CliError> {
+/// `small` or `paper`, in any case.
+pub fn parse_scale(s: &str) -> Result<Scale, CliError> {
     match s.to_ascii_lowercase().as_str() {
         "small" => Ok(Scale::Small),
         "paper" => Ok(Scale::Paper),
@@ -247,30 +249,27 @@ pub fn execute(cmd: Command) -> Result<(), CliError> {
                     .procs_per_node(a.ppn)
                     .check_coherence(a.check),
             )?;
-            if a.migration {
-                cfg.migration = Some(MigrationPolicy::default());
-            }
+            cfg.migration = a.migration.then(MigrationPolicy::default);
             let trace = match &a.trace_in {
                 Some(path) => prism_core::mem::trace_io::load_trace(path)
                     .map_err(|e| CliError(format!("loading {}: {e}", path.display())))?,
                 None => app(a.app, a.scale).generate(cfg.total_procs()),
             };
-            let capacity = match (a.capacity, a.policy.is_capacity_limited()) {
-                (Some(c), _) => Some(c),
-                (None, true) => {
-                    eprintln!("[runner] deriving SCOMA-70 capacity from a SCOMA baseline…");
-                    let baseline = Simulation::new(cfg.clone(), PolicyKind::Scoma)
-                        .run_trace(&trace)
-                        .map_err(|e| CliError(e.to_string()))?;
-                    Some(derive_scoma70_capacity(&baseline, 0.70))
+            let report = match a.capacity {
+                Some(c) => Simulation::new(cfg, a.policy)
+                    .with_page_cache_capacity(c)
+                    .run_trace(&trace),
+                None => {
+                    if a.policy.is_capacity_limited() {
+                        eprintln!("[runner] deriving SCOMA-70 capacity from a SCOMA baseline…");
+                    }
+                    let spec = RunSpec::new(a.policy);
+                    run_specs(1, &cfg, &trace, &[spec]).map(|mut reports| {
+                        reports.remove(&spec).expect("run_specs reports every spec")
+                    })
                 }
-                (None, false) => None,
-            };
-            let mut sim = Simulation::new(cfg, a.policy);
-            if let Some(c) = capacity {
-                sim = sim.with_page_cache_capacity(c);
             }
-            let report = sim.run_trace(&trace).map_err(|e| CliError(e.to_string()))?;
+            .map_err(|e| CliError(e.to_string()))?;
             println!("{report}");
             println!("{}", prism_core::Analysis::of(&report));
             println!(

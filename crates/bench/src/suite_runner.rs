@@ -9,9 +9,7 @@ use std::thread;
 use std::time::Instant;
 
 use prism_core::experiment::par_map;
-use prism_core::kernel::migration::MigrationPolicy;
-use prism_core::protocol::latency::PitTechnology;
-use prism_core::{derive_scoma70_capacity, MachineConfig, PolicyKind, RunReport, Simulation};
+use prism_core::{run_specs, MachineConfig, PolicyKind, RunReport, RunSpec};
 use prism_workloads::{app, AppId, Scale, Synthetic, Workload};
 
 /// The workload a run simulates.
@@ -30,32 +28,16 @@ pub enum Program {
 pub struct RunKey {
     /// The workload.
     pub program: Program,
-    /// The page-mode configuration.
-    pub policy: PolicyKind,
-    /// The page-cache capacity in percent of the most client frames any
-    /// node allocates in the program's SCOMA run; `None` for the
-    /// configurations without a page-cache limit.
-    pub capacity_pct: Option<u8>,
-    /// The PIT on the remote access path.
-    pub pit: PitTechnology,
-    /// The home-page-status flag optimization (§3.3).
-    pub home_status_flag: bool,
-    /// Lazy home migration (§3.5) with the default policy.
-    pub migration: bool,
+    /// The machine it runs on.
+    pub spec: RunSpec,
 }
 
 impl RunKey {
-    /// `policy` on `program` as the suite runs it: SRAM PIT, status flag
-    /// on, fixed homes, and the paper's 70% capacity when the policy
-    /// limits the page cache.
+    /// `policy` on `program` as the suite runs it ([`RunSpec::new`]).
     pub fn new(program: Program, policy: PolicyKind) -> RunKey {
         RunKey {
             program,
-            policy,
-            capacity_pct: policy.is_capacity_limited().then_some(70),
-            pit: PitTechnology::Sram,
-            home_status_flag: true,
-            migration: false,
+            spec: RunSpec::new(policy),
         }
     }
 
@@ -68,19 +50,6 @@ impl RunKey {
     /// page cache.
     pub fn baseline(self) -> RunKey {
         RunKey::new(self.program, PolicyKind::Scoma)
-    }
-
-    /// `base` with this key's PIT, status flag and migration.
-    fn config(&self, base: &MachineConfig) -> MachineConfig {
-        let mut cfg = base.clone();
-        cfg.latency = match self.pit {
-            PitTechnology::Sram => cfg.latency,
-            PitTechnology::Dram => cfg.latency.with_dram_pit(),
-            PitTechnology::BypassedCcNuma => cfg.latency.with_cc_numa_addressing(),
-        };
-        cfg.home_status_flag = self.home_status_flag;
-        cfg.migration = self.migration.then(MigrationPolicy::default);
-        cfg
     }
 }
 
@@ -120,12 +89,9 @@ pub fn declared_keys() -> BTreeSet<RunKey> {
     keys.iter().flat_map(|k| [k.baseline(), *k]).collect()
 }
 
-/// Runs every declared run at a scale on `config`'s machine (the keys
-/// set its PIT, status flag and migration), and prints the run count
-/// and time to stderr. Each program's runs are one [`par_map`] item:
-/// generate the trace, then run in key order, SCOMA baseline first, so
-/// capacity-limited runs can size their page cache from it. Every run
-/// has its own machine, so the reports are the ones serial runs give.
+/// Runs every declared run at a scale on `config`'s machine, and prints
+/// the run count and time to stderr. Each program is one [`par_map`]
+/// item: generate the trace, then [`run_specs`] its keys on one thread.
 ///
 /// # Panics
 ///
@@ -138,25 +104,17 @@ pub fn run_suite(scale: Scale, config: &MachineConfig) -> SuiteRun {
     let programs: Vec<&[RunKey]> = keys.chunk_by(|a, b| a.program == b.program).collect();
     let procs = config.total_procs();
     let run_program = |keys: &&[RunKey]| {
-        let workload: Box<dyn Workload> = match keys[0].program {
+        let program = keys[0].program;
+        let workload: Box<dyn Workload> = match program {
             Program::App(id) => app(id, scale),
             Program::Migratory => Box::new(Synthetic::migratory(procs, 128 * 1024, 40_000)),
         };
-        let trace = workload.generate(procs);
-        let mut reports: BTreeMap<RunKey, RunReport> = BTreeMap::new();
-        for key in keys.iter() {
-            let mut sim = Simulation::new(key.config(config), key.policy);
-            if let Some(pct) = key.capacity_pct {
-                let scoma = &reports[&key.baseline()];
-                let frames = derive_scoma70_capacity(scoma, f64::from(pct) / 100.0);
-                sim = sim.with_page_cache_capacity(frames);
-            }
-            let report = sim
-                .run_trace(&trace)
-                .unwrap_or_else(|e| panic!("{key:?} failed: {e}"));
-            reports.insert(*key, report);
-        }
+        let specs: Vec<RunSpec> = keys.iter().map(|k| k.spec).collect();
+        let reports = run_specs(1, config, &workload.generate(procs), &specs)
+            .unwrap_or_else(|e| panic!("{program:?} failed: {e}"));
         reports
+            .into_iter()
+            .map(move |(spec, r)| (RunKey { program, spec }, r))
     };
     let reports: BTreeMap<_, _> = par_map(workers, &programs, run_program)
         .into_iter()
@@ -184,8 +142,19 @@ mod tests {
         let runs: BTreeSet<(Program, PolicyKind, Option<u8>, String)> = keys
             .iter()
             .map(|k| {
-                let cfg = k.config(&MachineConfig::default());
-                (k.program, k.policy, k.capacity_pct, format!("{cfg:?}"))
+                // The capacity is compared as a percentage, so the machine
+                // is shaped without a baseline to size it from.
+                let spec = RunSpec {
+                    capacity_pct: None,
+                    ..k.spec
+                };
+                let cfg = spec.config(&MachineConfig::default(), None);
+                (
+                    k.program,
+                    k.spec.policy,
+                    k.spec.capacity_pct,
+                    format!("{cfg:?}"),
+                )
             })
             .collect();
         assert_eq!(runs.len(), keys.len());

@@ -205,13 +205,15 @@ fn lanuma(id: AppId) -> RunKey {
 }
 
 fn dram_pit(id: AppId) -> RunKey {
-    let pit = PitTechnology::Dram;
-    RunKey { pit, ..lanuma(id) }
+    let mut key = lanuma(id);
+    key.spec.pit = PitTechnology::Dram;
+    key
 }
 
 fn bypassed(id: AppId) -> RunKey {
-    let pit = PitTechnology::BypassedCcNuma;
-    RunKey { pit, ..lanuma(id) }
+    let mut key = lanuma(id);
+    key.spec.pit = PitTechnology::BypassedCcNuma;
+    key
 }
 
 /// How much longer `slow` runs than `fast`, in percent.
@@ -256,10 +258,9 @@ fn fixed_homes() -> RunKey {
 }
 
 fn lazy_migration() -> RunKey {
-    RunKey {
-        migration: true,
-        ..fixed_homes()
-    }
+    let mut key = fixed_homes();
+    key.spec.migration = true;
+    key
 }
 
 /// §3.5: lazy home migration on a migratory-sharing synthetic. The
@@ -296,10 +297,9 @@ fn flag_on(id: AppId) -> RunKey {
 }
 
 fn flag_off(id: AppId) -> RunKey {
-    RunKey {
-        home_status_flag: false,
-        ..flag_on(id)
-    }
+    let mut key = flag_on(id);
+    key.spec.home_status_flag = false;
+    key
 }
 
 /// §3.3: with the home-page-status flag, a client refault on a page
@@ -378,10 +378,9 @@ const CAPACITY_APPS: [AppId; 4] = [AppId::Barnes, AppId::Lu, AppId::Ocean, AppId
 const CAPACITY_PCTS: [u8; 5] = [10, 25, 50, 70, 90];
 
 fn limited(id: AppId, pct: u8) -> RunKey {
-    RunKey {
-        capacity_pct: Some(pct),
-        ..RunKey::app(id, PolicyKind::Scoma70)
-    }
+    let mut key = RunKey::app(id, PolicyKind::Scoma70);
+    key.spec.capacity_pct = Some(pct);
+    key
 }
 
 /// §4.3, the Falsafi & Wood disagreement: they fixed the page cache at

@@ -1,12 +1,15 @@
-//! `runner run --trace-in` on traces that cannot run to completion: the
-//! binary reports the typed error on stderr and exits 2, instead of
-//! panicking.
+//! The `runner` binary end to end: traces that cannot run to completion
+//! exit 2 with the typed error instead of panicking, and a
+//! capacity-limited run sizes its page cache from the SCOMA baseline.
 
 use std::path::PathBuf;
 use std::process::Command;
 
+use prism_core::kernel::migration::MigrationPolicy;
 use prism_core::mem::trace::{Op, Trace};
 use prism_core::mem::trace_io::save_trace;
+use prism_core::{derive_scoma70_capacity, MachineConfig, PolicyKind, Simulation};
+use prism_workloads::{app, AppId, Scale};
 
 fn two_lanes(name: &str, lane0: Vec<Op>, lane1: Vec<Op>) -> Trace {
     Trace {
@@ -104,4 +107,35 @@ fn impossible_machines_and_empty_traces_exit_2_with_the_broken_rule() {
         assert_eq!(stderr.trim(), format!("runner: {message}"));
     }
     assert!(!out.exists());
+}
+
+/// `runner run`'s stdout for `args`, which must succeed.
+fn run_stdout(args: &str) -> String {
+    let mut runner = Command::new(env!("CARGO_BIN_EXE_runner"));
+    let run = runner.args(args.split_whitespace()).output().unwrap();
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(0), "{args}: {stderr}");
+    String::from_utf8(run.stdout).unwrap()
+}
+
+/// Without `--capacity`, SCOMA-70 runs with 70% of the most client
+/// frames any node allocates in the SCOMA run on the same machine.
+#[test]
+fn scoma70_sizes_its_page_cache_from_the_scoma_run() {
+    for migration in [false, true] {
+        let mut cfg = MachineConfig::builder().nodes(8).procs_per_node(4).build();
+        cfg.migration = migration.then(MigrationPolicy::default);
+        let trace = app(AppId::Lu, Scale::Small).generate(cfg.total_procs());
+        let scoma = Simulation::new(cfg, PolicyKind::Scoma)
+            .run_trace(&trace)
+            .unwrap();
+        let frames = derive_scoma70_capacity(&scoma, 0.70);
+        let flag = if migration { " --migration" } else { "" };
+        let args = format!("run --app LU --scale small --policy SCOMA-70{flag}");
+        assert_eq!(
+            run_stdout(&args),
+            run_stdout(&format!("{args} --capacity {frames}")),
+            "{args}"
+        );
+    }
 }

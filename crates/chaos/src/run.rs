@@ -100,10 +100,12 @@ fn run_one(case: &CaseSpec, deadline: Duration) -> Result<RunOutput, RunError> {
                     .expect("generated plans validate by construction");
             }
             let report = if traces.len() == 1 {
-                m.run(&traces[0])
+                m.try_run(&traces[0])
             } else {
                 m.run_jobs(&traces)
             };
+            // A deadlock is recorded as a panic with the error's text.
+            let report = report.unwrap_or_else(|e| panic!("{e}"));
             let events = m.recent_events();
             let accounting = m.page_accounting_violations();
             let frames_active = m.frames_active();

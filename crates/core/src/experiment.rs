@@ -8,10 +8,12 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
+use prism_kernel::migration::MigrationPolicy;
 use prism_machine::config::MachineConfig;
 use prism_machine::machine::Machine;
 use prism_machine::report::RunReport;
 use prism_mem::trace::Trace;
+use prism_protocol::latency::PitTechnology;
 use prism_workloads::Workload;
 
 use crate::policy::PolicyKind;
@@ -97,91 +99,131 @@ pub fn sweep(
     sweep_trace(config, &trace, policies)
 }
 
-/// Like [`sweep`], over a pre-generated trace.
-///
-/// The configurations run in two phases, each spread over as many
-/// threads as the host offers (at most one per configuration). The
-/// first runs the SCOMA baseline next to the configurations that need
-/// no page-cache capacity (LANUMA); the second runs the
-/// capacity-limited ones with the capacity derived from the baseline.
-/// Every configuration runs on its own machine from the same trace, so
-/// the result is the one a serial sweep gives.
+/// Like [`sweep`], over a pre-generated trace: [`run_specs`] over
+/// SCOMA and `policies` on as many threads as the host offers.
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] when the trace does not fit the machine. Every
-/// configuration has the same processor count and geometry, so the
-/// trace is checked once, with the error [`Simulation::run_trace`]
-/// would give. A configuration that deadlocks fails the sweep with
-/// [`SimError::Deadlock`]; if several do, the first in serial order.
-///
-/// # Panics
-///
-/// Re-raises a panic from a configuration's run with its own payload;
-/// if several panic, the first in serial order (SCOMA, then
-/// `policies`).
+/// As [`run_specs`].
 pub fn sweep_trace(
     config: &MachineConfig,
     trace: &Trace,
     policies: &[PolicyKind],
 ) -> Result<SweepResult, SimError> {
     let workers = thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    sweep_on(workers, config, trace, policies)
-}
-
-/// [`sweep_trace`] on at most `workers` threads.
-fn sweep_on(
-    workers: usize,
-    config: &MachineConfig,
-    trace: &Trace,
-    policies: &[PolicyKind],
-) -> Result<SweepResult, SimError> {
-    check_trace(config, trace)?;
-    // The SCOMA baseline defines both the normalization and the
-    // SCOMA-70 capacity, so only the capacity-limited configurations
-    // have to wait for it.
-    let (mut first, mut limited) = (vec![PolicyKind::Scoma], Vec::new());
-    for &policy in policies {
-        let phase = if policy.is_capacity_limited() {
-            &mut limited
-        } else {
-            &mut first
-        };
-        if !phase.contains(&policy) {
-            phase.push(policy);
-        }
-    }
-    let run = |policy: PolicyKind, capacity: Option<usize>| {
-        let mut sim = Simulation::new(config.clone(), policy);
-        if let Some(frames) = capacity {
-            sim = sim.with_page_cache_capacity(frames);
-        }
-        Machine::new(sim.effective_config()).try_run(trace)
-    };
-    // One phase's reports in `phase` order, or its first deadlock.
-    let run_phase = |phase: &[PolicyKind], capacity: Option<usize>| {
-        par_map(workers, phase, |&policy| run(policy, capacity))
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(SimError::from)
-    };
-    let mut reports: BTreeMap<PolicyKind, RunReport> = first
-        .iter()
-        .copied()
-        .zip(run_phase(&first, None)?)
+    let mut specs = vec![RunSpec::baseline()];
+    specs.extend(policies.iter().map(|&p| RunSpec::new(p)));
+    let reports = run_specs(workers, config, trace, &specs)?;
+    let capacity = derive_scoma70_capacity(&reports[&RunSpec::baseline()], SCOMA70_FRACTION);
+    let reports = reports
+        .into_iter()
+        .map(|(spec, r)| (spec.policy, r))
         .collect();
-    let capacity = derive_scoma70_capacity(&reports[&PolicyKind::Scoma], SCOMA70_FRACTION);
-    reports.extend(
-        limited
-            .iter()
-            .copied()
-            .zip(run_phase(&limited, Some(capacity))?),
-    );
     Ok(SweepResult {
         app: trace.name.clone(),
         capacity,
         reports,
     })
+}
+
+/// The machine-shaping half of a run: a page-mode configuration and how
+/// the machine deviates from the base it runs on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct RunSpec {
+    /// The page-mode configuration.
+    pub policy: PolicyKind,
+    /// The page cache in percent of the baseline's most client frames.
+    pub capacity_pct: Option<u8>,
+    /// The PIT on the remote access path; SRAM keeps the base latency.
+    pub pit: PitTechnology,
+    /// The home-page-status flag (§3.3); `false` turns the base's off.
+    pub home_status_flag: bool,
+    /// Lazy home migration (§3.5); `true` turns the default policy on.
+    pub migration: bool,
+}
+
+impl RunSpec {
+    /// `policy` as the paper runs it: SRAM PIT, status flag on, fixed
+    /// homes, and a 70% page cache when the policy limits it.
+    pub fn new(policy: PolicyKind) -> RunSpec {
+        RunSpec {
+            policy,
+            capacity_pct: policy.is_capacity_limited().then_some(70),
+            pit: PitTechnology::Sram,
+            home_status_flag: true,
+            migration: false,
+        }
+    }
+
+    /// The SCOMA run that sizes every capacity-limited run's page cache.
+    pub fn baseline() -> RunSpec {
+        RunSpec::new(PolicyKind::Scoma)
+    }
+
+    /// The machine this spec runs on `base`, its page cache sized from
+    /// the `baseline` report, which a spec with a capacity panics without.
+    pub fn config(&self, base: &MachineConfig, baseline: Option<&RunReport>) -> MachineConfig {
+        let mut cfg = base.clone();
+        cfg.latency = match self.pit {
+            PitTechnology::Sram => cfg.latency,
+            PitTechnology::Dram => cfg.latency.with_dram_pit(),
+            PitTechnology::BypassedCcNuma => cfg.latency.with_cc_numa_addressing(),
+        };
+        cfg.home_status_flag &= self.home_status_flag;
+        if self.migration {
+            cfg.migration.get_or_insert_with(MigrationPolicy::default);
+        }
+        let mut sim = Simulation::new(cfg, self.policy);
+        if let Some(pct) = self.capacity_pct {
+            let scoma = baseline.expect("a capacity-limited run needs its baseline");
+            let frames = derive_scoma70_capacity(scoma, f64::from(pct) / 100.0);
+            sim = sim.with_page_cache_capacity(frames);
+        }
+        sim.effective_config()
+    }
+}
+
+/// Runs `trace` on `base` under `specs` and their baseline on at most
+/// `workers` threads, each spec once on its own machine, and returns the
+/// reports by spec: first a [`par_map`] of the specs without a capacity
+/// and the baseline, then one of the specs it sizes, each in `specs` order.
+///
+/// # Errors
+///
+/// As [`Simulation::run_trace`], the trace checked once; a run's panic is
+/// re-raised. Of several failures, the first in phase-then-`specs` order.
+pub fn run_specs(
+    workers: usize,
+    base: &MachineConfig,
+    trace: &Trace,
+    specs: &[RunSpec],
+) -> Result<BTreeMap<RunSpec, RunReport>, SimError> {
+    check_trace(base, trace)?;
+    let mut reports = BTreeMap::new();
+    for phase in phases(specs) {
+        let baseline = reports.get(&RunSpec::baseline());
+        let run = |spec: &RunSpec| Machine::new(spec.config(base, baseline)).try_run(trace);
+        let done = par_map(workers, &phase, run);
+        for (spec, report) in phase.into_iter().zip(done) {
+            reports.insert(spec, report?);
+        }
+    }
+    Ok(reports)
+}
+
+/// [`run_specs`]' two phases of `specs`, in order and each spec once.
+fn phases(specs: &[RunSpec]) -> [Vec<RunSpec>; 2] {
+    let mut phases = [Vec::new(), Vec::new()];
+    for &spec in specs {
+        let sized = spec.capacity_pct.is_some();
+        let first = if sized { RunSpec::baseline() } else { spec };
+        for (phase, spec) in [(0, first), (usize::from(sized), spec)] {
+            if !phases[phase].contains(&spec) {
+                phases[phase].push(spec);
+            }
+        }
+    }
+    phases
 }
 
 /// Maps `f` over `items` on at most `workers` threads, the calling
@@ -233,6 +275,8 @@ pub fn par_map<I: Sync, T: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
     use prism_mem::addr::VirtAddr;
     use prism_mem::trace::{Op, TraceError, SHARED_BASE};
     use prism_workloads::Synthetic;
@@ -296,37 +340,167 @@ mod tests {
         assert!(result.reports[&PolicyKind::Scoma70].page_outs > 0);
     }
 
-    /// The sweep as a serial loop of [`Simulation::run_trace`] calls
-    /// computes it: SCOMA first, then every other configuration with the
-    /// capacity derived from it.
-    fn serial_sweep(trace: &Trace) -> (usize, BTreeMap<PolicyKind, RunReport>) {
+    fn json(reports: &BTreeMap<RunSpec, RunReport>) -> Vec<(RunSpec, String)> {
+        reports
+            .iter()
+            .map(|(spec, r)| (*spec, r.to_json()))
+            .collect()
+    }
+
+    /// What a spec runs as a serial loop of [`Simulation::run_trace`]
+    /// calls computes it on [`config`]: the deviations assigned, and the
+    /// page cache sized from the SCOMA run of the same trace.
+    fn serial(specs: &[RunSpec], trace: &Trace) -> BTreeMap<RunSpec, RunReport> {
         let scoma = Simulation::new(config(), PolicyKind::Scoma)
             .run_trace(trace)
             .unwrap();
-        let capacity = derive_scoma70_capacity(&scoma, SCOMA70_FRACTION);
-        let mut reports = BTreeMap::from([(PolicyKind::Scoma, scoma)]);
-        for policy in &PolicyKind::ALL[1..] {
-            let sim = Simulation::new(config(), *policy).with_page_cache_capacity(capacity);
-            reports.insert(*policy, sim.run_trace(trace).unwrap());
+        let mut reports = BTreeMap::new();
+        for spec in specs {
+            let mut cfg = config();
+            cfg.latency = match spec.pit {
+                PitTechnology::Sram => cfg.latency,
+                PitTechnology::Dram => cfg.latency.with_dram_pit(),
+                PitTechnology::BypassedCcNuma => cfg.latency.with_cc_numa_addressing(),
+            };
+            cfg.home_status_flag = spec.home_status_flag;
+            cfg.migration = spec.migration.then(MigrationPolicy::default);
+            let mut sim = Simulation::new(cfg, spec.policy);
+            if let Some(pct) = spec.capacity_pct {
+                let frames = derive_scoma70_capacity(&scoma, f64::from(pct) / 100.0);
+                sim = sim.with_page_cache_capacity(frames);
+            }
+            reports.insert(*spec, sim.run_trace(trace).unwrap());
         }
-        (capacity, reports)
+        reports.insert(RunSpec::baseline(), scoma);
+        reports
     }
 
     #[test]
     fn sweep_is_the_same_at_any_worker_count() {
         let trace = Synthetic::uniform(4, 256 * 1024, 3_000).generate(4);
-        let (capacity, serial) = serial_sweep(&trace);
-        let json = |reports: &BTreeMap<PolicyKind, RunReport>| {
-            reports
-                .iter()
-                .map(|(policy, r)| (*policy, r.to_json()))
-                .collect::<Vec<_>>()
-        };
-        assert!(serial[&PolicyKind::Scoma70].page_outs > 0, "capacity binds");
+        let specs = PolicyKind::ALL.map(RunSpec::new);
+        let want = serial(&specs, &trace);
+        let capacity = derive_scoma70_capacity(&want[&RunSpec::baseline()], SCOMA70_FRACTION);
+        assert!(
+            want[&RunSpec::new(PolicyKind::Scoma70)].page_outs > 0,
+            "capacity binds"
+        );
         for workers in [1, 2, 4] {
-            let result = sweep_on(workers, &config(), &trace, &PolicyKind::ALL).unwrap();
-            assert_eq!(result.capacity, capacity, "{workers} workers");
-            assert_eq!(json(&result.reports), json(&serial), "{workers} workers");
+            let got = run_specs(workers, &config(), &trace, &specs).unwrap();
+            let sized =
+                RunSpec::new(PolicyKind::DynLru).config(&config(), got.get(&RunSpec::baseline()));
+            assert_eq!(
+                sized.page_cache_capacity,
+                Some(capacity),
+                "{workers} workers"
+            );
+            assert_eq!(json(&got), json(&want), "{workers} workers");
+        }
+        let sweep = sweep_trace(&config(), &trace, &PolicyKind::ALL).unwrap();
+        assert_eq!(sweep.capacity, capacity);
+        let by_policy: Vec<_> = want.values().map(RunReport::to_json).collect();
+        assert_eq!(
+            sweep
+                .reports
+                .values()
+                .map(RunReport::to_json)
+                .collect::<Vec<_>>(),
+            by_policy
+        );
+    }
+
+    /// Every field of a spec reaches its run, at any worker count.
+    #[test]
+    fn run_specs_equals_a_serial_loop_for_every_field() {
+        let trace = Synthetic::uniform(4, 256 * 1024, 2_000).generate(4);
+        let (lanuma, scoma70) = (
+            RunSpec::new(PolicyKind::Lanuma),
+            RunSpec::new(PolicyKind::Scoma70),
+        );
+        let mut specs = vec![
+            RunSpec {
+                pit: PitTechnology::Dram,
+                ..lanuma
+            },
+            RunSpec {
+                pit: PitTechnology::BypassedCcNuma,
+                ..lanuma
+            },
+            RunSpec {
+                home_status_flag: false,
+                ..scoma70
+            },
+            RunSpec {
+                migration: true,
+                ..RunSpec::baseline()
+            },
+            RunSpec::new(PolicyKind::DynBoth),
+        ];
+        specs.extend([10, 50, 90].map(|pct| RunSpec {
+            capacity_pct: Some(pct),
+            ..scoma70
+        }));
+        let want = serial(&specs, &trace);
+        let distinct: BTreeSet<String> = want.values().map(RunReport::to_json).collect();
+        assert_eq!(
+            distinct.len(),
+            specs.len() + 1,
+            "every field changes its run"
+        );
+        for workers in [1, 2, 4] {
+            let got = run_specs(workers, &config(), &trace, &specs).unwrap();
+            assert_eq!(json(&got), json(&want), "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn a_spec_listed_twice_runs_once() {
+        let (lanuma, scoma70) = (
+            RunSpec::new(PolicyKind::Lanuma),
+            RunSpec::new(PolicyKind::Scoma70),
+        );
+        let twice = [scoma70, lanuma, scoma70, lanuma, RunSpec::baseline()];
+        assert_eq!(
+            phases(&twice),
+            [vec![RunSpec::baseline(), lanuma], vec![scoma70]]
+        );
+        let trace = Synthetic::uniform(4, 64 * 1024, 500).generate(4);
+        let once = run_specs(2, &config(), &trace, &[lanuma, scoma70]).unwrap();
+        assert_eq!(
+            json(&run_specs(2, &config(), &trace, &twice).unwrap()),
+            json(&once)
+        );
+    }
+
+    #[test]
+    fn a_limited_spec_alone_still_returns_its_baseline() {
+        let trace = Synthetic::uniform(4, 256 * 1024, 1_000).generate(4);
+        let dyn_lru = RunSpec::new(PolicyKind::DynLru);
+        let got = run_specs(1, &config(), &trace, &[dyn_lru]).unwrap();
+        assert_eq!(json(&got), json(&serial(&[dyn_lru], &trace)));
+    }
+
+    /// A spec's defaults keep what the base machine already sets.
+    #[test]
+    fn default_fields_leave_the_base_untouched() {
+        let mut base = config();
+        base.latency = base.latency.with_dram_pit();
+        base.home_status_flag = false;
+        base.migration = Some(MigrationPolicy {
+            min_traffic: 7,
+            ..MigrationPolicy::default()
+        });
+        let want = Simulation::new(base.clone(), PolicyKind::Lanuma).effective_config();
+        let lanuma = RunSpec::new(PolicyKind::Lanuma);
+        for spec in [
+            lanuma,
+            RunSpec {
+                migration: true,
+                ..lanuma
+            },
+        ] {
+            let cfg = spec.config(&base, None);
+            assert_eq!(format!("{cfg:?}"), format!("{want:?}"), "{spec:?}");
         }
     }
 
@@ -341,7 +515,8 @@ mod tests {
                 .run_trace(trace)
                 .unwrap_err();
             for workers in [1, 2] {
-                let got = sweep_on(workers, &config(), trace, &PolicyKind::ALL).unwrap_err();
+                let specs = PolicyKind::ALL.map(RunSpec::new);
+                let got = run_specs(workers, &config(), trace, &specs).unwrap_err();
                 assert_eq!(got, want);
             }
             assert_eq!(sweep_trace(&config(), trace, &[]).unwrap_err(), want);
@@ -370,7 +545,8 @@ mod tests {
             SimError::Deadlock(prism_machine::RunError::Deadlock { procs: vec![0, 1] })
         );
         for workers in [1, 2] {
-            let got = sweep_on(workers, &config(), &trace, &PolicyKind::ALL).unwrap_err();
+            let specs = PolicyKind::ALL.map(RunSpec::new);
+            let got = run_specs(workers, &config(), &trace, &specs).unwrap_err();
             assert_eq!(got, want, "{workers} workers");
         }
     }

@@ -6,9 +6,10 @@
 //!   ([`prism_machine::config::MachineConfig`]) with one of the paper's
 //!   six page-mode configurations ([`policy::PolicyKind`]) and run a
 //!   workload to a [`prism_machine::report::RunReport`].
-//! * [`experiment`] — the evaluation harness: sweep an application
-//!   across every configuration with the SCOMA-70 page-cache capacity
-//!   derived from the SCOMA baseline, exactly as §4.2 prescribes.
+//! * [`experiment`] — the evaluation harness: [`experiment::run_specs`]
+//!   runs a trace under a set of [`experiment::RunSpec`]s, sizing each
+//!   capacity-limited page cache from the SCOMA baseline exactly as §4.2
+//!   prescribes; [`experiment::sweep`] runs all six configurations.
 //!
 //! Lower layers are re-exported for direct use: `prism-machine` (the
 //! machine), `prism-kernel` (the multi-kernel OS model), `prism-protocol`
@@ -39,7 +40,9 @@ pub mod policy;
 pub mod simulation;
 
 pub use analysis::{render_node_balance, Analysis};
-pub use experiment::{derive_scoma70_capacity, sweep, sweep_trace, SweepResult, SCOMA70_FRACTION};
+pub use experiment::{
+    derive_scoma70_capacity, run_specs, sweep, sweep_trace, RunSpec, SweepResult, SCOMA70_FRACTION,
+};
 pub use policy::PolicyKind;
 pub use simulation::{SimError, Simulation};
 

@@ -581,11 +581,14 @@ impl Machine {
     /// lanes. Fault containment means a failure taking down one job's
     /// resources leaves the others running.
     ///
+    /// # Errors
+    ///
+    /// As [`Machine::try_run`], for the jobs' combined lanes.
+    ///
     /// # Panics
     ///
-    /// Panics if the combined lane count mismatches the machine, a job
-    /// is malformed, or the jobs deadlock (as [`Machine::run`] does).
-    pub fn run_jobs(&mut self, jobs: &[prism_mem::trace::Trace]) -> RunReport {
+    /// Panics if a job is malformed ([`Trace::validate`] fails).
+    pub fn run_jobs(&mut self, jobs: &[Trace]) -> Result<RunReport, RunError> {
         let (combined, groups) = prism_mem::trace::compose_jobs(jobs, &self.cfg.geometry);
         // Which combined-segment indices (= gsids) belong to each job.
         let mut segment_groups: Vec<Vec<u32>> = Vec::new();
@@ -595,15 +598,7 @@ impl Machine {
             next_gsid += job.segments.len() as u32;
             segment_groups.push(ids);
         }
-        assert_eq!(
-            combined.lanes.len(),
-            self.cfg.total_procs(),
-            "jobs declare {} lanes but the machine has {} processors",
-            combined.lanes.len(),
-            self.cfg.total_procs()
-        );
-        self.load(&combined)
-            .expect("the lane count was checked above");
+        self.load(&combined)?;
         // OS page placement: each job's segments are homed on the job's
         // own nodes, so jobs are independent failure units (paper §1).
         let ppn = self.ppn();
@@ -621,7 +616,7 @@ impl Machine {
                 (range, BarrierSet::new(participants))
             })
             .collect();
-        self.run_loop(&combined).unwrap_or_else(|e| panic!("{e}"));
-        self.finalize_report()
+        self.run_loop(&combined)?;
+        Ok(self.finalize_report())
     }
 }

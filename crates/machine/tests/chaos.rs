@@ -106,14 +106,16 @@ fn mid_run_node_failure_kills_only_jobs_on_failed_resources() {
     let job_a = app(AppId::Lu, Scale::Small).generate(4);
     let job_b = app(AppId::Ocean, Scale::Small).generate(4);
 
-    let clean = Machine::new(config()).run_jobs(&[job_a.clone(), job_b.clone()]);
+    let clean = Machine::new(config())
+        .run_jobs(&[job_a.clone(), job_b.clone()])
+        .unwrap();
     assert_eq!(clean.dead_procs, 0);
     let half = Cycle(clean.exec_cycles.as_u64() / 2);
 
     let mut m = Machine::new(config());
     m.install_fault_plan(FaultPlan::new(1).fail_node(NodeId(0), half))
         .expect("fault plan validates");
-    let report = m.run_jobs(&[job_a, job_b.clone()]);
+    let report = m.run_jobs(&[job_a, job_b.clone()]).unwrap();
 
     assert_eq!(report.fault.node_failures, 1, "the scheduled failure fired");
     // Node 0's own two processors die; node 1's die only if they touch
@@ -604,7 +606,9 @@ fn fault_free_journaled_run_audits_clean() {
 fn combined_transient_and_permanent_faults_stay_contained() {
     let job_a = app(AppId::WaterSpa, Scale::Small).generate(4);
     let job_b = app(AppId::Radix, Scale::Small).generate(4);
-    let clean = Machine::new(config()).run_jobs(&[job_a.clone(), job_b.clone()]);
+    let clean = Machine::new(config())
+        .run_jobs(&[job_a.clone(), job_b.clone()])
+        .unwrap();
     let half = Cycle(clean.exec_cycles.as_u64() / 2);
 
     let mut m = Machine::new(config());
@@ -614,7 +618,7 @@ fn combined_transient_and_permanent_faults_stay_contained() {
             .fail_node(NodeId(1), half),
     )
     .expect("fault plan validates");
-    let report = m.run_jobs(&[job_a, job_b.clone()]);
+    let report = m.run_jobs(&[job_a, job_b.clone()]).unwrap();
 
     assert_eq!(report.fault.node_failures, 1);
     assert!(report.fault.retries > 0);

@@ -20,7 +20,9 @@ fn main() {
     println!("job B (procs 4-7): {}", ocean.description());
 
     let jobs = [lu.generate(4), ocean.generate(4)];
-    let report = Machine::new(config.clone()).run_jobs(&jobs);
+    let report = Machine::new(config.clone())
+        .run_jobs(&jobs)
+        .expect("both jobs run to completion");
     println!("\nhealthy machine:");
     println!(
         "  {} references executed, {} barrier episodes, 0 dead processors",
@@ -30,7 +32,7 @@ fn main() {
     // Same pair, but node 1 (job A's second node) fails first.
     let mut machine = Machine::new(config);
     machine.fail_node(NodeId(1));
-    let report = machine.run_jobs(&jobs);
+    let report = machine.run_jobs(&jobs).expect("the jobs run to completion");
     println!("\nwith node 1 failed before the run:");
     println!(
         "  {} dead processors; {} references still executed",

@@ -92,7 +92,7 @@ fn golden_composed_jobs() {
         app(AppId::WaterSpa, Scale::Small).generate(4),
         app(AppId::Radix, Scale::Small).generate(4),
     ];
-    let report = Machine::new(base_config()).run_jobs(&jobs);
+    let report = Machine::new(base_config()).run_jobs(&jobs).unwrap();
     check_golden("composed_jobs", &report.to_json());
 }
 
@@ -126,7 +126,7 @@ fn golden_mixed_faults() {
         .fail_node(NodeId(3), Cycle(20_000));
     let mut m = Machine::new(cfg);
     m.install_fault_plan(plan).expect("fault plan validates");
-    let report = m.run_jobs(&jobs);
+    let report = m.run_jobs(&jobs).unwrap();
     assert_eq!(report.fault.node_failures, 1, "the node death must land");
     assert_eq!(report.fault.transit_wedges, 1, "the wedge must land");
     check_golden("mixed_faults", &report.to_json());

@@ -4,8 +4,9 @@
 //! "If a node fails … applications using resources on the failed node
 //! may be terminated" while everything else keeps running).
 
-use prism::machine::machine::Machine;
+use prism::machine::machine::{Machine, RunError};
 use prism::mem::addr::NodeId;
+use prism::mem::trace::{Op, Trace};
 use prism::prelude::*;
 
 fn config() -> MachineConfig {
@@ -28,7 +29,7 @@ fn two_jobs_run_side_by_side() {
     let job_b = app(AppId::Ocean, Scale::Small).generate(4);
     let total: u64 = (job_a.total_refs() + job_b.total_refs()) as u64;
     let mut m = Machine::new(config());
-    let report = m.run_jobs(&[job_a, job_b]);
+    let report = m.run_jobs(&[job_a, job_b]).unwrap();
     assert_eq!(report.total_refs, total, "both jobs executed fully");
     assert!(report.reads_checked > 0);
     assert_eq!(report.dead_procs, 0);
@@ -43,8 +44,8 @@ fn composed_runs_are_deterministic() {
             app(AppId::Radix, Scale::Small).generate(4),
         ]
     };
-    let a = Machine::new(config()).run_jobs(&jobs());
-    let b = Machine::new(config()).run_jobs(&jobs());
+    let a = Machine::new(config()).run_jobs(&jobs()).unwrap();
+    let b = Machine::new(config()).run_jobs(&jobs()).unwrap();
     assert_eq!(a.exec_cycles, b.exec_cycles);
     assert_eq!(a.remote_misses, b.remote_misses);
     assert_eq!(a.ledger.total(), b.ledger.total());
@@ -63,7 +64,7 @@ fn node_failure_kills_one_job_not_the_other() {
 
     let mut m = Machine::new(config());
     m.fail_node(NodeId(0));
-    let report = m.run_jobs(&[job_a.clone(), job_b.clone()]);
+    let report = m.run_jobs(&[job_a.clone(), job_b.clone()]).unwrap();
     // Only job A's processors can die: node 0's two immediately, node
     // 1's two when they touch pages homed on node 0. Job B's four are
     // untouchable — none of its pages live outside nodes 2-3.
@@ -72,7 +73,9 @@ fn node_failure_kills_one_job_not_the_other() {
 
     // Job B completed in full: re-running it alone on a healthy machine
     // executes the same reference count that survived here at minimum.
-    let healthy = Machine::new(config()).run_jobs(&[job_a, job_b.clone()]);
+    let healthy = Machine::new(config())
+        .run_jobs(&[job_a, job_b.clone()])
+        .unwrap();
     assert!(healthy.total_refs >= report.total_refs);
     assert!(report.total_refs >= job_b.total_refs() as u64);
 }
@@ -89,7 +92,7 @@ fn per_node_reports_attribute_stats_to_the_owning_job() {
             app(AppId::Ocean, Scale::Small).generate(4), // nodes 2-3
         ]
     };
-    let healthy = Machine::new(config()).run_jobs(&jobs());
+    let healthy = Machine::new(config()).run_jobs(&jobs()).unwrap();
     // Both jobs really ran where they were placed.
     for n in 0..4 {
         assert!(
@@ -100,7 +103,7 @@ fn per_node_reports_attribute_stats_to_the_owning_job() {
 
     let mut m = Machine::new(config());
     m.fail_node(NodeId(0));
-    let faulted = m.run_jobs(&jobs());
+    let faulted = m.run_jobs(&jobs()).unwrap();
     // Job B's nodes never see job A's pages or processors, so their
     // kernel and utilization counters are identical whether job A's
     // node failed or not.
@@ -153,15 +156,54 @@ fn same_barrier_id_is_scoped_per_job() {
     };
     let jobs = [job("twice", 2), job("once", 1)];
     let total: u64 = jobs.iter().map(|j| j.total_refs() as u64).sum();
-    let report = Machine::new(config()).run_jobs(&jobs);
+    let report = Machine::new(config()).run_jobs(&jobs).unwrap();
     assert_eq!(report.total_refs, total, "a lane stalled at a barrier");
     assert_eq!(report.dead_procs, 0);
 }
 
-/// Lane-count mismatches are rejected loudly.
+/// A lane-count mismatch is an error, and nothing runs.
 #[test]
-#[should_panic(expected = "lanes but the machine has")]
-fn wrong_total_lane_count_panics() {
+fn wrong_total_lane_count_is_an_error() {
     let job = app(AppId::Lu, Scale::Small).generate(4);
-    Machine::new(config()).run_jobs(&[job]); // 4 lanes on an 8-proc machine
+    let err = Machine::new(config()).run_jobs(&[job]).unwrap_err(); // 4 lanes, 8 procs
+    assert_eq!(
+        err,
+        RunError::LaneCount {
+            trace: 4,
+            machine: 8
+        }
+    );
+}
+
+/// Two jobs that each deadlock on their own two locks: the run is an
+/// error naming every blocked processor, not a panic.
+#[test]
+fn deadlocked_jobs_are_an_error() {
+    let abba = |name: &str| {
+        let lane = |first, second| {
+            vec![
+                Op::Lock(first),
+                Op::Compute(1_000),
+                Op::Lock(second),
+                Op::Unlock(second),
+                Op::Unlock(first),
+            ]
+            .into()
+        };
+        let idle = || vec![Op::Compute(5)].into();
+        Trace {
+            name: name.into(),
+            segments: vec![],
+            lanes: vec![lane(1, 2), lane(2, 1), idle(), idle()],
+        }
+    };
+    let err = Machine::new(config())
+        .run_jobs(&[abba("a"), abba("b")])
+        .unwrap_err();
+    assert_eq!(
+        err,
+        RunError::Deadlock {
+            procs: vec![0, 1, 4, 5]
+        }
+    );
 }

@@ -81,10 +81,8 @@ fn a_fabricated_violation_is_reported() {
     let want = "LU: the home-page-status flag should never slow a run";
     assert!(!studies(small_run()).1.iter().any(|v| v == want));
     let flag_on = RunKey::app(AppId::Lu, PolicyKind::Scoma70);
-    let flag_off = RunKey {
-        home_status_flag: false,
-        ..flag_on
-    };
+    let mut flag_off = flag_on;
+    flag_off.spec.home_status_flag = false;
     let mut run = SuiteRun {
         reports: small_run().reports.clone(),
     };
